@@ -15,8 +15,6 @@ Layers, bottom up:
 * :mod:`hybrid_nls.analysis` — derived quantities and sweeps.
 * :mod:`hybrid_nls.verify` — the numbered verification suite.
 * :mod:`hybrid_nls.cli` — the ``hybrid-nls`` command.
-
-Set ``HYBRID_NLS_BACKEND=numpy`` to disable the numba kernels.
 """
 
 from hybrid_nls.analysis import (

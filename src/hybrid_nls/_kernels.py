@@ -15,17 +15,6 @@ iterations over ~2k-node arrays, so the |u|^{p-2} power — the dominant
 cost — is computed once and reused for both the energy and the
 gradient.
 
-Two interchangeable backends are built at import time:
-
-* ``numba`` — fused @njit loops (default when numba is importable);
-* ``numpy`` — vectorized fallback, selected by setting the environment
-  variable ``HYBRID_NLS_BACKEND=numpy`` (or automatically when numba
-  is missing).
-
-Both produce the same values to rounding; ``benchmarks/bench_kernels.py``
-times them against each other.  ``fastmath`` stays off so results are
-reproducible run to run.
-
 Sign conventions and array layout (phi has N+1 nodes, phi[N] = 0 is a
 Dirichlet value, node 0 is a ghost tied to node 1 and carries zero
 quadrature weight):
@@ -41,42 +30,13 @@ quadrature weight):
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-__all__ = [
-    "BACKEND",
-    "HAS_NUMBA",
-    "plane_energy",
-    "plane_energy_grad",
-    "plane_energy_numpy",
-    "plane_energy_grad_numpy",
-    "plane_energy_numba",
-    "plane_energy_grad_numba",
-]
-
-_ENV = os.environ.get("HYBRID_NLS_BACKEND", "auto").strip().lower()
-if _ENV not in ("auto", "numba", "numpy"):
-    raise RuntimeError(
-        f"HYBRID_NLS_BACKEND={_ENV!r} not understood (use 'numba' or 'numpy')"
-    )
-
-HAS_NUMBA = False
-if _ENV != "numpy":
-    try:
-        import numba
-
-        HAS_NUMBA = True
-    except ImportError:
-        if _ENV == "numba":
-            raise RuntimeError(
-                "HYBRID_NLS_BACKEND=numba but numba is not importable"
-            ) from None
+__all__ = ["plane_energy", "plane_energy_grad"]
 
 
-def plane_energy_numpy(phi, q, G, p, lam, sig_theta, gl2, w, w_in, c,
-                       lagw, g0, area0):
+def plane_energy(phi, q, G, p, lam, sig_theta, gl2, w, w_in, c, lagw, g0,
+                 area0):
     """Energy and norm pieces of one plane.
 
     Returns ``(energy, mass, kin, mpp, mpg, pterm)`` where ``mass`` is
@@ -98,8 +58,8 @@ def plane_energy_numpy(phi, q, G, p, lam, sig_theta, gl2, w, w_in, c,
     return energy, mass, kin, mpp, mpg, pterm
 
 
-def plane_energy_grad_numpy(phi, q, G, p, lam, sig_theta, gl2, w, w_in, c,
-                            lagw, g0, area0, gphi):
+def plane_energy_grad(phi, q, G, p, lam, sig_theta, gl2, w, w_in, c, lagw,
+                      g0, area0, gphi):
     """Energy pieces plus exact partial derivatives.
 
     Fills ``gphi`` (same length as phi) with dE/dphi_j for the interior
@@ -136,95 +96,3 @@ def plane_energy_grad_numpy(phi, q, G, p, lam, sig_theta, gl2, w, w_in, c,
     mass = mpp + 2.0 * q * mpg + q * q * gl2
     dmq = 2.0 * (mpg + q * gl2)
     return energy, mass, kin, mpp, mpg, pterm, gq, dmq
-
-
-plane_energy_numba = None
-plane_energy_grad_numba = None
-
-if HAS_NUMBA:
-
-    @numba.njit(cache=True, fastmath=False)
-    def _plane_energy_nb(phi, q, G, p, lam, sig_theta, gl2, w, w_in, c,
-                         lagw, g0, area0):
-        n = phi.shape[0] - 1
-        kin = 0.0
-        for k in range(1, n):
-            d = phi[k + 1] - phi[k]
-            kin += c[k] * d * d
-        mpp = 0.0
-        mpg = 0.0
-        pterm = 0.0
-        for j in range(n + 1):
-            pj = phi[j]
-            mpp += w[j] * pj * pj
-            mpg += w[j] * pj * G[j]
-            au = abs(pj + q * G[j])
-            pterm += w_in[j] * au ** p
-        acc0 = 0.0
-        for i in range(lagw.shape[0]):
-            acc0 += lagw[i] * abs(phi[1] + q * g0[i]) ** p
-        pterm += area0 * acc0
-        energy = (0.5 * kin - lam * q * mpg - 0.5 * lam * q * q * gl2
-                  + 0.5 * q * q * sig_theta - pterm / p)
-        mass = mpp + 2.0 * q * mpg + q * q * gl2
-        return energy, mass, kin, mpp, mpg, pterm
-
-    @numba.njit(cache=True, fastmath=False)
-    def _plane_energy_grad_nb(phi, q, G, p, lam, sig_theta, gl2, w, w_in, c,
-                              lagw, g0, area0, gphi):
-        n = phi.shape[0] - 1
-        kin = 0.0
-        mpp = 0.0
-        mpg = 0.0
-        pterm = 0.0
-        sg = 0.0
-        for j in range(n + 1):
-            pj = phi[j]
-            mpp += w[j] * pj * pj
-            mpg += w[j] * pj * G[j]
-            u = pj + q * G[j]
-            au = abs(u)
-            s = au ** (p - 2.0) * u
-            pterm += w_in[j] * (s * u)
-            sg += w_in[j] * (s * G[j])
-            gphi[j] = -lam * q * w[j] * G[j] - w_in[j] * s
-        for k in range(1, n):
-            d = phi[k + 1] - phi[k]
-            kin += c[k] * d * d
-            t = c[k] * d
-            gphi[k + 1] += t
-            gphi[k] -= t
-        acc0 = 0.0
-        acc0g = 0.0
-        acc0s = 0.0
-        for i in range(lagw.shape[0]):
-            u0 = phi[1] + q * g0[i]
-            a0 = abs(u0)
-            s0 = a0 ** (p - 2.0) * u0
-            acc0 += lagw[i] * (s0 * u0)
-            acc0g += lagw[i] * (s0 * g0[i])
-            acc0s += lagw[i] * s0
-        pterm += area0 * acc0
-        gphi[1] -= area0 * acc0s
-        gphi[0] = 0.0
-        gphi[n] = 0.0
-        gq = (-lam * (mpg + q * gl2) + q * sig_theta
-              - sg - area0 * acc0g)
-        energy = (0.5 * kin - lam * q * mpg - 0.5 * lam * q * q * gl2
-                  + 0.5 * q * q * sig_theta - pterm / p)
-        mass = mpp + 2.0 * q * mpg + q * q * gl2
-        dmq = 2.0 * (mpg + q * gl2)
-        return energy, mass, kin, mpp, mpg, pterm, gq, dmq
-
-    plane_energy_numba = _plane_energy_nb
-    plane_energy_grad_numba = _plane_energy_grad_nb
-
-
-if HAS_NUMBA and _ENV in ("auto", "numba"):
-    BACKEND = "numba"
-    plane_energy = plane_energy_numba
-    plane_energy_grad = plane_energy_grad_numba
-else:
-    BACKEND = "numpy"
-    plane_energy = plane_energy_numpy
-    plane_energy_grad = plane_energy_grad_numpy

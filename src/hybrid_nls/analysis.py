@@ -11,7 +11,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,14 +105,10 @@ def _row_from_report(value: float, r: GroundStateReport) -> SweepRow:
     )
 
 
-def _solve_rows(params: list[HybridParams], values, cfg: SolverConfig,
-                jobs: int) -> tuple[SweepRow, ...]:
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(lambda P: solve_hybrid(P, cfg), params))
-    else:
-        reports = [solve_hybrid(P, cfg) for P in params]
-    return tuple(_row_from_report(v, r) for v, r in zip(values, reports))
+def _solve_rows(params: list[HybridParams], values,
+                cfg: SolverConfig) -> tuple[SweepRow, ...]:
+    return tuple(_row_from_report(v, solve_hybrid(P, cfg))
+                 for v, P in zip(values, params))
 
 
 @functools.lru_cache(maxsize=128)
@@ -195,8 +190,8 @@ def _check_sweep_values(values) -> list[float]:
     return vals
 
 
-def sweep_sigma2(P: HybridParams, sigma2_values, cfg: SolverConfig | None = None,
-                 jobs: int = 1) -> SweepTable:
+def sweep_sigma2(P: HybridParams, sigma2_values,
+                 cfg: SolverConfig | None = None) -> SweepTable:
     """Solve across second-plane strengths at fixed everything else.
 
     Requires equal powers and a first-plane strength below the whole
@@ -211,7 +206,7 @@ def sweep_sigma2(P: HybridParams, sigma2_values, cfg: SolverConfig | None = None
         raise ValueError("sigma1 must stay below every sigma2 value")
     cfg = cfg if cfg is not None else SolverConfig()
     params = [dataclasses.replace(P, sigma2=v) for v in vals]
-    rows = _solve_rows(params, vals, cfg, jobs)
+    rows = _solve_rows(params, vals, cfg)
     single = solve_single(P.p1, P.sigma1, P.mu, cfg)
     return SweepTable(
         parameter="sigma2",
@@ -222,8 +217,7 @@ def sweep_sigma2(P: HybridParams, sigma2_values, cfg: SolverConfig | None = None
 
 
 def sweep_common_sigma(p1: float, p2: float, beta: float, mu: float,
-                       sigma_values, cfg: SolverConfig | None = None,
-                       jobs: int = 1) -> SweepTable:
+                       sigma_values, cfg: SolverConfig | None = None) -> SweepTable:
     """Solve across a common strength sigma1 = sigma2 = sigma.
 
     The references carry both free-plane levels at this mass and the
@@ -235,7 +229,7 @@ def sweep_common_sigma(p1: float, p2: float, beta: float, mu: float,
     vals = _check_sweep_values(sigma_values)
     cfg = cfg if cfg is not None else SolverConfig()
     params = [HybridParams(p1, p2, v, v, beta, mu) for v in vals]
-    rows = _solve_rows(params, vals, cfg, jobs)
+    rows = _solve_rows(params, vals, cfg)
     return SweepTable(
         parameter="sigma_common",
         mu=mu,

@@ -10,10 +10,8 @@ Exit codes are uniform across commands: 0 success, 1 numeric failure
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -29,16 +27,18 @@ from .verify import run_suite
 __all__ = ["RunConfig", "main", "cmd_solve", "cmd_sweep", "cmd_baseline",
            "cmd_verify"]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _COMMANDS = ("solve", "sweep", "baseline", "verify")
 _FORMATS = ("json", "csv", "svg")
 _SWEEP_MODES = ("sigma2", "sigma_common", "beta", "mu")
+#: options that set SolverConfig fields of the same name
+_SOLVER_KEYS = ("R", "N", "grading", "grad_tol", "max_iters", "starts")
 
 _DEFAULTS = {
     "p1": 3.0, "p2": 3.0, "sigma1": 0.0, "sigma2": 0.0,
     "beta": 1.0, "mu": 1.0,
-    "formats": "json,csv", "jobs": 0, "fast": False,
+    "formats": "json,csv", "fast": False,
     "mode": "sigma2", "mu_relative": None, "values": None,
     "p": None, "mustar": None,
 }
@@ -57,7 +57,6 @@ class RunConfig:
     solver: SolverConfig
     out_dir: str
     formats: tuple[str, ...]
-    jobs: int
     fast: bool
     mode: str
     values: tuple[float, ...] | None
@@ -110,7 +109,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in ("p1", "p2", "sigma1", "sigma2", "beta", "mu",
                  "R", "grading", "grad-tol", "mu-relative"):
         ap.add_argument(f"--{name}", type=float, default=None)
-    for name in ("N", "max-iters", "seed", "jobs"):
+    for name in ("N", "max-iters"):
         ap.add_argument(f"--{name}", type=int, default=None)
     ap.add_argument("--starts", default=None,
                     help="comma-separated descent start weights")
@@ -140,6 +139,10 @@ def _merged_options(args: argparse.Namespace) -> dict:
             raise UsageError(f"could not read config file: {exc}") from None
         if not isinstance(loaded, dict):
             raise UsageError("config file must hold a flat JSON object")
+        known = set(vars(args)) - {"config"}  # the parser's destinations
+        unknown = sorted(set(loaded) - known)
+        if unknown:
+            raise UsageError("unknown config file keys: " + ", ".join(unknown))
         merged.update(loaded)
     on_cli = {k: v for k, v in vars(args).items()
               if v is not None and k != "config"}
@@ -153,17 +156,16 @@ def _merged_options(args: argparse.Namespace) -> dict:
 
 
 def _resolve(merged: dict) -> RunConfig:
-    solver = SolverConfig()
-    overrides = {}
-    for key, field in (("R", "R"), ("N", "N"), ("grading", "grading"),
-                       ("grad_tol", "grad_tol"), ("max_iters", "max_iters"),
-                       ("seed", "seed")):
-        if merged.get(key) is not None:
-            overrides[field] = merged[key]
-    if merged.get("starts") is not None:
+    overrides = {key: merged[key] for key in _SOLVER_KEYS
+                 if merged.get(key) is not None}
+    if merged["command"] == "verify" and overrides:
+        flags = ", ".join("--" + k.replace("_", "-") for k in overrides)
+        raise UsageError(f"verify runs its own fixed grids and does not take "
+                         f"{flags}")
+    if "starts" in overrides:
         overrides["starts"] = _parse_floats(merged["starts"], "--starts")
     try:
-        solver = dataclasses.replace(solver, **overrides)
+        solver = dataclasses.replace(SolverConfig(), **overrides)
         params = HybridParams(merged["p1"], merged["p2"], merged["sigma1"],
                               merged["sigma2"], merged["beta"], merged["mu"])
     except (ValueError, TypeError) as exc:
@@ -178,9 +180,6 @@ def _resolve(merged: dict) -> RunConfig:
                          f"choose from {','.join(_FORMATS)}")
 
     out_dir = merged.get("out") or os.environ.get("HYBRID_NLS_OUT") or "."
-    jobs = int(merged["jobs"]) or (os.cpu_count() or 1)
-    if jobs < 1:
-        raise UsageError(f"--jobs must be >= 1, got {jobs}")
 
     values = None
     if merged.get("values") is not None:
@@ -194,7 +193,7 @@ def _resolve(merged: dict) -> RunConfig:
 
     return RunConfig(
         command=merged["command"], params=params, solver=solver,
-        out_dir=out_dir, formats=fmts, jobs=jobs, fast=bool(merged["fast"]),
+        out_dir=out_dir, formats=fmts, fast=bool(merged["fast"]),
         mode=merged["mode"], values=values,
         mu_relative=merged.get("mu_relative"), p_list=p_list,
         mustar_pairs=pairs)
@@ -355,29 +354,20 @@ def cmd_sweep(rc: RunConfig) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
-    rows: list[dict | None] = [None] * len(plist)
+    done: list[dict] = []
     errors: list[dict] = []
-
-    def run_one(k: int):
-        return k, solve_hybrid(plist[k], rc.solver)
-
-    with concurrent.futures.ThreadPoolExecutor(max_workers=rc.jobs) as pool:
-        futures = [pool.submit(run_one, k) for k in range(len(plist))]
-        for fut in concurrent.futures.as_completed(futures):
-            try:
-                k, rep = fut.result()
-            except (RuntimeError, ValueError, ArithmeticError) as exc:
-                k = futures.index(fut)
-                errors.append({"value": rc.values[k], "error": str(exc)})
-                continue
-            rows[k] = {
-                "value": rc.values[k], "energy": rep.energy,
-                "mass1": rep.mass1, "mass2": rep.mass2,
-                "q1": rep.q1, "q2": rep.q2, "omega": rep.omega,
-                "converged": rep.converged,
-            }
-
-    done = [r for r in rows if r is not None]
+    for value, P in zip(rc.values, plist):
+        try:
+            rep = solve_hybrid(P, rc.solver)
+        except (RuntimeError, ValueError, ArithmeticError) as exc:
+            errors.append({"value": value, "error": str(exc)})
+            continue
+        done.append({
+            "value": value, "energy": rep.energy,
+            "mass1": rep.mass1, "mass2": rep.mass2,
+            "q1": rep.q1, "q2": rep.q2, "omega": rep.omega,
+            "converged": rep.converged,
+        })
     if "csv" in rc.formats:
         _write_csv(rc, "sweep.csv", list(analysis.SweepTable.COLUMNS),
                    [[r[c] for c in analysis.SweepTable.COLUMNS] for r in done])

@@ -56,7 +56,6 @@ __all__ = [
     "HybridState",
     "ActionValues",
     "HybridGradient",
-    "CoercivityError",
     "mass",
     "q_form_sigma",
     "f_single",
@@ -65,15 +64,10 @@ __all__ = [
     "action_functionals",
     "el_residual",
     "boundary_residual",
-    "gn_ratio",
     "redecompose",
     "total_field",
     "plane_data",
 ]
-
-
-class CoercivityError(ValueError):
-    """The norm N_{sigma,lam}^2 came out nonpositive; raise lam."""
 
 
 @dataclass
@@ -388,25 +382,6 @@ def boundary_residual(U: HybridState, P: HybridParams) -> tuple[float, float]:
     r2 = eval_at_origin(U.u2.phi) - ((P.sigma2 + th2) * U.u2.q
                                      - P.beta * U.u1.q)
     return float(r1), float(r2)
-
-
-def gn_ratio(u: ChargedField, p: float, sigma: float) -> float:
-    """Interpolation-inequality probe |u|_p^p / (N^{p-2} |u|_2^2).
-
-    N^2 = Q_sigma(u) + lam |u|^2 must be positive; otherwise the
-    decomposition rate is too small for this sigma and a
-    :class:`CoercivityError` is raised (callers should re-decompose at
-    a larger lam).  Scale-invariant under u -> c u.
-    """
-    m = mass(u)
-    if m <= 0.0:
-        raise ValueError("gn_ratio needs a nonzero field")
-    n_sq = q_form_sigma(u, sigma) + u.lam * m
-    if n_sq <= 0.0:
-        raise CoercivityError(
-            f"N^2 = {n_sq:.3e} <= 0 at sigma={sigma}, lam={u.lam}; "
-            "re-decompose at a larger rate")
-    return lp_power(u, p) / (n_sq ** ((p - 2.0) / 2.0) * m)
 
 
 def redecompose(u: ChargedField, lam_new: float) -> ChargedField:

@@ -10,14 +10,11 @@ singularity there) and uniform further out:
 
 with g the grading ratio and h0 fixed by sum(h_k) = R.
 
-Three weight vectors are precomputed per grid:
+Two weight vectors are precomputed per grid:
 
 * ``w_trapz``  — cell-wise trapezoid weights for 2 pi int f r dr; this
   is the inner product the energy module and the solver metric use
   (one self-consistent discrete quadratic form).
-* ``w_quad``   — composite locally-quadratic (nonuniform Simpson)
-  weights used by the standalone ``integrate``/``lp_norm`` ops; fourth
-  order on smooth integrands, still nonnegative for grading < 2.
 * ``c_h1``     — per-cell coefficients 2 pi r_mid / h for the H^1
   seminorm  sum_k c_k (f_{k+1} - f_k)^2.
 
@@ -36,9 +33,6 @@ __all__ = [
     "RadialGrid",
     "RadialField",
     "make_grid",
-    "integrate",
-    "lp_norm",
-    "h1_seminorm_sq",
     "eval_at_origin",
     "radial_laplacian",
     "origin_cell_rule",
@@ -59,7 +53,6 @@ class RadialGrid:
     grading: float
     h: np.ndarray = field(repr=False)
     w_trapz: np.ndarray = field(repr=False)
-    w_quad: np.ndarray = field(repr=False)
     c_h1: np.ndarray = field(repr=False)
 
     @property
@@ -89,32 +82,6 @@ class RadialField:
         self.values = vals
 
 
-def _simpson_weights(r: np.ndarray) -> np.ndarray:
-    """Composite quadrature weights for int_0^R F(r) dr, F sampled at r.
-
-    Cells are paired; on each pair the parabola through the three nodes
-    is integrated exactly (classic nonuniform-Simpson coefficients).  A
-    trailing unpaired cell falls back to trapezoid.  The 2 pi r measure
-    factor is folded into the returned node weights.
-    """
-    n = len(r) - 1
-    w = np.zeros_like(r)
-    k = 0
-    while k + 2 <= n:
-        h1 = r[k + 1] - r[k]
-        h2 = r[k + 2] - r[k + 1]
-        s = h1 + h2
-        w[k] += s / 6.0 * (2.0 - h2 / h1)
-        w[k + 1] += s**3 / (6.0 * h1 * h2)
-        w[k + 2] += s / 6.0 * (2.0 - h1 / h2)
-        k += 2
-    if k < n:
-        half = 0.5 * (r[k + 1] - r[k])
-        w[k] += half
-        w[k + 1] += half
-    return w * (2.0 * np.pi) * r
-
-
 def make_grid(R: float, n: int, grading: float = 1.01) -> RadialGrid:
     """Build the graded radial mesh.
 
@@ -126,8 +93,7 @@ def make_grid(R: float, n: int, grading: float = 1.01) -> RadialGrid:
         Number of cells (>= 64); the grid has n + 1 nodes.
     grading : float
         Geometric ratio >= 1 applied to the inner half of the cells;
-        1 gives a uniform mesh.  Must stay < 2 so all quadrature
-        weights remain nonnegative.
+        1 gives a uniform mesh.  Must stay < 2.
 
     Returns
     -------
@@ -170,10 +136,9 @@ def make_grid(R: float, n: int, grading: float = 1.01) -> RadialGrid:
         grading=grading,
         h=h,
         w_trapz=w_trapz,
-        w_quad=_simpson_weights(r),
         c_h1=c_h1,
     )
-    for arr in (grid.r, grid.h, grid.w_trapz, grid.w_quad, grid.c_h1):
+    for arr in (grid.r, grid.h, grid.w_trapz, grid.c_h1):
         arr.flags.writeable = False
     return grid
 
@@ -182,27 +147,6 @@ def _values(f: RadialField) -> tuple[RadialGrid, np.ndarray]:
     if not isinstance(f, RadialField):
         raise TypeError("expected a RadialField")
     return f.grid, f.values
-
-
-def integrate(f: RadialField) -> float:
-    """Quadrature of 2 pi int_0^R f(r) r dr on the field's grid."""
-    grid, vals = _values(f)
-    return float(grid.w_quad @ vals)
-
-
-def lp_norm(f: RadialField, p: float) -> float:
-    """Discrete L^p norm, (2 pi int |f|^p r dr)^(1/p), for p >= 1."""
-    if not p >= 1.0:
-        raise ValueError(f"p must be >= 1, got {p}")
-    grid, vals = _values(f)
-    return float((grid.w_quad @ np.abs(vals) ** p) ** (1.0 / p))
-
-
-def h1_seminorm_sq(f: RadialField) -> float:
-    """Squared H^1 seminorm 2 pi int |f'(r)|^2 r dr (midpoint in r)."""
-    grid, vals = _values(f)
-    d = np.diff(vals)
-    return float(grid.c_h1 @ (d * d))
 
 
 def eval_at_origin(f: RadialField) -> float:

@@ -78,7 +78,6 @@ class SolverConfig:
     grad_tol: float = 1e-6
     energy_tol: float = 1e-10
     starts: tuple[float, ...] = (0.1, 0.5, 0.9)
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.R <= 0.0:
@@ -348,7 +347,6 @@ def _rayleigh_min(grid, lam, pd, sigmas, beta, cfg) -> float:
                               lam / _RATE_MARGIN)
     energy = 0.5 * q_of(phis, qs)
     step = 1.0
-    since_factor = 0
     stall = 0
 
     for _ in range(cfg.max_iters):
@@ -503,15 +501,13 @@ def _descend(grid, lam, pd, planes, beta, mu, cfg, make_lin, charged, phis, qs):
 
     def energy_of(phis_, qs_):
         tot = 0.0
-        pieces = []
         for (p, sig), phi, q in zip(planes, phis_, qs_):
-            e, m, kin, mpp, mpg, pt = plane_energy(
-                phi, q, G, p, lam, sig + th, gl2, w, w_in, cu, lagw, g0, area0)
-            tot += e
-            pieces.append((e, pt))
+            tot += plane_energy(
+                phi, q, G, p, lam, sig + th, gl2, w, w_in, cu, lagw, g0,
+                area0)[0]
         if k == 2:
             tot -= beta * qs_[0] * qs_[1]
-        return tot, pieces
+        return tot
 
     def retract(phis_, qs_):
         out_p, out_q, mt = [], [], 0.0
@@ -529,7 +525,7 @@ def _descend(grid, lam, pd, planes, beta, mu, cfg, make_lin, charged, phis, qs):
         c = math.sqrt(mu / mt)
         return [c * phi for phi in out_p], [c * q for q in out_q]
 
-    energy, pieces = energy_of(phis, qs)
+    energy = energy_of(phis, qs)
     gphis = [np.empty(n) for _ in range(k)]
     step = cfg.step_size
     stall = 0
@@ -619,7 +615,7 @@ def _descend(grid, lam, pd, planes, beta, mu, cfg, make_lin, charged, phis, qs):
                                if charged else 0.0)
             retr = retract(trial_p, trial_q)
             if retr is not None:
-                e_try, pieces_try = energy_of(*retr)
+                e_try = energy_of(*retr)
                 if np.isfinite(e_try) and e_try <= energy - _ARMIJO * s_try * slope:
                     accepted = True
                     break
@@ -630,7 +626,6 @@ def _descend(grid, lam, pd, planes, beta, mu, cfg, make_lin, charged, phis, qs):
         drop = energy - e_try
         phis, qs = retr
         energy = e_try
-        pieces = pieces_try
         step = s_try
         stall = stall + 1 if drop <= cfg.energy_tol * max(1.0, abs(energy)) else 0
         if stall >= _STALL_LIMIT:

@@ -35,7 +35,6 @@ __all__ = [
     "lambda_for_theta",
     "green_value",
     "green_l2_norm_sq",
-    "green_inner",
 ]
 
 #: Euler-Mascheroni constant, 20 significant digits.
@@ -165,16 +164,3 @@ def green_l2_norm_sq(lam: float) -> float:
     lam = _check_positive("lam", lam)
     return 1.0 / (_FOUR_PI * lam)
 
-
-def green_inner(lam: float, nu: float) -> float:
-    """L2 inner product of two Green kernels with rates lam and nu.
-
-    <G_lam, G_nu> = log(nu/lam) / (4 pi (nu - lam)), extended by
-    continuity to 1/(4 pi lam) at nu = lam.  Used by the decomposition
-    re-expression helper and its tests.
-    """
-    lam = _check_positive("lam", lam)
-    nu = _check_positive("nu", nu)
-    if abs(nu - lam) <= 1e-9 * lam:
-        return 1.0 / (_FOUR_PI * lam)
-    return math.log(nu / lam) / (_FOUR_PI * (nu - lam))

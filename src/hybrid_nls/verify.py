@@ -287,7 +287,7 @@ def _c8_critical_mass_dichotomy(ctx: _Context):
 
 
 def _c9_mass_split_endpoints(ctx: _Context):
-    rng = np.random.default_rng(ctx.cfg.seed)
+    rng = np.random.default_rng(0)
     failures = 0
     n = 4001
     for _ in range(50):
@@ -359,7 +359,7 @@ def _random_state(grid, rng) -> HybridState:
 def _c11_gradient_check(ctx: _Context):
     grid = make_grid(12.0, 256, 1.02)
     w = grid.w_trapz
-    rng = np.random.default_rng(ctx.cfg.seed + 1)
+    rng = np.random.default_rng(1)
     h = 1e-6
     worst = 0.0
     for p1, p2, s1, s2, beta in _GRADIENT_SETS:
@@ -399,7 +399,7 @@ def _c11_gradient_check(ctx: _Context):
 
 def _c12_action_identities(ctx: _Context):
     grid = make_grid(12.0, 256, 1.02)
-    rng = np.random.default_rng(ctx.cfg.seed + 2)
+    rng = np.random.default_rng(2)
     P = HybridParams(2.5, 3.5, 0.3, -0.2, 0.8, 1.0)
     worst_id = 0.0
     for _ in range(25):

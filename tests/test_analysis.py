@@ -25,9 +25,10 @@ from hybrid_nls.analysis import (
     sweep_sigma2,
 )
 from hybrid_nls.energy import HybridParams, total_field
-from hybrid_nls.grid import RadialField, h1_seminorm_sq, make_grid
+from hybrid_nls.grid import RadialField, make_grid
 from hybrid_nls.solver import SolverConfig, solve_hybrid, solve_planar
 
+from quadrature import h1_seminorm_sq
 from test_solver import RHO_CONTINUUM
 
 
@@ -202,13 +203,6 @@ class TestSweepCommonSigma:
     def test_energy_nondecreasing_in_sigma(self, common_sigma_table):
         energies = [r.energy for r in common_sigma_table.rows]
         assert all(b >= a for a, b in zip(energies, energies[1:]))
-
-    def test_jobs_agree_with_serial(self, cfg, common_sigma_table):
-        par = sweep_common_sigma(
-            2.5, 3.5, 1.0, common_sigma_table.mu, (2.0, 4.0, 6.0), cfg, jobs=3
-        )
-        for a, b in zip(common_sigma_table.rows, par.rows):
-            assert a == b
 
     def test_power_order_enforced(self, cfg):
         with pytest.raises(ValueError):

@@ -40,7 +40,7 @@ class TestSolve:
                      *FAST])
         assert code == 0
         d = read_json(tmp_path / "report.json")
-        assert d["schema_version"] == 1
+        assert d["schema_version"] == 2
         assert d["command"] == "solve"
         assert d["converged"] is True
         assert d["q1"] > 0.0
@@ -85,8 +85,8 @@ class TestSolve:
     def test_report_bit_identical_across_runs(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
-            assert main(["solve", "--beta", "1", "--seed", "0",
-                         "--out", str(out), *FAST]) == 0
+            assert main(["solve", "--beta", "1", "--out", str(out),
+                         *FAST]) == 0
         assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
 
     def test_mu_relative_scales_to_critical_mass(self, tmp_path):
@@ -128,6 +128,13 @@ class TestConfigPlumbing:
         cfg.write_text("{not json")
         assert main(["--config", str(cfg)]) == 2
 
+    def test_unknown_config_key_exits_2_naming_it(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"command": "solve", "jobs": 4}))
+        assert main(["--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "jobs" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
     def test_env_var_sets_default_out_dir(self, tmp_path, monkeypatch):
         envdir = tmp_path / "from_env"
         monkeypatch.setenv("HYBRID_NLS_OUT", str(envdir))
@@ -155,7 +162,7 @@ class TestSweep:
         code = main(["sweep", "--mode", "sigma2", "--p1", "3", "--p2", "3",
                      "--sigma1", "0", "--beta", "0.0625", "--mu", "1",
                      "--values", "1,2,4", "--out", str(tmp_path),
-                     "--formats", "json,csv,svg", "--jobs", "2", *FAST])
+                     "--formats", "json,csv,svg", *FAST])
         assert code == 0
         rows = read_csv(tmp_path / "sweep.csv")
         assert rows[0] == list(SweepTable.COLUMNS)
@@ -201,21 +208,22 @@ class TestSweep:
         real = cli.solve_hybrid
 
         def sabotaged(P, cfg):
-            if P.sigma2 == 2.0:
-                raise RuntimeError("synthetic row failure")
+            if P.sigma2 in (2.0, 3.0):
+                raise RuntimeError(f"synthetic row failure {P.sigma2:g}")
             return real(P, cfg)
 
         monkeypatch.setattr(cli, "solve_hybrid", sabotaged)
         code = main(["sweep", "--mode", "sigma2", "--p1", "3", "--p2", "3",
-                     "--sigma1", "0", "--beta", "0.0625", "--values", "1,2,4",
-                     "--out", str(tmp_path), *FAST])
+                     "--sigma1", "0", "--beta", "0.0625",
+                     "--values", "1,2,3,4", "--out", str(tmp_path), *FAST])
         assert code == 1
         rows = read_csv(tmp_path / "sweep.csv")
         assert [r[0] for r in rows[1:]] == ["1", "4"]
         s = read_json(tmp_path / "summary.json")
-        assert len(s["errors"]) == 1
-        assert s["errors"][0]["value"] == 2.0
-        assert "synthetic" in s["errors"][0]["error"]
+        # errors come in value order, so the same run writes the same bytes
+        assert [e["value"] for e in s["errors"]] == [2.0, 3.0]
+        assert [e["error"] for e in s["errors"]] == [
+            "synthetic row failure 2", "synthetic row failure 3"]
 
     def test_mu_relative_rejected_for_mass_sweep(self, tmp_path):
         assert main(["sweep", "--mode", "mu", "--p1", "2.5", "--p2", "3.5",
@@ -256,6 +264,12 @@ class TestVerify:
         assert failed == [8]
         assert code == 1
         assert "failed criteria: 8" in out.err
+
+    def test_solver_flags_rejected(self, tmp_path, capsys):
+        code = main(["verify", "--fast", "--N", "256", "--out", str(tmp_path)])
+        assert code == 2
+        assert "--N" in capsys.readouterr().err
+        assert not (tmp_path / "verify.json").exists()
 
     def test_theta_sign_flip_flags_closed_form_criteria(self, monkeypatch):
         orig = sf.theta

@@ -17,7 +17,6 @@ from hybrid_nls import specfun as sf
 from hybrid_nls.energy import (
     ActionValues,
     ChargedField,
-    CoercivityError,
     HybridParams,
     HybridState,
     action_functionals,
@@ -25,7 +24,6 @@ from hybrid_nls.energy import (
     el_residual,
     f_hybrid,
     f_single,
-    gn_ratio,
     grad_f_hybrid,
     lp_power,
     mass,
@@ -34,13 +32,9 @@ from hybrid_nls.energy import (
     redecompose,
     total_field,
 )
-from hybrid_nls.grid import (
-    RadialField,
-    h1_seminorm_sq,
-    integrate,
-    lp_norm,
-    make_grid,
-)
+from hybrid_nls.grid import RadialField, make_grid
+
+from quadrature import h1_seminorm_sq, integrate, lp_norm
 
 
 @pytest.fixture(scope="module")
@@ -333,66 +327,7 @@ class TestResiduals:
         assert np.isfinite(el_residual(U, P, 1.0))
 
 
-class TestGnRatio:
-    def test_gaussian_finite_positive(self, small_grid):
-        u = ChargedField(RadialField(small_grid, gaussian_field(small_grid)),
-                         0.0, 1.0)
-        r = gn_ratio(u, 3.0, 0.0)
-        assert np.isfinite(r) and r > 0.0
-
-    def test_scale_invariance(self, small_grid):
-        rng = np.random.default_rng(8)
-        U = random_state(small_grid, rng, lam1=4.0)
-        u = U.u1
-        scaled = ChargedField(
-            RadialField(small_grid, 2.0 * u.phi.values), 2.0 * u.q, u.lam)
-        a = gn_ratio(u, 3.0, 0.0)
-        b = gn_ratio(scaled, 3.0, 0.0)
-        assert b == pytest.approx(a, rel=1e-12)
-
-    def test_bounded_spread_over_random_states(self, small_grid):
-        rng = np.random.default_rng(9)
-        ratios = []
-        for _ in range(200):
-            U = random_state(small_grid, rng, lam1=4.0, lam2=4.0)
-            ratios.append(gn_ratio(U.u1, 3.0, 0.0))
-        ratios = np.array(ratios)
-        assert np.all(ratios > 0)
-        assert ratios.max() < 10.0 * np.median(ratios)
-
-    def test_coercivity_error(self, small_grid):
-        zero = RadialField(small_grid, np.zeros(small_grid.n_nodes))
-        u = ChargedField(zero, 1.0, 1.0)
-        with pytest.raises(CoercivityError):
-            gn_ratio(u, 3.0, -5.0)
-
-
 class TestKernelBackends:
-    def test_backend_is_declared(self):
-        assert _kernels.BACKEND in ("numba", "numpy")
-
-    @pytest.mark.skipif(not _kernels.HAS_NUMBA, reason="numba not available")
-    def test_numpy_numba_parity(self, small_grid):
-        rng = np.random.default_rng(10)
-        pd = plane_data(small_grid, 2.0)
-        args_static = (pd["G"], 3.0, 2.0, 0.4 + pd["theta"], pd["gl2"],
-                       small_grid.w_trapz, pd["w_in"], small_grid.c_h1,
-                       pd["lagw"], pd["g0"], pd["area0"])
-        for _ in range(5):
-            phi = tied(small_grid, rng.standard_normal(small_grid.n_nodes))
-            q = rng.uniform(0.0, 1.0)
-            a = _kernels.plane_energy_numpy(phi, q, *args_static)
-            b = _kernels.plane_energy_numba(phi, q, *args_static)
-            for x, y in zip(a, b):
-                assert x == pytest.approx(y, rel=1e-12, abs=1e-13)
-            ga = np.empty_like(phi)
-            gb = np.empty_like(phi)
-            ra = _kernels.plane_energy_grad_numpy(phi, q, *args_static, ga)
-            rb = _kernels.plane_energy_grad_numba(phi, q, *args_static, gb)
-            for x, y in zip(ra, rb):
-                assert x == pytest.approx(y, rel=1e-12, abs=1e-13)
-            np.testing.assert_allclose(ga, gb, rtol=1e-11, atol=1e-12)
-
     def test_grad_kernel_energy_matches_energy_kernel(self, small_grid):
         rng = np.random.default_rng(11)
         pd = plane_data(small_grid, 1.0)

@@ -92,7 +92,6 @@ class TestConfigContract:
         assert c.grad_tol == 1e-6
         assert c.energy_tol == 1e-10
         assert c.starts == (0.1, 0.5, 0.9)
-        assert c.seed == 0
 
     @pytest.mark.parametrize(
         "kw",

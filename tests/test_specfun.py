@@ -171,22 +171,6 @@ class TestGreenKernel:
             assert sf.green_l2_norm_sq(2.0 * lam) == pytest.approx(
                 sf.green_l2_norm_sq(lam) / 2.0, rel=1e-14)
 
-    def test_inner_product_quadrature_oracle(self):
-        lam, nu = 1.0, 4.0
-        # 2 pi int_0^inf G_lam G_nu r dr with G = K0(sqrt(.) r)/(2 pi)
-        val, _ = quad(
-            lambda r: sf.bessel_k0(math.sqrt(lam) * r)
-            * sf.bessel_k0(math.sqrt(nu) * r) * r,
-            0.0, 60.0, epsabs=1e-14, epsrel=1e-12, limit=300)
-        oracle = val / (2.0 * math.pi)
-        assert sf.green_inner(lam, nu) == pytest.approx(oracle, rel=1e-8)
-
-    def test_inner_product_diagonal_limit(self):
-        assert sf.green_inner(3.0, 3.0) == pytest.approx(
-            sf.green_l2_norm_sq(3.0), rel=1e-14)
-        assert sf.green_inner(3.0, 3.0 * (1.0 + 1e-12)) == pytest.approx(
-            sf.green_l2_norm_sq(3.0), rel=1e-9)
-
     def test_profile_matches_scalar_and_handles_origin(self):
         r = np.array([0.0, 0.5, 1.0, 2.0])
         prof = sf.green_profile(2.0, r)
