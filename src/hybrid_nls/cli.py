@@ -34,6 +34,14 @@ _FORMATS = ("json", "csv", "svg")
 _SWEEP_MODES = ("sigma2", "sigma_common", "beta", "mu")
 #: options that set SolverConfig fields of the same name
 _SOLVER_KEYS = ("R", "N", "grading", "grad_tol", "max_iters", "starts")
+#: the options each command reads; setting any other one is an error
+_READS = {
+    "verify": ("fast", "formats", "out"),
+    "solve": ("p1", "p2", "sigma1", "sigma2", "beta", "mu", "mu_relative",
+              "formats", "out") + _SOLVER_KEYS,
+    "baseline": ("p", "mustar") + _SOLVER_KEYS + ("formats", "out"),
+}
+_READS["sweep"] = _READS["solve"] + ("mode", "values")
 
 _DEFAULTS = {
     "p1": 3.0, "p2": 3.0, "sigma1": 0.0, "sigma2": 0.0,
@@ -131,6 +139,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _merged_options(args: argparse.Namespace) -> dict:
     merged = dict(_DEFAULTS)
+    loaded = {}
     if args.config is not None:
         try:
             with open(args.config, encoding="utf-8") as fh:
@@ -152,16 +161,17 @@ def _merged_options(args: argparse.Namespace) -> dict:
                          "config file); expected one of " + ", ".join(_COMMANDS))
     if merged["command"] not in _COMMANDS:
         raise UsageError(f"unknown command {merged['command']!r}")
+    unread = sorted((set(loaded) | set(on_cli))
+                    - {"command", *_READS[merged["command"]]})
+    if unread:
+        flags = ", ".join("--" + k.replace("_", "-") for k in unread)
+        raise UsageError(f"{merged['command']} does not read {flags}")
     return merged
 
 
 def _resolve(merged: dict) -> RunConfig:
     overrides = {key: merged[key] for key in _SOLVER_KEYS
                  if merged.get(key) is not None}
-    if merged["command"] == "verify" and overrides:
-        flags = ", ".join("--" + k.replace("_", "-") for k in overrides)
-        raise UsageError(f"verify runs its own fixed grids and does not take "
-                         f"{flags}")
     if "starts" in overrides:
         overrides["starts"] = _parse_floats(merged["starts"], "--starts")
     try:

@@ -135,6 +135,23 @@ class TestConfigPlumbing:
         assert "jobs" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize("argv,named", [
+        (["solve", "--values", "1,2"], "--values"),
+        (["verify", "--fast", "--beta", "3"], "--beta"),
+        (["baseline", "--beta", "1"], "--beta"),
+    ], ids=["solve-values", "verify-beta", "baseline-beta"])
+    def test_unread_option_exits_2_naming_it(self, tmp_path, capsys, argv,
+                                             named):
+        assert main([*argv, "--out", str(tmp_path)]) == 2
+        assert named in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_unread_config_key_exits_2_naming_it(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"command": "verify", "mu": 2.0}))
+        assert main(["--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "--mu" in capsys.readouterr().err
+
     def test_env_var_sets_default_out_dir(self, tmp_path, monkeypatch):
         envdir = tmp_path / "from_env"
         monkeypatch.setenv("HYBRID_NLS_OUT", str(envdir))

@@ -13,20 +13,26 @@ Reference numbers come from two sources, noted inline:
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import hybrid_nls
 from hybrid_nls.energy import (
     HybridParams,
     lp_power,
     mass,
+    plane_data,
     q_form_sigma,
 )
 from hybrid_nls.grid import make_grid
 from hybrid_nls.solver import (
     GroundStateReport,
     SolverConfig,
+    _linear_solver,
     extract_omega,
     omega_star,
     omega_star_grid,
@@ -379,3 +385,75 @@ class TestReportContract:
     def test_iteration_accounting(self, planar3):
         assert planar3.iterations >= 1
         assert planar3.converged
+
+
+def dense_linear_matrix(grid, shift, th, sigmas, beta=0.0):
+    """Dense matrix of  kinetic + shift*mass + charge block, entry by entry.
+
+    Unknowns are each plane's interior nodes 1..N-1 (node 0 is the ghost
+    tied to node 1, node N is pinned), followed by that plane's charge
+    when ``sigmas`` is given; the two charges couple through -beta.
+    """
+    n = grid.n_nodes
+    nin = n - 2
+    cu, w = grid.c_h1, grid.w_trapz
+    T = np.zeros((nin, nin))
+    for j in range(1, n - 1):
+        i = j - 1
+        T[i, i] = shift * w[j] + cu[j] + (cu[j - 1] if j > 1 else 0.0)
+        if j < n - 2:
+            T[i, i + 1] = T[i + 1, i] = -cu[j]
+    if sigmas is None:
+        return T
+    stride = nin + 1
+    A = np.zeros((len(sigmas) * stride, len(sigmas) * stride))
+    for i, sig in enumerate(sigmas):
+        b = i * stride
+        A[b:b + nin, b:b + nin] = T
+        A[b + nin, b + nin] = sig + th
+    if len(sigmas) == 2:
+        A[nin, 2 * nin + 1] = A[2 * nin + 1, nin] = -beta
+    return A
+
+
+class TestLinearSolver:
+    LAM = 50.0
+
+    def test_dense_oracle_is_the_quadratic_form(self):
+        grid = make_grid(40.0, 64, 1.01)
+        shift = 0.3 * self.LAM
+        A = dense_linear_matrix(grid, shift, 0.0, None)
+        phi = np.random.default_rng(0).standard_normal(grid.n_nodes)
+        phi[0], phi[-1] = phi[1], 0.0
+        d = np.diff(phi)
+        form = grid.c_h1 @ (d * d) + shift * (grid.w_trapz @ (phi * phi))
+        v = phi[1:-1]
+        assert rel(v @ A @ v, form) < 1e-12
+
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("sigmas,beta", [
+        (None, 0.0), ((1.0,), 0.0), ((0.5, 1.5), 0.0), ((0.5, 1.5), 0.4)])
+    def test_matches_dense_solve(self, n, sigmas, beta):
+        grid = make_grid(40.0, n, 1.01)
+        th = plane_data(grid, self.LAM)["theta"]
+        shift = 0.3 * self.LAM  # the descent refactors away from lam
+        A = dense_linear_matrix(grid, shift, th, sigmas, beta)
+        rhs = np.random.default_rng(n).standard_normal((2, A.shape[0]))
+        got = _linear_solver(grid, shift, th, sigmas, beta)(rhs)
+        want = np.linalg.solve(A, rhs.T).T
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+    def test_indefinite_tridiagonal_raises(self):
+        grid = make_grid(40.0, 64, 1.01)
+        with pytest.raises(ArithmeticError, match="positive definite"):
+            _linear_solver(grid, -1e6, 0.0, (1.0,))
+
+
+def test_import_leaves_scipy_sparse_unloaded():
+    code = ("import sys, hybrid_nls; "
+            "print([m for m in sys.modules if m.startswith('scipy.sparse')])")
+    src = os.path.dirname(os.path.dirname(hybrid_nls.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src),
+                          check=True)
+    assert proc.stdout.strip() == "[]"
