@@ -1,31 +1,42 @@
-"""Per-plane energy/gradient kernels — the solver's hot path.
+"""Stacked-plane energy/gradient kernels — the solver's hot path.
 
-Each projected-gradient iteration evaluates, per plane, the discrete
-energy
+Each projected-gradient iteration evaluates, for every plane at once,
+the discrete energy
 
-    E = 1/2 sum_{k>=1} c_k (phi_{k+1} - phi_k)^2
-        - lam q <phi, G>_w - 1/2 lam q^2 |G|^2 + 1/2 q^2 (sigma + theta)
-        - (1/p) P(phi, q),
+    E = 1/2 Q - (1/p) P(phi, q),
 
-    P = sum_j w_in_j |phi_j + q G_j|^p  +  area0 sum_i lagw_i |phi_1 + q g0_i|^p,
+    Q = sum_{k>=1} c_k (phi_{k+1} - phi_k)^2
+        - 2 lam q <phi, G>_w - lam q^2 |G|^2 + q^2 (sigma + theta),
+
+    P = sum_j w_in_j |phi_j + q G_j|^p  +  sum_i w0_i |phi_1 + q g0_i|^p,
 
 and (for gradient steps) its exact partial derivatives with respect to
-the node values and the charge.  A solve runs tens of thousands of
-iterations over ~2k-node arrays, so the |u|^{p-2} power — the dominant
-cost — is computed once and reused for both the energy and the
-gradient.
+the node values and the charge.  A solve runs thousands of iterations
+over ~2k-node arrays, so the |u|^{p-2} power — the dominant cost — is
+computed once and reused for both the energy and the gradient.
 
-Sign conventions and array layout (phi has N+1 nodes, phi[N] = 0 is a
-Dirichlet value, node 0 is a ghost tied to node 1 and carries zero
-quadrature weight):
+Layout: the planes are stacked as rows.  ``phi`` is a (k, n) array, one
+plane per row, and ``q`` a (k,) array of their charges; every output is
+a (k,) array with one entry per row, and the gradient kernel fills a
+(k, n) ``gphi``.  A single plane is the k = 1 stack.  ``p`` is one
+scalar shared by all rows or a (k,) array with one power per row;
+``p = None`` switches the nonlinear term off (no |u|^p pass, P = 0), so
+the energy is the quadratic form Q/2 alone.  ``sig_theta`` is sigma +
+theta, a scalar or one per row.  The cross-plane coupling -beta q_1 q_2
+is not part of a row and is left to the caller.
+
+Sign conventions of a row (phi has N+1 nodes, phi[N] = 0 is a Dirichlet
+value, node 0 is a ghost tied to node 1 and carries zero quadrature
+weight):
 
 * ``w``      — full trapezoid weights (node 0 weight is 0);
 * ``w_in``   — trapezoid weights with the first cell removed (the
   origin cell of |u|^p is handled by the log-adapted rule instead);
 * ``c``      — H^1 cell coefficients; cell 0 is excluded from the
   stiffness sum because of the ghost tie;
-* ``g0``     — Green-kernel values at the origin-cell quadrature radii;
-* ``area0``  — pi r_1^2, the origin-cell area factor.
+* ``w0``     — origin-cell quadrature weights, pi r_1^2 times the
+  log-adapted rule's weights;
+* ``g0``     — Green-kernel values at the origin-cell quadrature radii.
 """
 
 from __future__ import annotations
@@ -35,64 +46,68 @@ import numpy as np
 __all__ = ["plane_energy", "plane_energy_grad"]
 
 
-def plane_energy(phi, q, G, p, lam, sig_theta, gl2, w, w_in, c, lagw, g0,
-                 area0):
-    """Energy and norm pieces of one plane.
+def _quadratic(phi, q, G, lam, sig_theta, gl2, w, c):
+    """Per-row cell differences, w*G, <phi, G>_w and the quadratic form Q."""
+    d = phi[:, 1:] - phi[:, :-1]
+    wG = w * G
+    mpg = phi @ wG
+    kin = (d[:, 1:] * d[:, 1:]) @ c[1:]
+    return d, wG, mpg, kin - q * (2.0 * lam * mpg + q * (lam * gl2 - sig_theta))
 
-    Returns ``(energy, mass, kin, mpp, mpg, pterm)`` where ``mass`` is
-    |phi|^2 + 2 q <phi,G> + q^2 gl2, ``kin`` the stiffness sum, ``mpp``
-    and ``mpg`` the quadratures <phi,phi> and <phi,G>, and ``pterm``
-    the full |u|^p integral including the origin cell.
+
+def _exponent(p):
+    # a scalar power keeps numpy's fast paths (x**1.0, x**0.5)
+    return p[:, None] if getattr(p, "ndim", 0) else p
+
+
+def plane_energy(phi, q, G, p, lam, sig_theta, gl2, w, w_in, c, w0, g0):
+    """Energy pieces of each row.
+
+    Returns ``(energy, qform, pterm)``: ``energy`` = qform/2 - pterm/p,
+    ``qform`` the quadratic form Q and ``pterm`` the full |u|^p integral
+    including the origin cell (zeros when ``p`` is None).
     """
-    d = np.diff(phi)
-    kin = float(c[1:] @ (d[1:] * d[1:]))
-    mpp = float(w @ (phi * phi))
-    mpg = float(w @ (phi * G))
-    u = phi + q * G
-    pterm = float(w_in @ np.abs(u) ** p)
-    u0 = phi[1] + q * g0
-    pterm += area0 * float(lagw @ np.abs(u0) ** p)
-    energy = (0.5 * kin - lam * q * mpg - 0.5 * lam * q * q * gl2
-              + 0.5 * q * q * sig_theta - pterm / p)
-    mass = mpp + 2.0 * q * mpg + q * q * gl2
-    return energy, mass, kin, mpp, mpg, pterm
+    qform = _quadratic(phi, q, G, lam, sig_theta, gl2, w, c)[3]
+    if p is None:
+        return 0.5 * qform, qform, np.zeros(len(q))
+    pe = _exponent(p)
+    u = phi + q[:, None] * G
+    u0 = phi[:, 1:2] + q[:, None] * g0
+    pterm = (np.abs(u) ** pe) @ w_in + (np.abs(u0) ** pe) @ w0
+    return 0.5 * qform - pterm / p, qform, pterm
 
 
-def plane_energy_grad(phi, q, G, p, lam, sig_theta, gl2, w, w_in, c, lagw,
-                      g0, area0, gphi):
-    """Energy pieces plus exact partial derivatives.
+def plane_energy_grad(phi, q, G, p, lam, sig_theta, gl2, w, w_in, c, w0, g0,
+                      gphi):
+    """Energy pieces plus exact partial derivatives of each row.
 
-    Fills ``gphi`` (same length as phi) with dE/dphi_j for the interior
+    Fills ``gphi`` (same shape as phi) with dE/dphi_j for the interior
     nodes 1..N-1 (ghost and Dirichlet entries are set to 0) and returns
-    ``(energy, mass, kin, mpp, mpg, pterm, gq, dmq)`` with ``gq`` =
-    dE/dq excluding any cross-plane coupling and ``dmq`` = dmass/dq.
+    ``(energy, qform, pterm, gq, dmq)`` with ``gq`` = dE/dq excluding
+    any cross-plane coupling and ``dmq`` = dmass/dq.
     """
-    d = np.diff(phi)
-    kin = float(c[1:] @ (d[1:] * d[1:]))
-    mpp = float(w @ (phi * phi))
-    mpg = float(w @ (phi * G))
-    u = phi + q * G
-    au = np.abs(u)
-    s = au ** (p - 2.0) * u  # one power pass serves energy and gradient
-    pterm = float(w_in @ (s * u))
-    u0 = phi[1] + q * g0
-    a0 = np.abs(u0)
-    s0 = a0 ** (p - 2.0) * u0
-    pterm += area0 * float(lagw @ (s0 * u0))
+    d, wG, mpg, qform = _quadratic(phi, q, G, lam, sig_theta, gl2, w, c)
+    gphi[:] = (-lam * q)[:, None] * wG
+    half_dmq = mpg + q * gl2
+    gq = q * sig_theta - lam * half_dmq
+    energy, pterm = 0.5 * qform, np.zeros(len(q))
+    if p is not None:
+        pe = _exponent(p) - 2.0
+        u = phi + q[:, None] * G
+        s = np.abs(u) ** pe * u  # one power pass serves energy and gradient
+        u0 = phi[:, 1:2] + q[:, None] * g0
+        s0 = np.abs(u0) ** pe * u0
+        pterm = (s * u) @ w_in + (s0 * u0) @ w0
+        energy = energy - pterm / p
+        ws = w_in * s
+        gphi -= ws
+        gphi[:, 1] -= s0 @ w0
+        gq = gq - ws @ G - (s0 * g0) @ w0
 
     t = c * d
-    t[0] = 0.0  # cell 0 carries no stiffness (ghost tie)
-    gphi[:] = -lam * q * w * G - w_in * s
-    gphi[1:] += t
-    gphi[:-1] -= t
-    gphi[1] -= area0 * float(lagw @ s0)
-    gphi[0] = 0.0
-    gphi[-1] = 0.0
-
-    gq = (-lam * (mpg + q * gl2) + q * sig_theta
-          - float(w_in @ (s * G)) - area0 * float(lagw @ (s0 * g0)))
-    energy = (0.5 * kin - lam * q * mpg - 0.5 * lam * q * q * gl2
-              + 0.5 * q * q * sig_theta - pterm / p)
-    mass = mpp + 2.0 * q * mpg + q * q * gl2
-    dmq = 2.0 * (mpg + q * gl2)
-    return energy, mass, kin, mpp, mpg, pterm, gq, dmq
+    t[:, 0] = 0.0  # cell 0 carries no stiffness (ghost tie)
+    gphi[:, 1:] += t
+    gphi[:, :-1] -= t
+    gphi[:, 0] = 0.0
+    gphi[:, -1] = 0.0
+    return energy, qform, pterm, gq, 2.0 * half_dmq

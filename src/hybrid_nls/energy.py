@@ -198,24 +198,6 @@ def plane_data(grid: RadialGrid, lam: float) -> dict:
     return data
 
 
-def _plane_eval(u: ChargedField, sigma: float, p: float):
-    """Run the plane kernel; returns (energy, mass, kin, mpp, mpg, pterm)."""
-    pd = plane_data(u.grid, u.lam)
-    return _kernels.plane_energy(
-        u.phi.values, u.q, pd["G"], p, u.lam, sigma + pd["theta"], pd["gl2"],
-        u.grid.w_trapz, pd["w_in"], u.grid.c_h1, pd["lagw"], pd["g0"],
-        pd["area0"])
-
-
-def _plane_eval_grad(u: ChargedField, sigma: float, p: float,
-                     gphi: np.ndarray):
-    pd = plane_data(u.grid, u.lam)
-    return _kernels.plane_energy_grad(
-        u.phi.values, u.q, pd["G"], p, u.lam, sigma + pd["theta"], pd["gl2"],
-        u.grid.w_trapz, pd["w_in"], u.grid.c_h1, pd["lagw"], pd["g0"],
-        pd["area0"], gphi)
-
-
 # --------------------------------------------------------------------------
 # public functionals
 
@@ -282,11 +264,14 @@ def grad_f_hybrid(U: HybridState, P: HybridParams) -> HybridGradient:
     grid = U.grid
     out = []
     for u, sigma, p in ((U.u1, P.sigma1, P.p1), (U.u2, P.sigma2, P.p2)):
-        gphi = np.empty(grid.n_nodes)
-        res = _plane_eval_grad(u, sigma, p, gphi)
-        gq = res[6]
-        d = np.zeros_like(gphi)
-        d[1:-1] = gphi[1:-1] / grid.w_trapz[1:-1]
+        pd = plane_data(grid, u.lam)
+        gphi = np.empty((1, grid.n_nodes))  # the plane as a one-row stack
+        gq = float(_kernels.plane_energy_grad(
+            u.phi.values[None], np.array([u.q]), pd["G"], p, u.lam,
+            sigma + pd["theta"], pd["gl2"], grid.w_trapz, pd["w_in"],
+            grid.c_h1, pd["area0"] * pd["lagw"], pd["g0"], gphi)[3][0])
+        d = np.zeros(grid.n_nodes)
+        d[1:-1] = gphi[0, 1:-1] / grid.w_trapz[1:-1]
         d[0] = d[1]
         out.append((d, gq))
     (d1, gq1), (d2, gq2) = out
@@ -296,11 +281,10 @@ def grad_f_hybrid(U: HybridState, P: HybridParams) -> HybridGradient:
 
 
 def _state_pieces(U: HybridState, P: HybridParams):
-    e1, m1, kin1, mpp1, mpg1, pt1 = _plane_eval(U.u1, P.sigma1, P.p1)
-    e2, m2, kin2, mpp2, mpg2, pt2 = _plane_eval(U.u2, P.sigma2, P.p2)
     q_total = (q_form_sigma(U.u1, P.sigma1) + q_form_sigma(U.u2, P.sigma2)
                - 2.0 * P.beta * U.u1.q * U.u2.q)
-    return q_total, m1 + m2, pt1, pt2
+    return (q_total, mass(U.u1) + mass(U.u2), lp_power(U.u1, P.p1),
+            lp_power(U.u2, P.p2))
 
 
 def action_functionals(U: HybridState, P: HybridParams,

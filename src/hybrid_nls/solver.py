@@ -72,6 +72,8 @@ _STEP_GROW = 1.3
 _STEP_MAX = 10.0
 _STEP_FLOOR = 1e-14
 _STALL_LIMIT = 50
+#: starts whose energies agree to this relative gap reached the same state
+_TIE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -220,7 +222,7 @@ def _grid_for(lam: float, cfg: SolverConfig) -> RadialGrid:
 
 
 # ----------------------------------------------------------------------
-# linear-part solve (preconditioner and Rayleigh-oracle operator)
+# linear-part solve (the descent's preconditioner)
 
 
 def _linear_solver(
@@ -274,12 +276,14 @@ def _linear_solver(
 
 
 def omega_star_grid(P: HybridParams, cfg: SolverConfig | None = None) -> float:
-    """Grid Rayleigh-quotient value of the coupling threshold.
+    """Grid value of the coupling threshold: -min Q(U)/mass(U).
 
-    Independently of the secular closed form, minimizes Q(U)/mass(U)
-    over the discretized two-plane space by preconditioned projected
-    descent and returns -Q(U)/mass(U) at the minimizer.  Because it
-    shares every quadrature with the nonlinear solvers, the inequality
+    Independently of the secular closed form, runs the same descent as
+    the nonlinear solvers (``_descend``) with the |u|^p term off, so it
+    minimizes the energy Q/2 on the unit-mass sphere of the discretized
+    two-plane space from the middle start, and returns -Q(U) at the
+    minimizer.  Because it shares every quadrature and every line of
+    the descent with the nonlinear solvers, the inequality
     omega > omega_star_grid holds for their converged ground states
     without discretization-bias caveats.
     """
@@ -287,243 +291,117 @@ def omega_star_grid(P: HybridParams, cfg: SolverConfig | None = None) -> float:
     lam = max(_RATE_MARGIN * omega_star(P), (16.0 / cfg.R) ** 2)
     grid = _grid_for(lam, cfg)
     pd = plane_data(grid, lam)
-    return _rayleigh_min(grid, lam, pd, (P.sigma1, P.sigma2), P.beta, cfg)
-
-
-def _rayleigh_min(grid, lam, pd, sigmas, beta, cfg) -> float:
-    """Minimize the quadratic form per unit mass over the grid.
-
-    Same projected-descent scheme as the nonlinear engine, applied to
-    the energy Q/2 (no nonlinear term); on the unit-mass sphere the
-    value is bounded below by -lam/2, so the iteration cannot escape
-    through the small quadrature inconsistency between the discrete
-    cross terms and the analytic charge norm.
-    """
-    n = grid.n_nodes
-    nin = n - 2
-    jj = slice(1, n - 1)
-    w = grid.w_trapz
-    cu = grid.c_h1
-    G, gl2, th = pd["G"], pd["gl2"], pd["theta"]
-    winv = 1.0 / w[jj]
-    Gin = G[jj]
-    k = len(sigmas)
-    stride = nin + 1
-    mu = 1.0
-
-    lin_solve = _linear_solver(grid, lam, th, sigmas, beta)
-
-    def q_of(phis_, qs_):
-        tot = 0.0
-        for sig, phi, q in zip(sigmas, phis_, qs_):
-            d = np.diff(phi)
-            kin = float(cu[1:] @ (d[1:] * d[1:]))
-            mpg = float(w @ (phi * G))
-            tot += (kin - 2.0 * lam * q * mpg - lam * q * q * gl2
-                    + q * q * (sig + th))
-        if k == 2:
-            tot -= 2.0 * beta * qs_[0] * qs_[1]
-        return tot
-
-    def retract(phis_, qs_):
-        out_p, out_q, mt = [], [], 0.0
-        for phi, q in zip(phis_, qs_):
-            phi = phi.copy()
-            phi[0] = phi[1]
-            phi[-1] = 0.0
-            out_p.append(phi)
-            out_q.append(q)
-            mt += (float(w @ (phi * phi)) + 2.0 * q * float(w @ (phi * G))
-                   + q * q * gl2)
-        if not mt > 1e-300:
-            return None
-        c = math.sqrt(mu / mt)
-        return [c * phi for phi in out_p], [c * q for q in out_q]
-
-    planes = [(3.0, sig) for sig in sigmas]  # p unused by the linear form
-    phis, qs = _initial_guess(grid, pd, planes, beta, mu, 0.5, True,
-                              lam / _RATE_MARGIN)
-    energy = 0.5 * q_of(phis, qs)
-    step = 1.0
-    stall = 0
-
-    for _ in range(cfg.max_iters):
-        rhs = np.empty((2, k * stride))
-        gvec, dmvec = rhs
-        gg = gm = mm = 0.0
-        for i in range(k):
-            base = i * stride
-            phi, q = phis[i], qs[i]
-            t = cu * np.diff(phi)
-            t[0] = 0.0
-            gphi = -lam * q * w * G
-            gphi[1:] += t
-            gphi[:-1] -= t
-            gp = gphi[jj]
-            mpg = float(w @ (phi * G))
-            gq = (-lam * mpg - lam * q * gl2 + q * (sigmas[i] + th))
-            if k == 2:
-                gq -= beta * qs[1 - i]
-            dmp = 2.0 * w[jj] * (phi[jj] + q * Gin)
-            dmq = 2.0 * (mpg + q * gl2)
-            gvec[base:base + nin] = gp
-            dmvec[base:base + nin] = dmp
-            gvec[base + nin] = gq
-            dmvec[base + nin] = dmq
-            gg += float((gp * gp) @ winv) + gq * gq
-            gm += float((gp * dmp) @ winv) + gq * dmq
-            mm += float((dmp * dmp) @ winv) + dmq * dmq
-
-        pg_norm = math.sqrt(max(gg - gm * gm / mm, 0.0))
-        rayleigh = 2.0 * energy / mu
-        scale = max(1.0, abs(rayleigh))
-        if pg_norm <= cfg.grad_tol * scale:
-            break
-
-        dvec, nvec = lin_solve(rhs)
-        denom = float(dmvec @ nvec)
-        pvec = dvec - (float(dmvec @ dvec) / denom) * nvec
-        slope = float(gvec @ pvec)
-        if not (slope > 0.0 and np.isfinite(slope)):
-            break
-
-        s_try = min(step * _STEP_GROW, _STEP_MAX)
-        accepted = False
-        while s_try >= _STEP_FLOOR:
-            trial_p = []
-            trial_q = []
-            for i in range(k):
-                base = i * stride
-                phi = phis[i].copy()
-                phi[jj] = phi[jj] - s_try * pvec[base:base + nin]
-                trial_p.append(phi)
-                trial_q.append(qs[i] - s_try * pvec[base + nin])
-            retr = retract(trial_p, trial_q)
-            if retr is not None:
-                e_try = 0.5 * q_of(*retr)
-                if np.isfinite(e_try) and e_try <= energy - _ARMIJO * s_try * slope:
-                    accepted = True
-                    break
-            s_try *= 0.5
-        if not accepted:
-            break
-        drop = energy - e_try
-        phis, qs = retr
-        energy = e_try
-        step = s_try
-        stall = stall + 1 if drop <= cfg.energy_tol * max(1.0, abs(energy)) else 0
-        if stall >= _STALL_LIMIT:
-            break
-
-    return -2.0 * energy / mu
+    sigmas = (P.sigma1, P.sigma2)
+    phi, q = _initial_guess(grid, pd, sigmas, P.beta, 1.0, 0.5,
+                            lam / _RATE_MARGIN)
+    run = _descend(grid, lam, pd, None, sigmas, P.beta, 1.0, cfg, phi, q)
+    return -2.0 * run["energy"]
 
 
 # ----------------------------------------------------------------------
 # descent engine
 
 
-def _initial_guess(grid, pd, planes, beta, mu, start, charged, omega_ref):
-    """Gaussian profiles with matched charges, rescaled to the sphere."""
-    k = len(planes)
+def _initial_guess(grid, pd, sigmas, beta, mu, start, omega_ref):
+    """Gaussian profiles with matched charges, one row per plane.
+
+    Each profile carries its plane's share of the mass; ``_descend``
+    rescales the start onto the sphere.  ``sigmas`` None is the
+    chargeless planar problem.
+    """
     w = grid.w_trapz
+    charged = sigmas is not None
+    k = len(sigmas) if charged else 1
     width0 = 1.0
     if charged and omega_ref > 0.0:
         width0 = min(1.0, 2.5 / math.sqrt(omega_ref))
     if k == 1:
-        widths = [width0 * (0.5 + start)]
-        masses = [mu]
+        widths = np.array([width0 * (0.5 + start)])
+        masses = np.array([mu])
     else:
         s = min(max(start, 1e-3), 1.0 - 1e-3)
-        widths = [width0, width0]
-        masses = [s * mu, (1.0 - s) * mu]
+        widths = np.array([width0, width0])
+        masses = np.array([s * mu, (1.0 - s) * mu])
 
-    phis: list[np.ndarray] = []
-    peaks: list[float] = []
-    for width, mi in zip(widths, masses):
-        prof = np.exp(-(grid.r**2) / (2.0 * width * width))
-        prof[0] = prof[1]
-        prof[-1] = 0.0
-        amp = math.sqrt(mi / float(w @ (prof * prof)))
-        phis.append(amp * prof)
-        peaks.append(amp)
+    prof = np.exp(-(grid.r**2) / (2.0 * widths[:, None] * widths[:, None]))
+    prof[:, 0] = prof[:, 1]
+    prof[:, -1] = 0.0
+    peaks = np.sqrt(masses / ((prof * prof) @ w))
+    phi = peaks[:, None] * prof
 
-    qs = [0.0] * k
+    q = np.zeros(k)
     if charged:
         th = pd["theta"]
         if k == 1:
-            denom = planes[0][1] + th
-            sol = [peaks[0] / denom if denom > 1e-12 else -1.0]
+            denom = sigmas[0] + th
+            sol = np.array([peaks[0] / denom if denom > 1e-12 else -1.0])
         else:
-            m2 = np.array([[planes[0][1] + th, -beta],
-                           [-beta, planes[1][1] + th]])
+            m2 = np.array([[sigmas[0] + th, -beta], [-beta, sigmas[1] + th]])
             try:
-                sol = list(np.linalg.solve(m2, np.array(peaks)))
+                sol = np.linalg.solve(m2, peaks)
             except np.linalg.LinAlgError:
-                sol = [-1.0, -1.0]
-        qs = [qi if qi > 0.0 else 0.1 * math.sqrt(mi)
-              for qi, mi in zip(sol, masses)]
-
-    G, gl2 = pd["G"], pd["gl2"]
-    mt = sum(float(w @ (phi * phi)) + 2.0 * q * float(w @ (phi * G)) + q * q * gl2
-             for phi, q in zip(phis, qs))
-    c = math.sqrt(mu / mt)
-    return [c * phi for phi in phis], [c * q for q in qs]
+                sol = np.array([-1.0, -1.0])
+        q = np.where(sol > 0.0, sol, 0.1 * np.sqrt(masses))
+    return phi, q
 
 
-def _descend(grid, lam, pd, planes, beta, mu, cfg, charged, phis, qs):
+def _descend(grid, lam, pd, p, sigmas, beta, mu, cfg, phi, q):
     """Preconditioned projected descent from one start; returns a run dict.
+
+    The state is plane-batched: ``phi`` holds one plane per row, shape
+    (k, n), and ``q`` their charges, shape (k,).  ``sigmas`` is None for
+    the chargeless planar problem, whose charge stays zero.  ``p`` is
+    the power, one scalar or one per row; None switches the |u|^p term
+    off, and the descent then minimizes the linear energy Q/2.
 
     The linear-part solve is refactored with a mass shift that tracks
     the running multiplier estimate so the metric stays matched to the
     Hessian even when the final omega sits far from the decomposition
     rate (the chargeless planar problem being the extreme case).
     """
-    n = grid.n_nodes
+    k, n = phi.shape
     nin = n - 2
-    jj = slice(1, n - 1)
     w = grid.w_trapz
-    cu = grid.c_h1
-    G, gl2 = pd["G"], pd["gl2"]
-    w_in, lagw, g0, area0 = pd["w_in"], pd["lagw"], pd["g0"], pd["area0"]
-    th = pd["theta"]
-    winv = 1.0 / w[jj]
-    Gin = G[jj]
+    G, gl2, th = pd["G"], pd["gl2"], pd["theta"]
+    charged = sigmas is not None
     stride = nin + (1 if charged else 0)
-    k = len(planes)
+    sig_theta = th + (np.array(sigmas) if charged else 0.0)
+    args = (G, p, lam, sig_theta, gl2, w, pd["w_in"], grid.c_h1,
+            pd["area0"] * pd["lagw"], pd["g0"])
+    # W metric of the flat (plane, node-or-charge) layout; the gradient
+    # covectors are paired in its inverse
+    winv = np.tile(np.append(1.0 / w[1:-1], np.ones(stride - nin)), k)
+    w2, Gin, wG = 2.0 * w[1:-1], G[1:-1], w * G
 
-    sigmas = tuple(sig for _, sig in planes) if charged else None
     shift = lam
     lin_solve = _linear_solver(grid, shift, th, sigmas, beta)
     since_factor = 0
 
-    def energy_of(phis_, qs_):
-        tot = 0.0
-        for (p, sig), phi, q in zip(planes, phis_, qs_):
-            tot += plane_energy(
-                phi, q, G, p, lam, sig + th, gl2, w, w_in, cu, lagw, g0,
-                area0)[0]
-        if k == 2:
-            tot -= beta * qs_[0] * qs_[1]
-        return tot
+    def coupling(q_):
+        return beta * q_[0] * q_[1] if k == 2 else 0.0
 
-    def retract(phis_, qs_):
-        out_p, out_q, mt = [], [], 0.0
-        for phi, q in zip(phis_, qs_):
-            phi = phi.copy()
-            phi[0] = phi[1]
-            phi[-1] = 0.0
-            q = max(q, 0.0) if charged else 0.0
-            out_p.append(phi)
-            out_q.append(q)
-            mt += (float(w @ (phi * phi)) + 2.0 * q * float(w @ (phi * G))
-                   + q * q * gl2)
+    def energy_of(phi_, q_):
+        return float(plane_energy(phi_, q_, *args)[0].sum()) - coupling(q_)
+
+    def retract(phi_, q_):
+        # ghost tie, Dirichlet pin, charge clamp, one rescale to mass mu
+        phi_[:, 0] = phi_[:, 1]
+        phi_[:, -1] = 0.0
+        q_ = np.maximum(q_, 0.0)
+        mt = float(phi_.ravel() @ (phi_ * w).ravel()
+                   + q_ @ (2.0 * (phi_ @ wG) + gl2 * q_))
         if not mt > 1e-300:
             return None
         c = math.sqrt(mu / mt)
-        return [c * phi for phi in out_p], [c * q for q in out_q]
+        return c * phi_, c * q_
 
-    energy = energy_of(phis, qs)
-    gphis = [np.empty(n) for _ in range(k)]
+    phi, q = retract(phi.copy(), q)
+    energy = energy_of(phi, q)
+    gphi = np.empty((k, n))
+    # gradient and mass-gradient covectors, per plane and flat
+    rhs = np.zeros((2, k, stride))
+    flat = rhs.reshape(2, -1)
+    gvec, dmvec = flat
     step = cfg.step_size
     stall = 0
     iterations = 0
@@ -531,44 +409,16 @@ def _descend(grid, lam, pd, planes, beta, mu, cfg, charged, phis, qs):
     pg_norm = math.inf
 
     for iterations in range(1, cfg.max_iters + 1):
-        gqs = []
-        dmqs = []
-        q_tot = -2.0 * beta * qs[0] * qs[1] if k == 2 else 0.0
-        pt_sum = 0.0
-        for i, (p, sig) in enumerate(planes):
-            res = plane_energy_grad(
-                phis[i], qs[i], G, p, lam, sig + th, gl2, w, w_in, cu,
-                lagw, g0, area0, gphis[i])
-            e_i, pt_i, gq_i, dmq_i = res[0], res[5], res[6], res[7]
-            q_tot += 2.0 * (e_i + pt_i / p)
-            pt_sum += pt_i
-            if charged and k == 2:
-                gq_i -= beta * qs[1 - i]
-            gqs.append(gq_i if charged else 0.0)
-            dmqs.append(dmq_i if charged else 0.0)
+        _, qform, pt, gq, dmq = plane_energy_grad(phi, q, *args, gphi)
+        rhs[0, :, :nin] = gphi[:, 1:-1]
+        rhs[1, :, :nin] = w2 * (phi[:, 1:-1] + q[:, None] * Gin)
+        if charged:
+            rhs[0, :, nin] = gq - beta * q[::-1] if k == 2 else gq
+            rhs[1, :, nin] = dmq
 
-        # flat euclidean gradient / mass-gradient covectors
-        rhs = np.empty((2, k * stride))
-        gvec, dmvec = rhs
-        gg = gm = mm = 0.0
-        for i in range(k):
-            base = i * stride
-            gp = gphis[i][jj]
-            dmp = 2.0 * w[jj] * (phis[i][jj] + qs[i] * Gin)
-            gvec[base:base + nin] = gp
-            dmvec[base:base + nin] = dmp
-            gg += float((gp * gp) @ winv)
-            gm += float((gp * dmp) @ winv)
-            mm += float((dmp * dmp) @ winv)
-            if charged:
-                gvec[base + nin] = gqs[i]
-                dmvec[base + nin] = dmqs[i]
-                gg += gqs[i] * gqs[i]
-                gm += gqs[i] * dmqs[i]
-                mm += dmqs[i] * dmqs[i]
-
+        (gg, gm), (_, mm) = (flat * winv) @ flat.T  # Gram matrix in W^-1
         pg_norm = math.sqrt(max(gg - gm * gm / mm, 0.0)) if mm > 0 else math.sqrt(gg)
-        omega_hat = (pt_sum - q_tot) / mu
+        omega_hat = (float((pt - qform).sum()) + 2.0 * coupling(q)) / mu
         scale = max(1.0, abs(omega_hat) * math.sqrt(mu))
         if pg_norm <= cfg.grad_tol * scale:
             converged = True
@@ -582,7 +432,7 @@ def _descend(grid, lam, pd, planes, beta, mu, cfg, charged, phis, qs):
             lin_solve = _linear_solver(grid, shift, th, sigmas, beta)
             since_factor = 0
 
-        dvec, nvec = lin_solve(rhs)
+        dvec, nvec = lin_solve(flat)
         denom = float(dmvec @ nvec)
         if denom > 0.0 and np.isfinite(denom):
             pvec = dvec - (float(dmvec @ dvec) / denom) * nvec
@@ -596,20 +446,14 @@ def _descend(grid, lam, pd, planes, beta, mu, cfg, charged, phis, qs):
             slope = float(gvec @ pvec)
             if not (slope > 0.0 and np.isfinite(slope)):
                 break
+        pvec = pvec.reshape(k, stride)
 
         s_try = min(step * _STEP_GROW, _STEP_MAX)
         accepted = False
         while s_try >= _STEP_FLOOR:
-            trial_p = []
-            trial_q = []
-            for i in range(k):
-                base = i * stride
-                phi = phis[i].copy()
-                phi[jj] = phi[jj] - s_try * pvec[base:base + nin]
-                trial_p.append(phi)
-                trial_q.append(qs[i] - s_try * pvec[base + nin]
-                               if charged else 0.0)
-            retr = retract(trial_p, trial_q)
+            trial = phi.copy()
+            trial[:, 1:-1] -= s_try * pvec[:, :nin]
+            retr = retract(trial, q - s_try * pvec[:, nin] if charged else q)
             if retr is not None:
                 e_try = energy_of(*retr)
                 if np.isfinite(e_try) and e_try <= energy - _ARMIJO * s_try * slope:
@@ -620,7 +464,7 @@ def _descend(grid, lam, pd, planes, beta, mu, cfg, charged, phis, qs):
             break
 
         drop = energy - e_try
-        phis, qs = retr
+        phi, q = retr
         energy = e_try
         step = s_try
         stall = stall + 1 if drop <= cfg.energy_tol * max(1.0, abs(energy)) else 0
@@ -628,8 +472,8 @@ def _descend(grid, lam, pd, planes, beta, mu, cfg, charged, phis, qs):
             break
 
     return {
-        "phis": phis,
-        "qs": qs,
+        "phi": phi,
+        "q": q,
         "energy": energy,
         "iterations": iterations,
         "converged": converged,
@@ -638,19 +482,24 @@ def _descend(grid, lam, pd, planes, beta, mu, cfg, charged, phis, qs):
 
 
 def _pick(runs: list[dict]) -> dict:
+    """The first start, among the converged ones (all if none converged),
+    whose energy is within _TIE relative of the best.
+
+    Starts that reach the same state differ by an ulp or two, so a raw
+    minimum would let roundoff choose the reported state.
+    """
     pool = [r for r in runs if r["converged"]] or runs
-    return min(pool, key=lambda r: r["energy"])
+    best = min(pool, key=lambda r: r["energy"])
+    e = best["energy"]
+    return next((r for r in pool if r["energy"] - e <= _TIE * abs(e)), best)
 
 
-def _solve_on_grid(grid, lam, pd, planes, beta, mu, cfg, charged):
-    omega_ref = lam / _RATE_MARGIN
-    runs = []
-    for s in cfg.starts:
-        phis, qs = _initial_guess(grid, pd, planes, beta, mu, s, charged,
-                                  omega_ref)
-        runs.append(_descend(grid, lam, pd, planes, beta, mu, cfg, charged,
-                             phis, qs))
-    return _pick(runs)
+def _solve_on_grid(grid, lam, pd, p, sigmas, beta, mu, cfg):
+    return _pick([
+        _descend(grid, lam, pd, p, sigmas, beta, mu, cfg,
+                 *_initial_guess(grid, pd, sigmas, beta, mu, s,
+                                 lam / _RATE_MARGIN))
+        for s in cfg.starts])
 
 
 # ----------------------------------------------------------------------
@@ -700,7 +549,7 @@ def _zero_plane(grid, lam) -> ChargedField:
 
 
 def _one_sided_state(grid, lam, run, plane_index) -> HybridState:
-    filled = ChargedField(RadialField(grid, run["phis"][0]), run["qs"][0], lam)
+    filled = ChargedField(RadialField(grid, run["phi"][0]), run["q"][0], lam)
     empty = _zero_plane(grid, lam)
     return HybridState(filled, empty) if plane_index == 0 else HybridState(empty, filled)
 
@@ -716,9 +565,9 @@ def solve_planar(p: float, mu: float, cfg: SolverConfig | None = None) -> Ground
     lam = 1.0
     grid = _grid_for(lam, cfg)
     pd = plane_data(grid, lam)
-    run = _solve_on_grid(grid, lam, pd, [(p, 0.0)], 0.0, mu, cfg, charged=False)
+    run = _solve_on_grid(grid, lam, pd, p, None, 0.0, mu, cfg)
     U = HybridState(
-        ChargedField(RadialField(grid, run["phis"][0]), 0.0, lam),
+        ChargedField(RadialField(grid, run["phi"][0]), 0.0, lam),
         _zero_plane(grid, lam))
     return _build_report(U, P, run["energy"], run["iterations"],
                          run["converged"], vertex=False)
@@ -734,7 +583,7 @@ def solve_single(p: float, sigma: float, mu: float,
     lam = max(_RATE_MARGIN * lambda_for_theta(-sigma), (16.0 / cfg.R) ** 2)
     grid = _grid_for(lam, cfg)
     pd = plane_data(grid, lam)
-    run = _solve_on_grid(grid, lam, pd, [(p, sigma)], 0.0, mu, cfg, charged=True)
+    run = _solve_on_grid(grid, lam, pd, p, (sigma,), 0.0, mu, cfg)
     U = _one_sided_state(grid, lam, run, 0)
     return _build_report(U, P, run["energy"], run["iterations"],
                          run["converged"])
@@ -753,12 +602,13 @@ def solve_hybrid(P: HybridParams, cfg: SolverConfig | None = None) -> GroundStat
     lam = max(_RATE_MARGIN * omega_star(P), (16.0 / cfg.R) ** 2)
     grid = _grid_for(lam, cfg)
     pd = plane_data(grid, lam)
-    planes = [(P.p1, P.sigma1), (P.p2, P.sigma2)]
-
-    best = _solve_on_grid(grid, lam, pd, planes, P.beta, P.mu, cfg, charged=True)
+    # equal powers stay one scalar, which keeps the kernels' fast paths
+    p = P.p1 if P.p1 == P.p2 else np.array([P.p1, P.p2])
+    best = _solve_on_grid(grid, lam, pd, p, (P.sigma1, P.sigma2), P.beta,
+                          P.mu, cfg)
     U = HybridState(
-        ChargedField(RadialField(grid, best["phis"][0]), best["qs"][0], lam),
-        ChargedField(RadialField(grid, best["phis"][1]), best["qs"][1], lam))
+        ChargedField(RadialField(grid, best["phi"][0]), best["q"][0], lam),
+        ChargedField(RadialField(grid, best["phi"][1]), best["q"][1], lam))
     energy = best["energy"]
     iterations = best["iterations"]
     converged = best["converged"]
@@ -766,9 +616,8 @@ def solve_hybrid(P: HybridParams, cfg: SolverConfig | None = None) -> GroundStat
 
     if P.beta == 0.0:
         singles = [
-            _solve_on_grid(grid, lam, pd, [planes[i]], 0.0, P.mu, cfg,
-                           charged=True)
-            for i in (0, 1)
+            _solve_on_grid(grid, lam, pd, pi, (si,), 0.0, P.mu, cfg)
+            for pi, si in ((P.p1, P.sigma1), (P.p2, P.sigma2))
         ]
         i_best = min((0, 1), key=lambda i: singles[i]["energy"])
         if singles[i_best]["energy"] < energy:

@@ -327,22 +327,103 @@ class TestResiduals:
         assert np.isfinite(el_residual(U, P, 1.0))
 
 
+def kernel_args(grid, lam, p, sig_theta):
+    """The kernels' arguments after the state (phi, q)."""
+    pd = plane_data(grid, lam)
+    return (pd["G"], p, lam, sig_theta, pd["gl2"], grid.w_trapz, pd["w_in"],
+            grid.c_h1, pd["area0"] * pd["lagw"], pd["g0"])
+
+
+#: (powers, interaction strengths, coupling) of the stacks under test
+STACKS = {
+    "one-row": ((2.7,), (0.1,), 0.0),
+    "two-rows": ((2.5, 3.5), (0.3, -0.2), 0.8),
+}
+
+
 class TestKernelBackends:
+    LAM = 1.0
+
+    def stack(self, grid, k, seed):
+        """k random tied rows and charges, with their ChargedFields."""
+        rng = np.random.default_rng(seed)
+        phi = np.array([tied(grid, rng.standard_normal(grid.n_nodes))
+                        for _ in range(k)])
+        q = rng.uniform(0.05, 0.8, size=k)
+        fields = [ChargedField(RadialField(grid, phi[i]), q[i], self.LAM)
+                  for i in range(k)]
+        return phi, q, fields
+
     def test_grad_kernel_energy_matches_energy_kernel(self, small_grid):
-        rng = np.random.default_rng(11)
-        pd = plane_data(small_grid, 1.0)
-        phi = tied(small_grid, rng.standard_normal(small_grid.n_nodes))
+        phi, q, _ = self.stack(small_grid, 1, 11)
+        th = plane_data(small_grid, self.LAM)["theta"]
+        args = kernel_args(small_grid, self.LAM, 2.7, 0.1 + th)
         g = np.empty_like(phi)
-        a = _kernels.plane_energy(
-            phi, 0.3, pd["G"], 2.7, 1.0, 0.1 + pd["theta"], pd["gl2"],
-            small_grid.w_trapz, pd["w_in"], small_grid.c_h1, pd["lagw"],
-            pd["g0"], pd["area0"])
-        b = _kernels.plane_energy_grad(
-            phi, 0.3, pd["G"], 2.7, 1.0, 0.1 + pd["theta"], pd["gl2"],
-            small_grid.w_trapz, pd["w_in"], small_grid.c_h1, pd["lagw"],
-            pd["g0"], pd["area0"], g)
-        for x, y in zip(a, b[:6]):
-            assert x == pytest.approx(y, rel=1e-12, abs=1e-15)
+        a = _kernels.plane_energy(phi, q, *args)
+        b = _kernels.plane_energy_grad(phi, q, *args, g)
+        for x, y in zip(a, b[:3]):
+            np.testing.assert_allclose(x, y, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("ps,sigmas,beta", STACKS.values(), ids=STACKS)
+    def test_rows_match_f_single(self, small_grid, ps, sigmas, beta):
+        k = len(ps)
+        phi, q, fields = self.stack(small_grid, k, 12)
+        th = plane_data(small_grid, self.LAM)["theta"]
+        args = kernel_args(small_grid, self.LAM, np.array(ps),
+                           np.array(sigmas) + th)
+        energy, qform, pterm = _kernels.plane_energy(phi, q, *args)
+        gphi = np.empty_like(phi)
+        grad = _kernels.plane_energy_grad(phi, q, *args, gphi)
+        for i, u in enumerate(fields):
+            # f_single, q_form_sigma and lp_power do not call the kernels
+            assert energy[i] == pytest.approx(f_single(u, ps[i], sigmas[i]),
+                                              rel=1e-12)
+            assert grad[0][i] == pytest.approx(energy[i], rel=1e-12)
+            assert qform[i] == pytest.approx(q_form_sigma(u, sigmas[i]),
+                                             rel=1e-12)
+            assert pterm[i] == pytest.approx(lp_power(u, ps[i]), rel=1e-12)
+        if k == 2:
+            U = HybridState(*fields)
+            P = HybridParams(ps[0], ps[1], sigmas[0], sigmas[1], beta, 1.0)
+            # the caller's coupling term completes the hybrid energy ...
+            total = energy.sum() - beta * q[0] * q[1]
+            assert total == pytest.approx(f_hybrid(U, P), rel=1e-12)
+            # ... and its charge gradient; each stacked row's gradient is
+            # the one-row gradient of that plane
+            ref = grad_f_hybrid(U, P)
+            gq = grad[3] - beta * q[::-1]
+            assert gq[0] == pytest.approx(ref.dq1, rel=1e-12)
+            assert gq[1] == pytest.approx(ref.dq2, rel=1e-12)
+            w = small_grid.w_trapz
+            for row, d in zip(gphi, (ref.d1, ref.d2)):
+                np.testing.assert_allclose(row[1:-1] / w[1:-1],
+                                           d.values[1:-1], rtol=1e-12)
+
+    def test_nonlinear_term_off(self, small_grid):
+        phi, q, fields = self.stack(small_grid, 2, 13)
+        sigmas = np.array([0.3, -0.2])
+        th = plane_data(small_grid, self.LAM)["theta"]
+        args = kernel_args(small_grid, self.LAM, None, sigmas + th)
+        energy, qform, pterm = _kernels.plane_energy(phi, q, *args)
+        for i, u in enumerate(fields):
+            assert energy[i] == pytest.approx(
+                0.5 * q_form_sigma(u, sigmas[i]), rel=1e-12)
+        np.testing.assert_array_equal(pterm, 0.0)
+        gphi = np.empty_like(phi)
+        grad = _kernels.plane_energy_grad(phi, q, *args, gphi)
+        np.testing.assert_allclose(grad[0], energy, rtol=1e-12)
+        np.testing.assert_array_equal(grad[2], 0.0)
+        # the energy is quadratic, so a central difference is exact up
+        # to rounding
+        rng = np.random.default_rng(14)
+        v = np.array([tied(small_grid, rng.standard_normal(small_grid.n_nodes))
+                      for _ in range(2)])
+        vq = rng.standard_normal(2)
+        h = 1e-3
+        plus = _kernels.plane_energy(phi + h * v, q + h * vq, *args)[0]
+        minus = _kernels.plane_energy(phi - h * v, q - h * vq, *args)[0]
+        slope = (gphi * v).sum(axis=1) + grad[3] * vq
+        np.testing.assert_allclose((plus - minus) / (2 * h), slope, rtol=1e-8)
 
 
 class TestTotalField:

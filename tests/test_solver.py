@@ -30,9 +30,12 @@ from hybrid_nls.energy import (
 )
 from hybrid_nls.grid import make_grid
 from hybrid_nls.solver import (
+    _RATE_MARGIN,
     GroundStateReport,
     SolverConfig,
+    _grid_for,
     _linear_solver,
+    _pick,
     extract_omega,
     omega_star,
     omega_star_grid,
@@ -339,6 +342,17 @@ class TestCoupledHybrid:
         P = HybridParams(3.0, 3.0, s1, s2, beta, 1.0)
         assert rel(omega_star_grid(P, cfg), omega_star(P)) < 1e-3
 
+    def test_multistart_tie_goes_to_the_first_start(self):
+        # starts that reach one state differ by an ulp or two; the report
+        # must not flip with the last bit of the arithmetic
+        runs = [{"energy": -1.0, "converged": True, "iterations": 18},
+                {"energy": -1.0 - 1e-15, "converged": True, "iterations": 17}]
+        assert _pick(runs) is runs[0]
+        runs.append({"energy": -1.0 - 1e-9, "converged": True, "iterations": 9})
+        assert _pick(runs) is runs[2]
+        runs.append({"energy": -2.0, "converged": False, "iterations": 99})
+        assert _pick(runs) is runs[2]
+
     def test_multistart_sets_agree(self, cfg):
         P = HybridParams(2.5, 3.5, 0.0, 0.0, 1.0, 1.0)
         r1 = solve_hybrid(P, dataclasses.replace(cfg, starts=(0.2, 0.5, 0.8)))
@@ -414,6 +428,40 @@ def dense_linear_matrix(grid, shift, th, sigmas, beta=0.0):
     if len(sigmas) == 2:
         A[nin, 2 * nin + 1] = A[2 * nin + 1, nin] = -beta
     return A
+
+
+def dense_mass_matrix(grid, pd):
+    """Dense two-plane mass form in the layout of dense_linear_matrix:
+    diag w on the interior nodes, w*G between them and the plane's
+    charge, and the analytic |G|^2 on the charge."""
+    w = grid.w_trapz[1:-1]
+    nin = w.size
+    block = np.zeros((nin + 1, nin + 1))
+    block[:nin, :nin] = np.diag(w)
+    block[:nin, nin] = block[nin, :nin] = w * pd["G"][1:-1]
+    block[nin, nin] = pd["gl2"]
+    return np.kron(np.eye(2), block)
+
+
+class TestOmegaStarGridOracle:
+    @pytest.mark.parametrize("n", [256, 512])
+    @pytest.mark.parametrize("s1,s2,beta", [
+        (0.0, 0.0, 1.0), (0.0, 1.0, 0.5), (-1.0, 1.0, 2.0), (0.3, -0.2, 0.0),
+        (-3.0, 5.0, 0.7)])
+    def test_matches_generalized_eigenvalue(self, n, s1, s2, beta):
+        from scipy.linalg import eigh
+
+        P = HybridParams(3.0, 3.0, s1, s2, beta, 1.0)
+        cfg = SolverConfig(N=n)
+        lam = max(_RATE_MARGIN * omega_star(P), (16.0 / cfg.R) ** 2)
+        grid = _grid_for(lam, cfg)
+        pd = plane_data(grid, lam)
+        # (kinetic + lam*mass + charge block) - lam*mass is the form Q,
+        # so the bottom of the pencil (A, M) is lam - omega_star_grid
+        A = dense_linear_matrix(grid, lam, pd["theta"], (s1, s2), beta)
+        M = dense_mass_matrix(grid, pd)
+        low = eigh(A, M, eigvals_only=True, subset_by_index=[0, 0])[0]
+        assert rel(omega_star_grid(P, cfg), lam - low) < 1e-10
 
 
 class TestLinearSolver:
