@@ -20,6 +20,9 @@ clamp at zero, then a joint rescale of profiles and charges).
 Convergence is declared on the W-metric projected-gradient norm, scaled
 by max(1, |omega_hat| * sqrt(mu)) so that deep, tightly bound states are
 held to the same *relative* stationarity as shallow ones.
+
+At beta = 0 only the two single-plane problems are solved: the ground
+state then sits on one plane (the argument is in solve_hybrid).
 """
 
 from __future__ import annotations
@@ -221,6 +224,13 @@ def _grid_for(lam: float, cfg: SolverConfig) -> RadialGrid:
     return make_grid(cfg.R, cfg.N, _auto_grading(cfg.R, cfg.N, cfg.grading, lam))
 
 
+def _setup(rate: float, cfg: SolverConfig) -> tuple[RadialGrid, float, dict]:
+    """Grid, decomposition rate and plane data for the linear level ``rate``."""
+    lam = max(_RATE_MARGIN * rate, (16.0 / cfg.R) ** 2)
+    grid = _grid_for(lam, cfg)
+    return grid, lam, plane_data(grid, lam)
+
+
 # ----------------------------------------------------------------------
 # linear-part solve (the descent's preconditioner)
 
@@ -245,7 +255,7 @@ def _linear_solver(
     The returned solve takes right-hand sides as the rows of a
     (m, planes*stride) array and solves all of them, every plane's
     profile at once, in one LAPACK call.  Raises ArithmeticError when
-    the tridiagonal block is not positive definite.
+    the tridiagonal block or the charge block is not positive definite.
     """
     cu = grid.c_h1  # per cell; interior node j sits between cells j-1, j
     diag = shift * grid.w_trapz[1:-1] + cu[1:]
@@ -261,6 +271,9 @@ def _linear_solver(
     elif charged:
         a, c = sigmas[0] + th, sigmas[1] + th
         adj, det = np.array([[c, beta], [beta, a]]), a * c - beta * beta
+    if charged and not (det > 0.0 and np.diag(adj).min() > 0.0):
+        raise ArithmeticError("preconditioner charge block is not positive "
+                              f"definite (determinant {det:.3e})")
     stride = nin + (1 if charged else 0)
 
     def solve(rhs: np.ndarray) -> np.ndarray:
@@ -288,9 +301,7 @@ def omega_star_grid(P: HybridParams, cfg: SolverConfig | None = None) -> float:
     without discretization-bias caveats.
     """
     cfg = cfg if cfg is not None else SolverConfig()
-    lam = max(_RATE_MARGIN * omega_star(P), (16.0 / cfg.R) ** 2)
-    grid = _grid_for(lam, cfg)
-    pd = plane_data(grid, lam)
+    grid, lam, pd = _setup(omega_star(P), cfg)
     sigmas = (P.sigma1, P.sigma2)
     phi, q = _initial_guess(grid, pd, sigmas, P.beta, 1.0, 0.5,
                             lam / _RATE_MARGIN)
@@ -481,17 +492,20 @@ def _descend(grid, lam, pd, p, sigmas, beta, mu, cfg, phi, q):
     }
 
 
-def _pick(runs: list[dict]) -> dict:
-    """The first start, among the converged ones (all if none converged),
-    whose energy is within _TIE relative of the best.
+def _lowest(runs: list[dict]) -> dict:
+    """The first run whose energy is within _TIE relative of the lowest.
 
-    Starts that reach the same state differ by an ulp or two, so a raw
+    Runs that reach the same state differ by an ulp or two, so a raw
     minimum would let roundoff choose the reported state.
     """
-    pool = [r for r in runs if r["converged"]] or runs
-    best = min(pool, key=lambda r: r["energy"])
+    best = min(runs, key=lambda r: r["energy"])
     e = best["energy"]
-    return next((r for r in pool if r["energy"] - e <= _TIE * abs(e)), best)
+    return next((r for r in runs if r["energy"] - e <= _TIE * abs(e)), best)
+
+
+def _pick(runs: list[dict]) -> dict:
+    """The lowest start among the converged ones (all if none converged)."""
+    return _lowest([r for r in runs if r["converged"]] or runs)
 
 
 def _solve_on_grid(grid, lam, pd, p, sigmas, beta, mu, cfg):
@@ -520,7 +534,15 @@ def _sample_profiles(grid, u1, u2) -> dict[str, list[float]]:
     }
 
 
-def _build_report(U, P, energy, iterations, converged, *, vertex=True):
+def _build_report(grid, lam, run, P, plane=None, *, vertex=True):
+    """Report of a descent run.  A one-plane run fills ``plane`` and
+    leaves the other plane exactly empty."""
+    fields = [ChargedField(RadialField(grid, f), q, lam)
+              for f, q in zip(run["phi"], run["q"])]
+    if plane is not None:
+        fields.insert(1 - plane, ChargedField(
+            RadialField(grid, np.zeros(grid.n_nodes)), 0.0, lam))
+    U = HybridState(*fields)
     m1, m2 = mass(U.u1), mass(U.u2)
     total = m1 + m2
     if abs(total - P.mu) > 1e-10 * P.mu:
@@ -529,7 +551,7 @@ def _build_report(U, P, energy, iterations, converged, *, vertex=True):
     omega = extract_omega(U, P)
     bres = boundary_residual(U, P) if vertex else (0.0, 0.0)
     return GroundStateReport(
-        energy=energy,
+        energy=run["energy"],
         mass1=m1,
         mass2=m2,
         q1=U.u1.q,
@@ -537,21 +559,11 @@ def _build_report(U, P, energy, iterations, converged, *, vertex=True):
         omega=omega,
         el_residual=el_residual(U, P, omega),
         boundary_residuals=bres,
-        iterations=iterations,
-        converged=converged,
-        profile_samples=_sample_profiles(U.u1.grid, U.u1, U.u2),
+        iterations=run["iterations"],
+        converged=run["converged"],
+        profile_samples=_sample_profiles(grid, U.u1, U.u2),
         state=U,
     )
-
-
-def _zero_plane(grid, lam) -> ChargedField:
-    return ChargedField(RadialField(grid, np.zeros(grid.n_nodes)), 0.0, lam)
-
-
-def _one_sided_state(grid, lam, run, plane_index) -> HybridState:
-    filled = ChargedField(RadialField(grid, run["phi"][0]), run["q"][0], lam)
-    empty = _zero_plane(grid, lam)
-    return HybridState(filled, empty) if plane_index == 0 else HybridState(empty, filled)
 
 
 def solve_planar(p: float, mu: float, cfg: SolverConfig | None = None) -> GroundStateReport:
@@ -566,11 +578,7 @@ def solve_planar(p: float, mu: float, cfg: SolverConfig | None = None) -> Ground
     grid = _grid_for(lam, cfg)
     pd = plane_data(grid, lam)
     run = _solve_on_grid(grid, lam, pd, p, None, 0.0, mu, cfg)
-    U = HybridState(
-        ChargedField(RadialField(grid, run["phi"][0]), 0.0, lam),
-        _zero_plane(grid, lam))
-    return _build_report(U, P, run["energy"], run["iterations"],
-                         run["converged"], vertex=False)
+    return _build_report(grid, lam, run, P, 0, vertex=False)
 
 
 def solve_single(p: float, sigma: float, mu: float,
@@ -580,60 +588,51 @@ def solve_single(p: float, sigma: float, mu: float,
     if not math.isfinite(sigma):
         raise ValueError("sigma must be finite")
     P = HybridParams(p, p, sigma, 0.0, 0.0, mu)
-    lam = max(_RATE_MARGIN * lambda_for_theta(-sigma), (16.0 / cfg.R) ** 2)
-    grid = _grid_for(lam, cfg)
-    pd = plane_data(grid, lam)
+    grid, lam, pd = _setup(lambda_for_theta(-sigma), cfg)
     run = _solve_on_grid(grid, lam, pd, p, (sigma,), 0.0, mu, cfg)
-    U = _one_sided_state(grid, lam, run, 0)
-    return _build_report(U, P, run["energy"], run["iterations"],
-                         run["converged"])
+    return _build_report(grid, lam, run, P, 0)
+
+
+def _solve_two_plane(P: HybridParams, cfg: SolverConfig) -> GroundStateReport:
+    """Multi-start over the configured mass splits; best converged run wins."""
+    grid, lam, pd = _setup(omega_star(P), cfg)
+    # equal powers stay one scalar, which keeps the kernels' fast paths
+    p = P.p1 if P.p1 == P.p2 else np.array([P.p1, P.p2])
+    best = _solve_on_grid(grid, lam, pd, p, (P.sigma1, P.sigma2), P.beta,
+                          P.mu, cfg)
+    return _build_report(grid, lam, best, P)
 
 
 def solve_hybrid(P: HybridParams, cfg: SolverConfig | None = None) -> GroundStateReport:
     """Ground state of the coupled two-plane energy at mass P.mu.
 
-    Multi-start over the configured mass splits; the best converged run
-    wins.  For beta = 0 the minimum can sit at a one-sided endpoint, so
-    both single-plane endpoint candidates are solved on the same grid
-    and compared; when they tie, both endpoint reports are attached as
-    ``branches``.
+    For beta != 0, multi-start over the configured mass splits.  For
+    beta = 0 only the two single-plane problems are solved, on the grid
+    the two-plane problem uses, and the lower one (plane 1 within _TIE)
+    is reported with the other plane exactly empty.  When the two
+    endpoints agree to 1e-6, both reports are attached as ``branches``.
+
+    The beta = 0 shortcut is exact in the discrete problem.  The energy
+    splits as e1(s) + e2(mu - s), e_i(m) being plane i's minimum at mass
+    m.  The quadratic form and the mass are quadratic and the |u|^p term
+    is p-homogeneous with p > 2, so scaling a minimizer at mass m by
+    sqrt(t), t > 1, gives e_i(t m) < t e_i(m): e_i(m)/m is strictly
+    decreasing.  Hence for every 0 < s < mu,
+    e1(s) + e2(mu - s) > (s/mu) e1(mu) + (1 - s/mu) e2(mu)
+    >= min(e1(mu), e2(mu)).
     """
     cfg = cfg if cfg is not None else SolverConfig()
-    lam = max(_RATE_MARGIN * omega_star(P), (16.0 / cfg.R) ** 2)
-    grid = _grid_for(lam, cfg)
-    pd = plane_data(grid, lam)
-    # equal powers stay one scalar, which keeps the kernels' fast paths
-    p = P.p1 if P.p1 == P.p2 else np.array([P.p1, P.p2])
-    best = _solve_on_grid(grid, lam, pd, p, (P.sigma1, P.sigma2), P.beta,
-                          P.mu, cfg)
-    U = HybridState(
-        ChargedField(RadialField(grid, best["phi"][0]), best["q"][0], lam),
-        ChargedField(RadialField(grid, best["phi"][1]), best["q"][1], lam))
-    energy = best["energy"]
-    iterations = best["iterations"]
-    converged = best["converged"]
-    branches = None
-
-    if P.beta == 0.0:
-        singles = [
-            _solve_on_grid(grid, lam, pd, pi, (si,), 0.0, P.mu, cfg)
-            for pi, si in ((P.p1, P.sigma1), (P.p2, P.sigma2))
-        ]
-        i_best = min((0, 1), key=lambda i: singles[i]["energy"])
-        if singles[i_best]["energy"] < energy:
-            energy = singles[i_best]["energy"]
-            iterations = singles[i_best]["iterations"]
-            converged = singles[i_best]["converged"]
-            U = _one_sided_state(grid, lam, singles[i_best], i_best)
-        e1, e2 = singles[0]["energy"], singles[1]["energy"]
-        if abs(e1 - e2) <= 1e-6 * max(1.0, abs(e1)):
-            branch_reports = tuple(
-                _build_report(_one_sided_state(grid, lam, singles[i], i), P,
-                              singles[i]["energy"], singles[i]["iterations"],
-                              singles[i]["converged"])
-                for i in (0, 1))
-            branches = branch_reports
-
-    report = _build_report(U, P, energy, iterations, converged)
-    report.branches = branches
-    return report
+    if P.beta != 0.0:
+        return _solve_two_plane(P, cfg)
+    grid, lam, pd = _setup(omega_star(P), cfg)
+    singles = [_solve_on_grid(grid, lam, pd, pi, (si,), 0.0, P.mu, cfg)
+               for pi, si in ((P.p1, P.sigma1), (P.p2, P.sigma2))]
+    # by energy alone: an unconverged plane's energy still bounds its
+    # minimum from above, so a converged plane above it cannot win
+    i = 0 if _lowest(singles) is singles[0] else 1
+    e1, e2 = singles[0]["energy"], singles[1]["energy"]
+    if abs(e1 - e2) > 1e-6 * max(1.0, abs(e1)):
+        return _build_report(grid, lam, singles[i], P, i)
+    branches = tuple(_build_report(grid, lam, run, P, j)
+                     for j, run in enumerate(singles))
+    return dataclasses.replace(branches[i], branches=branches)

@@ -39,6 +39,7 @@ from .energy import (
 from .grid import RadialField, make_grid
 from .solver import (
     SolverConfig,
+    _solve_two_plane,
     extract_omega,
     omega_star,
     omega_star_grid,
@@ -109,27 +110,26 @@ class _Context:
     def tol(self, slow: float, fast: float) -> float:
         return fast if self.fast else slow
 
-    def hybrid(self, P: HybridParams, cfg: SolverConfig | None = None):
+    def _cached(self, solve, *args, cfg: SolverConfig | None = None):
         cfg = cfg or self.cfg
-        key = ("hy", P, cfg)
+        key = (solve, *args, cfg)
         if key not in self._solves:
-            self._solves[key] = solve_hybrid(P, cfg)
+            self._solves[key] = solve(*args, cfg)
         return self._solves[key]
+
+    def hybrid(self, P: HybridParams, cfg: SolverConfig | None = None):
+        return self._cached(solve_hybrid, P, cfg=cfg)
+
+    def two_plane(self, P: HybridParams):
+        """The two-plane multistart, which solve_hybrid skips at beta = 0."""
+        return self._cached(_solve_two_plane, P)
 
     def single(self, p: float, sigma: float, mu: float,
                cfg: SolverConfig | None = None):
-        cfg = cfg or self.cfg
-        key = ("si", p, sigma, mu, cfg)
-        if key not in self._solves:
-            self._solves[key] = solve_single(p, sigma, mu, cfg)
-        return self._solves[key]
+        return self._cached(solve_single, p, sigma, mu, cfg=cfg)
 
     def planar(self, p: float, mu: float, cfg: SolverConfig | None = None):
-        cfg = cfg or self.cfg
-        key = ("pl", p, mu, cfg)
-        if key not in self._solves:
-            self._solves[key] = solve_planar(p, mu, cfg)
-        return self._solves[key]
+        return self._cached(solve_planar, p, mu, cfg=cfg)
 
     def deep_cfg(self) -> SolverConfig:
         """Resolution for the steepest linear-level check (always full)."""
@@ -179,7 +179,8 @@ def _c3_decoupling(ctx: _Context):
     )
     worst_rel, worst_leak = 0.0, 0.0
     for P, (pa, sa), (pb, sb) in cases:
-        r = ctx.hybrid(P)
+        # an independent two-plane descent: no split may beat the endpoints
+        r = ctx.two_plane(P)
         best = min(ctx.single(pa, sa, P.mu).energy,
                    ctx.single(pb, sb, P.mu).energy)
         worst_rel = max(worst_rel, _rel(r.energy, best))

@@ -1,6 +1,7 @@
 """Command-line front end: files, exit codes, precedence, determinism."""
 
 import csv
+import dataclasses
 import json
 import subprocess
 import sys
@@ -11,9 +12,10 @@ import pytest
 import hybrid_nls.cli as cli
 import hybrid_nls.energy as en
 import hybrid_nls.specfun as sf
+import hybrid_nls.verify as verify
 from hybrid_nls.analysis import SweepTable, critical_mass
 from hybrid_nls.cli import main
-from hybrid_nls.solver import SolverConfig, omega_star, omega_star_grid
+from hybrid_nls.solver import SolverConfig, omega_star_grid
 from hybrid_nls.energy import HybridParams
 from hybrid_nls.verify import run_suite
 
@@ -288,6 +290,18 @@ class TestVerify:
         assert "--N" in capsys.readouterr().err
         assert not (tmp_path / "verify.json").exists()
 
+    def test_criterion_3_reads_the_two_plane_descent(self, monkeypatch):
+        # at beta = 0 solve_hybrid solves only the single planes, so the
+        # criterion must catch a two-plane state that beats them
+        real = verify._solve_two_plane
+
+        def lower(P, cfg):
+            r = real(P, cfg)
+            return dataclasses.replace(r, energy=r.energy - 1e-3 * abs(r.energy))
+
+        monkeypatch.setattr(verify, "_solve_two_plane", lower)
+        assert run_suite(fast=True, only=(3,)).failed_numbers == (3,)
+
     def test_theta_sign_flip_flags_closed_form_criteria(self, monkeypatch):
         orig = sf.theta
 
@@ -301,9 +315,11 @@ class TestVerify:
             rep = run_suite(fast=True, only=(14,))
             assert rep.failed_numbers == (14,)
             # the grid assembly sees the flipped vertex constant, the
-            # closed form does not: the linear levels must now disagree
+            # closed form does not: at the closed-form level the charge
+            # block is no longer positive definite, and the grid descent
+            # refuses to start
             P = HybridParams(3.0, 3.0, 0.0, 0.0, 1.0, 1.0)
-            wg = omega_star_grid(P, SolverConfig(N=512))
-            assert abs(wg - omega_star(P)) / omega_star(P) > 0.1
+            with pytest.raises(ArithmeticError, match="charge block"):
+                omega_star_grid(P, SolverConfig(N=512))
         finally:
             en._PLANE_CACHE.clear()  # drop entries built with the flip

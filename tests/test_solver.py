@@ -11,9 +11,11 @@ Reference numbers come from two sources, noted inline:
 """
 
 import dataclasses
+import functools
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 
@@ -23,6 +25,7 @@ import pytest
 import hybrid_nls
 from hybrid_nls.energy import (
     HybridParams,
+    f_hybrid,
     lp_power,
     mass,
     plane_data,
@@ -31,11 +34,14 @@ from hybrid_nls.energy import (
 from hybrid_nls.grid import make_grid
 from hybrid_nls.solver import (
     _RATE_MARGIN,
+    _TIE,
     GroundStateReport,
     SolverConfig,
     _grid_for,
     _linear_solver,
+    _lowest,
     _pick,
+    _solve_two_plane,
     extract_omega,
     omega_star,
     omega_star_grid,
@@ -306,6 +312,87 @@ class TestDecoupledHybrid:
         assert r.energy == min(a.energy, b.energy)
 
 
+# beta = 0 cases (p1, p2, sigma1, sigma2, mu): the parameters of two
+# benchmark pool operations whose el_residual once failed (a near-empty
+# plane), then a seeded draw over the parameter box
+_u = random.Random(0).uniform
+BETA0_DRAWN = [(3.382, 3.236, 1.291, 0.338, 1.944),
+               (3.311, 2.66, 1.014, 1.021, 1.157)] + [
+    tuple(round(_u(lo, hi), 3) for lo, hi in
+          ((2.05, 3.95), (2.05, 3.95), (-2.0, 4.0), (-2.0, 4.0), (0.1, 10.0)))
+    for _ in range(12)]
+# box corners; at the symmetric two the two-plane multistart itself stops
+# above the ground state (at the equal split), so only the one-sided
+# comparison applies to corners
+BETA0_CORNERS = [(3.95, 3.95, 4.0, 4.0, 10.0), (3.95, 3.95, -2.0, -2.0, 0.1),
+                 (2.05, 3.95, -2.0, 4.0, 10.0), (3.95, 2.05, 4.0, -2.0, 0.1)]
+# plane 1's multistart stalls unconverged far below plane 2's converged
+# one, so the plane must be chosen by energy, not by convergence
+BETA0_STALLED = [(3.566, 3.032, -0.661, 1.891, 4.009)]
+BETA0_CASES = BETA0_DRAWN + BETA0_CORNERS + BETA0_STALLED
+
+
+@functools.lru_cache(maxsize=None)
+def beta0_pair(case):
+    """solve_hybrid and the independent two-plane multistart at beta = 0.
+
+    grad_tol 1e-8: at the default 1e-6 both descents stop with an energy
+    error near 1e-11 relative (the second pool case: the two-plane run
+    ends 9e-12 below the single plane), and tightening the tolerance
+    shrinks it quadratically below _TIE.
+    """
+    P = HybridParams(*case[:4], 0.0, case[4])
+    cfg = SolverConfig(N=512, grad_tol=1e-8)
+    return P, solve_hybrid(P, cfg), _solve_two_plane(P, cfg)
+
+
+class TestUncoupledShortcut:
+    """At beta = 0 solve_hybrid solves only the single planes; these
+    checks hold it against a descent over every mass split."""
+
+    @pytest.mark.parametrize("case", BETA0_CASES, ids=str)
+    def test_never_above_two_plane_descent(self, case):
+        P, r, two = beta0_pair(case)
+        assert r.energy - two.energy <= _TIE * abs(two.energy)
+        # the reported energy is the reported state's, plane by plane
+        assert rel(f_hybrid(r.state, P), r.energy) < 1e-12
+
+    @pytest.mark.parametrize("case", BETA0_DRAWN, ids=str)
+    def test_matches_two_plane_descent(self, case):
+        _, r, two = beta0_pair(case)
+        assert rel(r.energy, two.energy) <= 1e-9
+
+    @pytest.mark.parametrize("case", BETA0_CASES, ids=str)
+    def test_exactly_one_plane_is_empty(self, case):
+        _, r, _ = beta0_pair(case)
+        assert (r.mass1 == 0.0) != (r.mass2 == 0.0)
+
+    @pytest.mark.parametrize("case", BETA0_DRAWN[:2], ids=str)
+    def test_pool_cases_converge_certified(self, cfg, case):
+        r = solve_hybrid(HybridParams(*case[:4], 0.0, case[4]), cfg)
+        assert r.converged
+        assert r.el_residual <= 1e-2
+
+    def test_near_tie_goes_to_the_first_plane(self):
+        # plane 2 ends 3e-13 relative lower: within _TIE, so not roundoff
+        # but the plane order decides
+        r = solve_hybrid(HybridParams(3.0, 3.0, 0.5, 0.5 - 1e-13, 0.0, 1.0),
+                         SolverConfig(N=512))
+        a, b = r.branches
+        assert 0.0 < a.energy - b.energy <= _TIE * abs(b.energy)
+        assert r.mass2 == 0.0 and r.energy == a.energy
+
+    def test_plane_choice_goes_by_energy(self):
+        # an unconverged descent's energy still bounds its plane's minimum
+        # from above, so a converged plane above it is not the ground state
+        runs = [{"energy": -1.0, "converged": True},
+                {"energy": -2.0, "converged": False}]
+        assert _lowest(runs) is runs[1]
+        assert _pick(runs) is runs[0]
+        runs[1]["energy"] = -1.0 - 1e-13
+        assert _lowest(runs) is runs[0]
+
+
 class TestCoupledHybrid:
     def test_gap_positive_and_growing_in_beta(self, cfg, single_3_0):
         gaps = []
@@ -495,6 +582,15 @@ class TestLinearSolver:
         grid = make_grid(40.0, 64, 1.01)
         with pytest.raises(ArithmeticError, match="positive definite"):
             _linear_solver(grid, -1e6, 0.0, (1.0,))
+
+    @pytest.mark.parametrize("sigmas,beta", [
+        ((-1.0,), 0.0), ((-0.5, 1.5), 0.0), ((0.5, 1.5), 1.0),
+        ((-1.0, -1.0), 0.1)])
+    def test_indefinite_charge_block_raises(self, sigmas, beta):
+        # the last case has a positive determinant but negative diagonal
+        grid = make_grid(40.0, 64, 1.01)
+        with pytest.raises(ArithmeticError, match="charge block"):
+            _linear_solver(grid, self.LAM, 0.0, sigmas, beta)
 
 
 def test_import_leaves_scipy_sparse_unloaded():
