@@ -13,6 +13,15 @@ the default grading 1.01 makes first cells near 1e-20 and the descent
 stops unconverged after 61 iterations, where grading 1.0025 converges
 in 17.
 
+That dpttrs call solves only the leading block the right-hand sides
+reach.  Deep states underflow to exact zeros well inside the box, and
+carrying the solve into that tail runs the forward sweep through
+subnormal numbers, where a multiplier above 1/2 traps it at the
+smallest subnormal.  The cut changes the solution only below e^-80 of
+its value at the last nonzero right-hand-side node, and up to that
+node not at all; the right-hand sides are scanned for it only when the
+factor can trap (the rule and the argument are in _linear_solver).
+
 Steps are safeguarded by Armijo backtracking on the true energy, and
 the iterate is retracted to the constraint set after every step (charge
 clamp at zero, then a joint rescale of profiles and charges).
@@ -77,6 +86,12 @@ _STEP_FLOOR = 1e-14
 _STALL_LIMIT = 50
 #: starts whose energies agree to this relative gap reached the same state
 _TIE = 1e-12
+#: the preconditioner solve stops this many nats of multiplier decay past
+#: the last nonzero right-hand-side node ...
+_CUT_NATS = 80.0
+#: ... and looks for that node only when the factor's multipliers can
+#: reach subnormal numbers (exp(-708) is the smallest normal double)
+_TRAP_NATS = 700.0
 
 
 @dataclass(frozen=True)
@@ -256,6 +271,26 @@ def _linear_solver(
     (m, planes*stride) array and solves all of them, every plane's
     profile at once, in one LAPACK call.  Raises ArithmeticError when
     the tridiagonal block or the charge block is not positive definite.
+
+    Only the leading M x M block that the right-hand sides reach is
+    solved, and the profile entries past M are set to 0.  The first M
+    pivots and M-1 multipliers of the full factor are the factor of
+    that block, so no refactor is needed.  M is the last node where any
+    right-hand side is nonzero, extended until the product of the
+    multipliers |e_i| has fallen by e^-_CUT_NATS.  Past the last nonzero
+    node the solution decays like that product, so the cut changes it
+    only below e^-80 of its value at that node, and the change reaches
+    that node and every node before it damped by e^-80 once more, far
+    below an ulp.  The cut matters for deep states, whose profiles
+    underflow to exact zeros well inside the box: without it the
+    forward sweep carries the solution into subnormal numbers, and once
+    there a multiplier above 1/2 holds it at the smallest subnormal
+    under round-to-nearest for the rest of the grid, each step a
+    slow-path multiply.  So the right-hand sides are scanned only when
+    the factor can trap, that is when some |e_i| > 1/2 sits more than
+    _TRAP_NATS of decay from node 0; otherwise M is every node.  Any
+    SPD preconditioner leaves the descent correct, because convergence
+    is judged on the full projected gradient.
     """
     cu = grid.c_h1  # per cell; interior node j sits between cells j-1, j
     diag = shift * grid.w_trapz[1:-1] + cu[1:]
@@ -265,6 +300,12 @@ def _linear_solver(
         raise ArithmeticError(
             f"preconditioner is not positive definite (dpttrf info {info})")
     nin = d.size
+    # decay[j]: nats the forward sweep's multipliers take off from node 0
+    # to node j; nondecreasing, since diagonal dominance gives |e_i| < 1
+    ae = np.abs(e)
+    decay = np.zeros(nin)
+    np.cumsum(-np.log(ae), out=decay[1:])
+    traps = bool(np.any((ae > 0.5) & (decay[:-1] > _TRAP_NATS)))
     charged = sigmas is not None
     if charged and len(sigmas) == 1:
         adj, det = np.ones((1, 1)), sigmas[0] + th
@@ -279,7 +320,13 @@ def _linear_solver(
     def solve(rhs: np.ndarray) -> np.ndarray:
         rows = rhs.reshape(-1, stride)
         out = np.empty_like(rows)
-        out[:, :nin] = dpttrs(d, e, rows[:, :nin].T)[0].T
+        m = nin
+        if traps:
+            live = np.flatnonzero(rows[:, :nin].any(axis=0))
+            last = live[-1] if live.size else 0
+            m = min(nin, int(np.searchsorted(decay, decay[last] + _CUT_NATS)) + 1)
+        out[:, :m] = dpttrs(d[:m], e[:m - 1], rows[:, :m].T)[0].T
+        out[:, m:nin] = 0.0
         if charged:
             qs = rows[:, nin].reshape(len(rhs), -1)
             out[:, nin] = (qs @ adj).ravel() / det
@@ -298,7 +345,8 @@ def omega_star_grid(P: HybridParams, cfg: SolverConfig | None = None) -> float:
     minimizer.  Because it shares every quadrature and every line of
     the descent with the nonlinear solvers, the inequality
     omega > omega_star_grid holds for their converged ground states
-    without discretization-bias caveats.
+    without discretization-bias caveats.  Raises RuntimeError when the
+    descent stops unconverged.
     """
     cfg = cfg if cfg is not None else SolverConfig()
     grid, lam, pd = _setup(omega_star(P), cfg)
@@ -306,6 +354,10 @@ def omega_star_grid(P: HybridParams, cfg: SolverConfig | None = None) -> float:
     phi, q = _initial_guess(grid, pd, sigmas, P.beta, 1.0, 0.5,
                             lam / _RATE_MARGIN)
     run = _descend(grid, lam, pd, None, sigmas, P.beta, 1.0, cfg, phi, q)
+    if not run["converged"]:
+        raise RuntimeError(
+            f"linear descent stopped unconverged after {run['iterations']} "
+            f"iterations (projected-gradient norm {run['grad_norm']:.3e})")
     return -2.0 * run["energy"]
 
 
@@ -496,20 +548,18 @@ def _lowest(runs: list[dict]) -> dict:
     """The first run whose energy is within _TIE relative of the lowest.
 
     Runs that reach the same state differ by an ulp or two, so a raw
-    minimum would let roundoff choose the reported state.
+    minimum would let roundoff choose the reported state.  Converged or
+    not makes no difference: an unconverged run's energy still bounds
+    the minimum from above, so a converged run above it is not the
+    ground state.  The winner's ``converged`` goes into the report.
     """
     best = min(runs, key=lambda r: r["energy"])
     e = best["energy"]
     return next((r for r in runs if r["energy"] - e <= _TIE * abs(e)), best)
 
 
-def _pick(runs: list[dict]) -> dict:
-    """The lowest start among the converged ones (all if none converged)."""
-    return _lowest([r for r in runs if r["converged"]] or runs)
-
-
 def _solve_on_grid(grid, lam, pd, p, sigmas, beta, mu, cfg):
-    return _pick([
+    return _lowest([
         _descend(grid, lam, pd, p, sigmas, beta, mu, cfg,
                  *_initial_guess(grid, pd, sigmas, beta, mu, s,
                                  lam / _RATE_MARGIN))
@@ -594,7 +644,7 @@ def solve_single(p: float, sigma: float, mu: float,
 
 
 def _solve_two_plane(P: HybridParams, cfg: SolverConfig) -> GroundStateReport:
-    """Multi-start over the configured mass splits; best converged run wins."""
+    """Multi-start over the configured mass splits; the lowest run wins."""
     grid, lam, pd = _setup(omega_star(P), cfg)
     # equal powers stay one scalar, which keeps the kernels' fast paths
     p = P.p1 if P.p1 == P.p2 else np.array([P.p1, P.p2])
@@ -627,8 +677,6 @@ def solve_hybrid(P: HybridParams, cfg: SolverConfig | None = None) -> GroundStat
     grid, lam, pd = _setup(omega_star(P), cfg)
     singles = [_solve_on_grid(grid, lam, pd, pi, (si,), 0.0, P.mu, cfg)
                for pi, si in ((P.p1, P.sigma1), (P.p2, P.sigma2))]
-    # by energy alone: an unconverged plane's energy still bounds its
-    # minimum from above, so a converged plane above it cannot win
     i = 0 if _lowest(singles) is singles[0] else 1
     e1, e2 = singles[0]["energy"], singles[1]["energy"]
     if abs(e1 - e2) > 1e-6 * max(1.0, abs(e1)):

@@ -21,8 +21,10 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 import hybrid_nls
+from hybrid_nls import solver
 from hybrid_nls.energy import (
     HybridParams,
     f_hybrid,
@@ -40,7 +42,6 @@ from hybrid_nls.solver import (
     _grid_for,
     _linear_solver,
     _lowest,
-    _pick,
     _solve_two_plane,
     extract_omega,
     omega_star,
@@ -388,7 +389,6 @@ class TestUncoupledShortcut:
         runs = [{"energy": -1.0, "converged": True},
                 {"energy": -2.0, "converged": False}]
         assert _lowest(runs) is runs[1]
-        assert _pick(runs) is runs[0]
         runs[1]["energy"] = -1.0 - 1e-13
         assert _lowest(runs) is runs[0]
 
@@ -434,11 +434,35 @@ class TestCoupledHybrid:
         # must not flip with the last bit of the arithmetic
         runs = [{"energy": -1.0, "converged": True, "iterations": 18},
                 {"energy": -1.0 - 1e-15, "converged": True, "iterations": 17}]
-        assert _pick(runs) is runs[0]
+        assert _lowest(runs) is runs[0]
         runs.append({"energy": -1.0 - 1e-9, "converged": True, "iterations": 9})
-        assert _pick(runs) is runs[2]
-        runs.append({"energy": -2.0, "converged": False, "iterations": 99})
-        assert _pick(runs) is runs[2]
+        assert _lowest(runs) is runs[2]
+
+    def test_lower_unconverged_start_beats_converged_ones(self):
+        # an unconverged start's energy bounds the minimum from above, so
+        # a converged start above it is a higher critical point
+        runs = [{"energy": -1.0, "converged": True},
+                {"energy": -2.0, "converged": False},
+                {"energy": -2.0 - 1e-13, "converged": False},
+                {"energy": -1.5, "converged": True}]
+        assert _lowest(runs) is runs[1]
+
+    def test_one_sided_start_beats_converged_saddle(self):
+        # beta = 0 near p = 4: the equal split converges at a saddle
+        # (+0.0099) while the one-sided starts stop unconverged lower
+        r = _solve_two_plane(HybridParams(3.95, 3.95, 4.0, 4.0, 0.0, 10.0),
+                             SolverConfig(N=512))
+        assert not r.converged
+        assert rel(r.energy, -5.088161e-3) < 1e-6  # pinned, N=512
+        assert min(r.mass1, r.mass2) < 1e-12
+
+    def test_unconverged_deep_state_beats_converged_weaker_plane(self):
+        # start 0.1 converges on the weaker plane near -1.45e12; the other
+        # starts reach the deep state on plane 1 and run out of progress
+        r = solve_hybrid(HybridParams(3.95, 3.9, -2.0, -2.0, 0.01, 10.0),
+                         SolverConfig(N=512))
+        assert r.energy < -7e12
+        assert r.mass1 > 0.99 * 10.0
 
     def test_multistart_sets_agree(self, cfg):
         P = HybridParams(2.5, 3.5, 0.0, 0.0, 1.0, 1.0)
@@ -488,6 +512,21 @@ class TestReportContract:
         assert planar3.converged
 
 
+def tridiagonal_entries(grid, shift):
+    """Diagonal and off-diagonal of kinetic + shift*mass on the interior
+    nodes 1..N-1, entry by entry."""
+    n = grid.n_nodes
+    cu, w = grid.c_h1, grid.w_trapz
+    diag = np.zeros(n - 2)
+    off = np.zeros(n - 3)
+    for j in range(1, n - 1):
+        i = j - 1
+        diag[i] = shift * w[j] + cu[j] + (cu[j - 1] if j > 1 else 0.0)
+        if j < n - 2:
+            off[i] = -cu[j]
+    return diag, off
+
+
 def dense_linear_matrix(grid, shift, th, sigmas, beta=0.0):
     """Dense matrix of  kinetic + shift*mass + charge block, entry by entry.
 
@@ -495,15 +534,9 @@ def dense_linear_matrix(grid, shift, th, sigmas, beta=0.0):
     tied to node 1, node N is pinned), followed by that plane's charge
     when ``sigmas`` is given; the two charges couple through -beta.
     """
-    n = grid.n_nodes
-    nin = n - 2
-    cu, w = grid.c_h1, grid.w_trapz
-    T = np.zeros((nin, nin))
-    for j in range(1, n - 1):
-        i = j - 1
-        T[i, i] = shift * w[j] + cu[j] + (cu[j - 1] if j > 1 else 0.0)
-        if j < n - 2:
-            T[i, i + 1] = T[i + 1, i] = -cu[j]
+    diag, off = tridiagonal_entries(grid, shift)
+    nin = diag.size
+    T = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
     if sigmas is None:
         return T
     stride = nin + 1
@@ -550,6 +583,11 @@ class TestOmegaStarGridOracle:
         low = eigh(A, M, eigvals_only=True, subset_by_index=[0, 0])[0]
         assert rel(omega_star_grid(P, cfg), lam - low) < 1e-10
 
+    def test_unconverged_descent_raises(self):
+        P = HybridParams(3.0, 3.0, 0.0, 1.0, 1.0, 1.0)
+        with pytest.raises(RuntimeError, match="after 2 iterations"):
+            omega_star_grid(P, SolverConfig(N=256, max_iters=2))
+
 
 class TestLinearSolver:
     LAM = 50.0
@@ -577,6 +615,30 @@ class TestLinearSolver:
         got = _linear_solver(grid, shift, th, sigmas, beta)(rhs)
         want = np.linalg.solve(A, rhs.T).T
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+    @pytest.mark.parametrize("n,grading,shift,traps", [
+        (8192, 1.0025, 2000.0, True), (2048, 1.01, 8089.0, False)])
+    def test_leading_block_solve_is_exact(self, monkeypatch, n, grading,
+                                          shift, traps):
+        # a deep profile underflows to exact zeros well inside the box;
+        # when the factor can trap, only the block those zeros leave
+        # reachable is solved, and the result must not change at all
+        grid = make_grid(40.0, n, grading)
+        b = np.exp(-math.sqrt(shift / 3.0) * grid.r[1:-1])
+        b[b < 1e-300] = 0.0
+        d, e, _ = dpttrf(*tridiagonal_entries(grid, shift))
+        want = dpttrs(d, e, b)[0]
+        assert np.any((want != 0.0) & (np.abs(want) < np.finfo(float).tiny))
+        lengths = []
+
+        def spy(d_, e_, b_):
+            lengths.append(len(d_))
+            return dpttrs(d_, e_, b_)
+
+        monkeypatch.setattr(solver, "dpttrs", spy)
+        got = _linear_solver(grid, shift, 0.0, None)(b[None, :])
+        assert (lengths[0] < b.size) if traps else (lengths == [b.size])
+        np.testing.assert_array_equal(got[0], want)
 
     def test_indefinite_tridiagonal_raises(self):
         grid = make_grid(40.0, 64, 1.01)
