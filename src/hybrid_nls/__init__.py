@@ -27,8 +27,7 @@ from hybrid_nls.analysis import (
     rearrange_decreasing,
     rho,
     rho_detail,
-    sweep_common_sigma,
-    sweep_sigma2,
+    sweep,
 )
 from hybrid_nls.energy import (
     ActionValues,
@@ -105,8 +104,7 @@ __all__ = [
     "solve_hybrid",
     "solve_planar",
     "solve_single",
-    "sweep_common_sigma",
-    "sweep_sigma2",
+    "sweep",
     "theta",
     "total_field",
     "__version__",

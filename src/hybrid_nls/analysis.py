@@ -33,8 +33,9 @@ __all__ = [
     "rho_detail",
     "critical_mass",
     "mass_split_infimum",
-    "sweep_sigma2",
-    "sweep_common_sigma",
+    "SWEEP_MODES",
+    "sweep",
+    "sweep_values",
     "monotone_radial_check",
     "rearrange_decreasing",
 ]
@@ -44,6 +45,13 @@ __all__ = [
 # reference solve moves to a larger mass where the state is compact.
 _RATE_FLOOR = 0.02
 _RATE_TARGET = 0.3
+
+#: the HybridParams fields each sweep mode sets to the swept value
+_SWEPT_FIELDS = {"sigma2": ("sigma2",), "sigma_common": ("sigma1", "sigma2"),
+                 "beta": ("beta",), "mu": ("mu",)}
+SWEEP_MODES = tuple(_SWEPT_FIELDS)
+#: what a row's solve or a reference may raise without ending the sweep
+_SOLVE_ERRORS = (RuntimeError, ValueError, ArithmeticError)
 
 
 @dataclass(frozen=True)
@@ -62,12 +70,14 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class SweepTable:
-    """Ordered sweep results plus the reference levels they approach."""
+    """Ordered sweep results, the reference levels they approach, and the
+    rows that failed (``{"value", "error"}`` records, in value order)."""
 
     parameter: str
     mu: float
     rows: tuple[SweepRow, ...]
     references: dict[str, float]
+    errors: tuple[dict, ...] = ()
 
     COLUMNS = ("value", "energy", "mass1", "mass2", "q1", "q2", "omega", "converged")
 
@@ -76,11 +86,55 @@ class SweepTable:
         if any(b <= a for a, b in zip(vals, vals[1:])):
             raise ValueError("sweep rows must be strictly increasing in value")
         for row in self.rows:
-            if abs(row.mass1 + row.mass2 - self.mu) > 1e-8 * max(1.0, self.mu):
+            mu = self.mass_of(row)
+            if abs(row.mass1 + row.mass2 - mu) > 1e-8 * max(1.0, mu):
                 raise ValueError("sweep row masses do not sum to the constraint")
+
+    def mass_of(self, row: SweepRow) -> float:
+        """The mass the row was solved at: its own value in a mass sweep."""
+        return row.value if self.parameter == "mu" else self.mu
 
     def as_rows(self) -> list[dict]:
         return [dataclasses.asdict(row) for row in self.rows]
+
+    def verdicts(self) -> dict[str, object]:
+        """Trend and limit checks on the rows that solved.
+
+        ``concentration`` and ``limit_proximity`` read the last row;
+        ``limit_proximity`` compares its energy with the reference the
+        sweep approaches (``single_plane_1`` for sigma2, the free-plane
+        level of the concentration plane for sigma_common).  A beta
+        sweep adds the sign and trend of the coupling gap
+        ``uncoupled - energy``.
+        """
+        fracs = [row.mass1 / self.mass_of(row) for row in self.rows]
+        out: dict[str, object] = {
+            "mass1_fraction_monotone": _monotone(fracs),
+            "all_converged": bool(self.rows) and all(r.converged for r in self.rows),
+        }
+        refs = self.references
+        if self.rows:
+            out["concentration"] = ("plane1" if fracs[-1] >= 0.95 else
+                                    "plane2" if fracs[-1] <= 0.05 else "mixed")
+            tag = {"sigma2": "single_plane_1",
+                   "sigma_common": ("free_plane_1" if out["concentration"] == "plane1"
+                                    else "free_plane_2")}.get(self.parameter)
+            if tag in refs:
+                out["limit_proximity"] = (abs(self.rows[-1].energy - refs[tag])
+                                          / abs(refs[tag]))
+        if "uncoupled" in refs:
+            gaps = [refs["uncoupled"] - r.energy for r in self.rows]
+            out["coupling_gap_monotone"] = _monotone(gaps)
+            out["coupling_gap_positive"] = all(g > 0.0 for g in gaps)
+        return out
+
+
+def _monotone(xs: list[float]) -> str:
+    if all(b >= a for a, b in zip(xs, xs[1:])):
+        return "nondecreasing"
+    if all(b <= a for a, b in zip(xs, xs[1:])):
+        return "nonincreasing"
+    return "none"
 
 
 @dataclass(frozen=True)
@@ -103,12 +157,6 @@ def _row_from_report(value: float, r: GroundStateReport) -> SweepRow:
         omega=r.omega,
         converged=r.converged,
     )
-
-
-def _solve_rows(params: list[HybridParams], values,
-                cfg: SolverConfig) -> tuple[SweepRow, ...]:
-    return tuple(_row_from_report(v, solve_hybrid(P, cfg))
-                 for v, P in zip(values, params))
 
 
 @functools.lru_cache(maxsize=128)
@@ -181,8 +229,10 @@ def mass_split_infimum(p1: float, p2: float, mu: float, rho1: float,
     return float(g[k]), float(m[k])
 
 
-def _check_sweep_values(values) -> list[float]:
-    vals = [float(v) for v in values]
+def sweep_values(values) -> tuple[float, ...]:
+    """The sweep values as floats; raises ValueError unless there is at
+    least one and they strictly ascend."""
+    vals = tuple(float(v) for v in values)
     if not vals:
         raise ValueError("sweep needs at least one parameter value")
     if any(b <= a for a, b in zip(vals, vals[1:])):
@@ -190,56 +240,61 @@ def _check_sweep_values(values) -> list[float]:
     return vals
 
 
-def sweep_sigma2(P: HybridParams, sigma2_values,
-                 cfg: SolverConfig | None = None) -> SweepTable:
-    """Solve across second-plane strengths at fixed everything else.
+def _references(P: HybridParams, mode: str, cfg: SolverConfig) -> dict[str, float]:
+    refs = {}
+    if mode == "sigma2" and P.p1 == P.p2:
+        refs["single_plane_1"] = solve_single(P.p1, P.sigma1, P.mu, cfg).energy
+    if mode in ("sigma_common", "mu") and P.p1 != P.p2:
+        refs["critical_mass"] = critical_mass(*sorted((P.p1, P.p2)), cfg)
+    if mode == "sigma_common":
+        for tag, p in (("free_plane_1", P.p1), ("free_plane_2", P.p2)):
+            refs[tag] = -rho(p, cfg) * P.mu ** (2.0 / (4.0 - p))
+    if mode == "beta":
+        refs["uncoupled"] = solve_hybrid(dataclasses.replace(P, beta=0.0), cfg).energy
+    return refs
 
-    Requires equal powers and a first-plane strength below the whole
-    sweep range, so the mass has a reason to migrate to plane 1.  The
-    table's references carry the single-plane level the energies
-    approach as the second plane's interaction switches off.
+
+def sweep(P: HybridParams, mode: str, values,
+          cfg: SolverConfig | None = None) -> SweepTable:
+    """Solve the hybrid along one parameter, everything else held at ``P``.
+
+    ``mode`` is one of :data:`SWEEP_MODES`.  The values and every row's
+    parameters are checked before any solve, so a bad value raises
+    ValueError at once.  Rows are solved in value order; a row whose
+    solve raises is left out of ``rows`` and recorded in ``errors``.
+    The references are the levels the sweep is compared with, each
+    where it is defined:
+
+    * ``single_plane_1`` (sigma2, equal powers): plane 1 alone at ``P.mu``;
+    * ``critical_mass`` (sigma_common and mu, distinct powers);
+    * ``free_plane_1``/``free_plane_2`` (sigma_common): the free-plane
+      energies at ``P.mu``;
+    * ``uncoupled`` (beta): the hybrid at beta = 0.
+
+    A failed reference leaves ``references`` empty and adds one last
+    error with value None.
     """
-    if P.p1 != P.p2:
-        raise ValueError("sigma2 sweep requires p1 == p2")
-    vals = _check_sweep_values(sigma2_values)
-    if P.sigma1 >= vals[0]:
-        raise ValueError("sigma1 must stay below every sigma2 value")
+    if mode not in SWEEP_MODES:
+        raise ValueError(f"unknown sweep mode {mode!r}; choose from "
+                         + ", ".join(SWEEP_MODES))
+    vals = sweep_values(values)
+    params = [dataclasses.replace(P, **dict.fromkeys(_SWEPT_FIELDS[mode], v))
+              for v in vals]
     cfg = cfg if cfg is not None else SolverConfig()
-    params = [dataclasses.replace(P, sigma2=v) for v in vals]
-    rows = _solve_rows(params, vals, cfg)
-    single = solve_single(P.p1, P.sigma1, P.mu, cfg)
-    return SweepTable(
-        parameter="sigma2",
-        mu=P.mu,
-        rows=rows,
-        references={"single_plane_1": single.energy},
-    )
-
-
-def sweep_common_sigma(p1: float, p2: float, beta: float, mu: float,
-                       sigma_values, cfg: SolverConfig | None = None) -> SweepTable:
-    """Solve across a common strength sigma1 = sigma2 = sigma.
-
-    The references carry both free-plane levels at this mass and the
-    critical mass where they cross; which level the sweep approaches is
-    decided by the side of the critical mass that mu falls on.
-    """
-    if not p1 < p2:
-        raise ValueError("common-strength sweep requires p1 < p2")
-    vals = _check_sweep_values(sigma_values)
-    cfg = cfg if cfg is not None else SolverConfig()
-    params = [HybridParams(p1, p2, v, v, beta, mu) for v in vals]
-    rows = _solve_rows(params, vals, cfg)
-    return SweepTable(
-        parameter="sigma_common",
-        mu=mu,
-        rows=rows,
-        references={
-            "free_plane_1": -rho(p1, cfg) * mu ** (2.0 / (4.0 - p1)),
-            "free_plane_2": -rho(p2, cfg) * mu ** (2.0 / (4.0 - p2)),
-            "critical_mass": critical_mass(p1, p2, cfg),
-        },
-    )
+    rows = []
+    errors = []
+    for value, Pv in zip(vals, params):
+        try:
+            rows.append(_row_from_report(value, solve_hybrid(Pv, cfg)))
+        except _SOLVE_ERRORS as exc:
+            errors.append({"value": value, "error": str(exc)})
+    try:
+        refs = _references(P, mode, cfg)
+    except _SOLVE_ERRORS as exc:
+        refs = {}
+        errors.append({"value": None, "error": f"references: {exc}"})
+    return SweepTable(parameter=mode, mu=P.mu, rows=tuple(rows),
+                      references=refs, errors=tuple(errors))
 
 
 def _field_values(f) -> np.ndarray:

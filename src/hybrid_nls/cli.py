@@ -20,18 +20,16 @@ import numpy as np
 
 from . import _svgplot, analysis
 from .energy import HybridParams, total_field
-from .solver import (GroundStateReport, SolverConfig, solve_hybrid,
-                     solve_planar, solve_single)
+from .solver import GroundStateReport, SolverConfig, solve_hybrid, solve_planar
 from .verify import run_suite
 
 __all__ = ["RunConfig", "main", "cmd_solve", "cmd_sweep", "cmd_baseline",
            "cmd_verify"]
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 _COMMANDS = ("solve", "sweep", "baseline", "verify")
 _FORMATS = ("json", "csv", "svg")
-_SWEEP_MODES = ("sigma2", "sigma_common", "beta", "mu")
 #: options that set SolverConfig fields of the same name
 _SOLVER_KEYS = ("R", "N", "grading", "grad_tol", "max_iters", "starts")
 #: the options each command reads; setting any other one is an error
@@ -126,7 +124,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="comma-separated subset of json,csv,svg")
     ap.add_argument("--fast", action="store_const", const=True, default=None,
                     help="verify on a shrunken grid (documented tolerances)")
-    ap.add_argument("--mode", choices=_SWEEP_MODES, default=None,
+    ap.add_argument("--mode", choices=analysis.SWEEP_MODES, default=None,
                     help="sweep parameter")
     ap.add_argument("--values", default=None,
                     help="comma-separated sweep values, strictly increasing")
@@ -315,105 +313,21 @@ def cmd_solve(rc: RunConfig) -> int:
     return 0 if report.converged else 1
 
 
-def _sweep_params(rc: RunConfig, value: float) -> HybridParams:
-    P = rc.params
-    if rc.mode == "sigma2":
-        return dataclasses.replace(P, sigma2=value)
-    if rc.mode == "sigma_common":
-        return dataclasses.replace(P, sigma1=value, sigma2=value)
-    if rc.mode == "beta":
-        return dataclasses.replace(P, beta=value)
-    return dataclasses.replace(P, mu=value)
-
-
-def _sweep_references(rc: RunConfig) -> dict:
-    refs = {}
-    P = rc.params
-    if rc.mode == "sigma2" and P.p1 == P.p2:
-        refs["single_plane_1"] = solve_single(
-            P.p1, P.sigma1, P.mu, rc.solver).energy
-    if rc.mode in ("sigma_common", "mu") and P.p1 != P.p2:
-        lo, hi = sorted((P.p1, P.p2))
-        refs["critical_mass"] = analysis.critical_mass(lo, hi, rc.solver)
-    if rc.mode == "sigma_common":
-        for tag, p in (("free_plane_1", P.p1), ("free_plane_2", P.p2)):
-            rho = analysis.rho(p, rc.solver)
-            refs[tag] = -rho * P.mu ** (2.0 / (4.0 - p))
-    if rc.mode == "beta":
-        refs["uncoupled"] = solve_hybrid(
-            dataclasses.replace(P, beta=0.0), rc.solver).energy
-    return refs
-
-
-def _monotone_verdict(xs: list[float]) -> str:
-    if all(b >= a for a, b in zip(xs, xs[1:])):
-        return "nondecreasing"
-    if all(b <= a for a, b in zip(xs, xs[1:])):
-        return "nonincreasing"
-    return "none"
-
-
 def cmd_sweep(rc: RunConfig) -> int:
-    rc = _apply_mu_relative(rc)
-    if not rc.values:
-        raise UsageError("sweep needs a nonempty --values list")
-    if any(b <= a for a, b in zip(rc.values, rc.values[1:])):
-        raise UsageError("sweep values must be strictly increasing")
     try:
-        plist = [_sweep_params(rc, v) for v in rc.values]
+        values = analysis.sweep_values(rc.values or ())
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-
-    done: list[dict] = []
-    errors: list[dict] = []
-    for value, P in zip(rc.values, plist):
-        try:
-            rep = solve_hybrid(P, rc.solver)
-        except (RuntimeError, ValueError, ArithmeticError) as exc:
-            errors.append({"value": value, "error": str(exc)})
-            continue
-        done.append({
-            "value": value, "energy": rep.energy,
-            "mass1": rep.mass1, "mass2": rep.mass2,
-            "q1": rep.q1, "q2": rep.q2, "omega": rep.omega,
-            "converged": rep.converged,
-        })
-    if "csv" in rc.formats:
-        _write_csv(rc, "sweep.csv", list(analysis.SweepTable.COLUMNS),
-                   [[r[c] for c in analysis.SweepTable.COLUMNS] for r in done])
-
-    refs = {}
+    rc = _apply_mu_relative(rc)
     try:
-        refs = _sweep_references(rc)
-    except (RuntimeError, ValueError) as exc:
-        errors.append({"value": None, "error": f"references: {exc}"})
-
-    mu_of = (lambda r: r["value"]) if rc.mode == "mu" else (
-        lambda r: rc.params.mu)
-    fracs1 = [r["mass1"] / mu_of(r) for r in done]
-    verdicts: dict[str, object] = {
-        "mass1_fraction_monotone": _monotone_verdict(fracs1),
-        "all_converged": bool(done) and all(r["converged"] for r in done),
-    }
-    if done:
-        last = done[-1]
-        fr1 = last["mass1"] / mu_of(last)
-        verdicts["concentration"] = ("plane1" if fr1 >= 0.95 else
-                                     "plane2" if fr1 <= 0.05 else "mixed")
-    if done and rc.mode == "sigma2" and "single_plane_1" in refs:
-        ref = refs["single_plane_1"]
-        verdicts["limit_proximity"] = abs(done[-1]["energy"] - ref) / abs(ref)
-    if done and rc.mode == "sigma_common":
-        tag = ("free_plane_1" if verdicts.get("concentration") == "plane1"
-               else "free_plane_2")
-        if tag in refs:
-            verdicts["limit_proximity"] = (
-                abs(done[-1]["energy"] - refs[tag]) / abs(refs[tag]))
-    if rc.mode == "beta" and "uncoupled" in refs:
-        gaps = [refs["uncoupled"] - r["energy"] for r in done]
-        verdicts["coupling_gap_monotone"] = _monotone_verdict(gaps)
-        verdicts["coupling_gap_positive"] = all(g > 0.0 for g in gaps)
-
+        table = analysis.sweep(rc.params, rc.mode, values, rc.solver)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    rows = table.as_rows()
+    verdicts = table.verdicts()
+    if "csv" in rc.formats:
+        _write_csv(rc, "sweep.csv", list(table.COLUMNS),
+                   [[r[c] for c in table.COLUMNS] for r in rows])
     if "json" in rc.formats:
         _write_json(rc, "summary.json", {
             "schema_version": SCHEMA_VERSION,
@@ -421,34 +335,38 @@ def cmd_sweep(rc: RunConfig) -> int:
             "mode": rc.mode,
             "params": _params_dict(rc.params),
             "solver": _solver_dict(rc.solver),
-            "values": list(rc.values),
-            "rows": done,
-            "references": refs,
+            "values": list(values),
+            "rows": rows,
+            "references": table.references,
             "verdicts": verdicts,
-            "errors": errors,
+            "errors": list(table.errors),
         })
-    if "svg" in rc.formats and done:
-        xs = [r["value"] for r in done]
+    if "svg" in rc.formats and table.rows:
+        xs = [r.value for r in table.rows]
+        mus = [table.mass_of(r) for r in table.rows]
         svg = _svgplot.render_lines(
-            [("plane-1 fraction", xs, [r["mass1"] / mu_of(r) for r in done]),
-             ("plane-2 fraction", xs, [r["mass2"] / mu_of(r) for r in done])],
+            [("plane-1 fraction", xs, [r.mass1 / m for r, m in zip(table.rows, mus)]),
+             ("plane-2 fraction", xs, [r.mass2 / m for r, m in zip(table.rows, mus)])],
             title=f"mass split along {rc.mode}", xlabel=rc.mode,
             ylabel="mass fraction")
         _write_svg(rc, "sweep.svg", svg)
 
-    for r in done:
-        print(f"{rc.mode}={r['value']:g}: energy {r['energy']:.9g}  "
-              f"mass1 {r['mass1']:.6g}  mass2 {r['mass2']:.6g}  "
-              f"converged {r['converged']}")
-    for e in errors:
+    for r in table.rows:
+        print(f"{rc.mode}={r.value:g}: energy {r.energy:.9g}  "
+              f"mass1 {r.mass1:.6g}  mass2 {r.mass2:.6g}  "
+              f"converged {r.converged}")
+    for e in table.errors:
         print(f"row {e['value']}: failed: {e['error']}", file=sys.stderr)
-    ok = not errors and bool(done) and all(r["converged"] for r in done)
-    return 0 if ok else 1
+    return 0 if verdicts["all_converged"] and not table.errors else 1
 
 
 def cmd_baseline(rc: RunConfig) -> int:
     if not rc.p_list and not rc.mustar_pairs:
         raise UsageError("baseline needs --p and/or --mustar")
+    for p in rc.p_list or ():
+        if not 2.0 < p < 4.0:
+            raise UsageError(
+                f"p={p:g} outside the mass-subcritical range (2, 4)")
     payload: dict = {
         "schema_version": SCHEMA_VERSION,
         "command": "baseline",
@@ -459,9 +377,6 @@ def cmd_baseline(rc: RunConfig) -> int:
         "mu_star": {},
     }
     for p in rc.p_list or ():
-        if not 2.0 < p < 4.0:
-            raise UsageError(
-                f"p={p:g} outside the mass-subcritical range (2, 4)")
         detail = analysis.rho_detail(p, rc.solver)
         key = f"{p:g}"
         payload["rho"][key] = detail.value

@@ -80,10 +80,14 @@ _RATE_MARGIN = math.e
 _FIRST_CELL_FACTOR = 0.05
 
 _ARMIJO = 1e-4
+#: first trial step of the line search
+_STEP_SIZE = 1.0
 _STEP_GROW = 1.3
 _STEP_MAX = 10.0
 _STEP_FLOOR = 1e-14
 _STALL_LIMIT = 50
+#: a step that lowers the energy by at most this much relative stalls
+_ENERGY_TOL = 1e-10
 #: starts whose energies agree to this relative gap reached the same state
 _TIE = 1e-12
 #: the preconditioner solve stops this many nats of multiplier decay past
@@ -101,10 +105,8 @@ class SolverConfig:
     R: float = 40.0
     N: int = 2048
     grading: float = 1.01
-    step_size: float = 1.0
     max_iters: int = 50000
     grad_tol: float = 1e-6
-    energy_tol: float = 1e-10
     starts: tuple[float, ...] = (0.1, 0.5, 0.9)
 
     def __post_init__(self) -> None:
@@ -114,8 +116,8 @@ class SolverConfig:
             raise ValueError(f"N must be at least 64, got {self.N}")
         if not 1.0 <= self.grading < 2.0:
             raise ValueError(f"grading must lie in [1, 2), got {self.grading}")
-        if not (self.step_size > 0 and self.grad_tol > 0 and self.energy_tol > 0):
-            raise ValueError("step_size and tolerances must be positive")
+        if not self.grad_tol > 0:
+            raise ValueError(f"grad_tol must be > 0, got {self.grad_tol}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
         if len(self.starts) == 0:
@@ -465,7 +467,7 @@ def _descend(grid, lam, pd, p, sigmas, beta, mu, cfg, phi, q):
     rhs = np.zeros((2, k, stride))
     flat = rhs.reshape(2, -1)
     gvec, dmvec = flat
-    step = cfg.step_size
+    step = _STEP_SIZE
     stall = 0
     iterations = 0
     converged = False
@@ -530,7 +532,7 @@ def _descend(grid, lam, pd, p, sigmas, beta, mu, cfg, phi, q):
         phi, q = retr
         energy = e_try
         step = s_try
-        stall = stall + 1 if drop <= cfg.energy_tol * max(1.0, abs(energy)) else 0
+        stall = stall + 1 if drop <= _ENERGY_TOL * max(1.0, abs(energy)) else 0
         if stall >= _STALL_LIMIT:
             break
 

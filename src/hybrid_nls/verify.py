@@ -255,15 +255,18 @@ def _c6_charge_ordering(ctx: _Context):
 def _c7_mass_migration(ctx: _Context):
     beta = 0.0625
     P = HybridParams(3.0, 3.0, 0.0, 1.0, beta, 1.0)
-    table = analysis.sweep_sigma2(P, (1.0, 2.0, 4.0, 8.0), ctx.cfg)
+    table = analysis.sweep(P, "sigma2", (1.0, 2.0, 4.0, 8.0), ctx.cfg)
+    if table.errors:
+        return False, "sweep failed: " + "; ".join(
+            f"sigma2={e['value']}: {e['error']}" for e in table.errors)
+    verdicts = table.verdicts()
     fracs = [row.mass1 / table.mu for row in table.rows]
-    e_ref = table.references["single_plane_1"]
-    e_gap = abs(table.rows[-1].energy - e_ref) / abs(e_ref)
+    e_gap = verdicts["limit_proximity"]
     ok = (
-        all(b >= a for a, b in zip(fracs, fracs[1:]))
+        verdicts["mass1_fraction_monotone"] == "nondecreasing"
         and fracs[-1] >= 0.99
         and e_gap <= 0.01
-        and all(row.converged for row in table.rows)
+        and verdicts["all_converged"]
     )
     return ok, (f"mass fractions {', '.join(f'{x:.5f}' for x in fracs)}; "
                 f"final energy defect {e_gap:.2e} (cap 1e-2) at beta={beta}")

@@ -21,8 +21,7 @@ from hybrid_nls.analysis import (
     rearrange_decreasing,
     rho,
     rho_detail,
-    sweep_common_sigma,
-    sweep_sigma2,
+    sweep,
 )
 from hybrid_nls.energy import HybridParams, total_field
 from hybrid_nls.grid import RadialField, make_grid
@@ -40,13 +39,14 @@ def cfg():
 @pytest.fixture(scope="module")
 def sigma2_table(cfg):
     P = HybridParams(3.0, 3.0, 0.0, 1.0, 0.0625, 1.0)
-    return sweep_sigma2(P, (1.0, 2.0, 4.0, 8.0), cfg)
+    return sweep(P, "sigma2", (1.0, 2.0, 4.0, 8.0), cfg)
 
 
 @pytest.fixture(scope="module")
 def common_sigma_table(cfg):
     mustar = critical_mass(2.5, 3.5, cfg)
-    return sweep_common_sigma(2.5, 3.5, 1.0, mustar / 2, (2.0, 4.0, 6.0), cfg)
+    P = HybridParams(2.5, 3.5, 0.0, 0.0, 1.0, mustar / 2)
+    return sweep(P, "sigma_common", (2.0, 4.0, 6.0), cfg)
 
 
 class TestRho:
@@ -152,6 +152,7 @@ class TestSweepSigma2:
         assert [r.value for r in sigma2_table.rows] == [1.0, 2.0, 4.0, 8.0]
         assert all(r.converged for r in sigma2_table.rows)
         assert sigma2_table.parameter == "sigma2"
+        assert sigma2_table.errors == ()
 
     def test_mass_migrates_to_first_plane(self, sigma2_table):
         fracs = [r.mass1 / sigma2_table.mu for r in sigma2_table.rows]
@@ -168,16 +169,20 @@ class TestSweepSigma2:
         assert gaps[-1] <= 0.01 * abs(e_ref)
         assert all(b <= a for a, b in zip(gaps, gaps[1:]))
 
-    def test_preconditions(self, cfg):
+    def test_preconditions(self, cfg, monkeypatch):
+        def no_solve(P, cfg):
+            raise AssertionError("a bad sweep must fail before any solve")
+
+        monkeypatch.setattr(analysis, "solve_hybrid", no_solve)
         P = HybridParams(3.0, 3.0, 0.0, 1.0, 1.0, 1.0)
         with pytest.raises(ValueError):
-            sweep_sigma2(dataclasses.replace(P, p2=3.5), (1.0, 2.0), cfg)
+            sweep(P, "sigma2", (), cfg)
         with pytest.raises(ValueError):
-            sweep_sigma2(dataclasses.replace(P, sigma1=1.5), (1.0, 2.0), cfg)
-        with pytest.raises(ValueError):
-            sweep_sigma2(P, (), cfg)
-        with pytest.raises(ValueError):
-            sweep_sigma2(P, (2.0, 1.0), cfg)
+            sweep(P, "sigma2", (2.0, 1.0), cfg)
+        with pytest.raises(ValueError, match="mode"):
+            sweep(P, "sigma1", (1.0, 2.0), cfg)
+        with pytest.raises(ValueError, match="coupling"):
+            sweep(P, "beta", (-1.0, 2.0), cfg)
 
 
 class TestSweepCommonSigma:
@@ -204,10 +209,6 @@ class TestSweepCommonSigma:
         energies = [r.energy for r in common_sigma_table.rows]
         assert all(b >= a for a, b in zip(energies, energies[1:]))
 
-    def test_power_order_enforced(self, cfg):
-        with pytest.raises(ValueError):
-            sweep_common_sigma(3.5, 2.5, 1.0, 1.0, (1.0, 2.0), cfg)
-
 
 class TestSweepTableType:
     def test_rejects_unsorted_rows(self):
@@ -220,6 +221,11 @@ class TestSweepTableType:
         row = SweepRow(1.0, -1.0, 0.6, 0.3, 0.1, 0.1, 0.5, True)
         with pytest.raises(ValueError):
             SweepTable("sigma2", 1.0, (row,), {})
+        # a mass sweep holds each row to its own value, not to the base mass
+        row = SweepRow(2.0, -1.0, 0.6, 0.4, 0.1, 0.1, 0.5, True)
+        with pytest.raises(ValueError):
+            SweepTable("mu", 1.0, (row,), {})
+        SweepTable("mu", 1.0, (dataclasses.replace(row, value=1.0),), {})
 
     def test_as_rows_round_trip(self):
         row = SweepRow(1.0, -1.0, 0.6, 0.4, 0.1, 0.1, 0.5, True)

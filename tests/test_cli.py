@@ -9,11 +9,11 @@ import xml.dom.minidom
 
 import pytest
 
-import hybrid_nls.cli as cli
+import hybrid_nls.analysis as analysis
 import hybrid_nls.energy as en
 import hybrid_nls.specfun as sf
 import hybrid_nls.verify as verify
-from hybrid_nls.analysis import SweepTable, critical_mass
+from hybrid_nls.analysis import SweepTable, critical_mass, sweep
 from hybrid_nls.cli import main
 from hybrid_nls.solver import SolverConfig, omega_star_grid
 from hybrid_nls.energy import HybridParams
@@ -42,7 +42,7 @@ class TestSolve:
                      *FAST])
         assert code == 0
         d = read_json(tmp_path / "report.json")
-        assert d["schema_version"] == 2
+        assert d["schema_version"] == 3
         assert d["command"] == "solve"
         assert d["converged"] is True
         assert d["q1"] > 0.0
@@ -224,14 +224,14 @@ class TestSweep:
                      "--out", str(tmp_path)]) == 2
 
     def test_row_failure_is_isolated(self, tmp_path, monkeypatch):
-        real = cli.solve_hybrid
+        real = analysis.solve_hybrid
 
         def sabotaged(P, cfg):
             if P.sigma2 in (2.0, 3.0):
                 raise RuntimeError(f"synthetic row failure {P.sigma2:g}")
             return real(P, cfg)
 
-        monkeypatch.setattr(cli, "solve_hybrid", sabotaged)
+        monkeypatch.setattr(analysis, "solve_hybrid", sabotaged)
         code = main(["sweep", "--mode", "sigma2", "--p1", "3", "--p2", "3",
                      "--sigma1", "0", "--beta", "0.0625",
                      "--values", "1,2,3,4", "--out", str(tmp_path), *FAST])
@@ -243,6 +243,21 @@ class TestSweep:
         assert [e["value"] for e in s["errors"]] == [2.0, 3.0]
         assert [e["error"] for e in s["errors"]] == [
             "synthetic row failure 2", "synthetic row failure 3"]
+
+    def test_mass_sweep_rows_hold_their_own_mass(self, tmp_path):
+        code = main(["sweep", "--mode", "mu", "--p1", "2.5", "--p2", "3.5",
+                     "--values", "0.5,1,2", "--out", str(tmp_path), *FAST])
+        assert code == 0
+        s = read_json(tmp_path / "summary.json")
+        assert [r["value"] for r in s["rows"]] == [0.5, 1.0, 2.0]
+        for r in s["rows"]:
+            assert r["mass1"] + r["mass2"] == pytest.approx(r["value"], rel=1e-10)
+        assert s["references"]["critical_mass"] > 0.0
+        table = sweep(HybridParams(2.5, 3.5, 0.0, 0.0, 1.0, 1.0), "mu",
+                      (0.5, 1.0, 2.0), SolverConfig(N=512))
+        assert table.as_rows() == s["rows"]
+        assert table.references == s["references"]
+        assert table.verdicts() == s["verdicts"]
 
     def test_mu_relative_rejected_for_mass_sweep(self, tmp_path):
         assert main(["sweep", "--mode", "mu", "--p1", "2.5", "--p2", "3.5",
@@ -267,6 +282,15 @@ class TestBaseline:
 
     def test_baseline_rejects_supercritical_power(self, tmp_path):
         assert main(["baseline", "--p", "4.5", "--out", str(tmp_path)]) == 2
+
+    def test_baseline_checks_every_power_before_solving(self, tmp_path,
+                                                       monkeypatch, capsys):
+        def no_solve(p, cfg=None):
+            raise AssertionError(f"rho_detail({p}) ran before the powers were checked")
+
+        monkeypatch.setattr(analysis, "rho_detail", no_solve)
+        assert main(["baseline", "--p", "3,5", "--out", str(tmp_path)]) == 2
+        assert "p=5 " in capsys.readouterr().err
 
 
 class TestVerify:
@@ -301,6 +325,19 @@ class TestVerify:
 
         monkeypatch.setattr(verify, "_solve_two_plane", lower)
         assert run_suite(fast=True, only=(3,)).failed_numbers == (3,)
+
+    def test_criterion_7_names_a_failed_sweep_row(self, monkeypatch):
+        real = analysis.solve_hybrid
+
+        def sabotaged(P, cfg):
+            if P.sigma2 == 4.0:
+                raise RuntimeError("synthetic row failure")
+            return real(P, cfg)
+
+        monkeypatch.setattr(analysis, "solve_hybrid", sabotaged)
+        (result,) = run_suite(fast=True, only=(7,)).results
+        assert not result.passed
+        assert "sigma2=4.0: synthetic row failure" in result.details
 
     def test_theta_sign_flip_flags_closed_form_criteria(self, monkeypatch):
         orig = sf.theta

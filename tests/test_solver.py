@@ -103,10 +103,8 @@ class TestConfigContract:
     def test_defaults(self):
         c = SolverConfig()
         assert (c.R, c.N, c.grading) == (40.0, 2048, 1.01)
-        assert c.step_size == 1.0
         assert c.max_iters == 50000
         assert c.grad_tol == 1e-6
-        assert c.energy_tol == 1e-10
         assert c.starts == (0.1, 0.5, 0.9)
 
     @pytest.mark.parametrize(
@@ -117,9 +115,9 @@ class TestConfigContract:
             {"R": 0.0},
             {"grading": 0.5},
             {"grad_tol": 0.0},
-            {"energy_tol": -1.0},
+            {"grading": 2.0},
             {"max_iters": 0},
-            {"step_size": 0.0},
+            {"grad_tol": float("nan")},
             {"starts": (1.5,)},
             {"starts": ()},
         ],
