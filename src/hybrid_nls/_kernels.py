@@ -10,10 +10,17 @@ the discrete energy
 
     P = sum_j w_in_j |phi_j + q G_j|^p  +  sum_i w0_i |phi_1 + q g0_i|^p,
 
-and (for gradient steps) its exact partial derivatives with respect to
-the node values and the charge.  A solve runs thousands of iterations
-over ~2k-node arrays, so the |u|^{p-2} power — the dominant cost — is
-computed once and reused for both the energy and the gradient.
+and its exact partial derivatives with respect to the node values and
+the charge.  A solve runs thousands of iterations over ~2k-node arrays,
+and the |u|^{p-2} power is the dominant cost, so every evaluated point
+gets exactly one power pass.  ``plane_energy`` computes
+s = |u|^{p-2} u, takes P as (s u) integrated, and returns with the
+energy the pieces a gradient needs: the cell differences, <phi, G>_w, s
+and its origin-cell values s0.  ``plane_energy_grad`` assembles the
+gradient from those pieces alone, with no power and no second pass over
+the quadratic form.  The descent evaluates each line-search trial with
+``plane_energy``, and the accepted trial's pieces give the next
+iteration's gradient.
 
 Layout: the planes are stacked as rows.  ``phi`` is a (k, n) array, one
 plane per row, and ``q`` a (k,) array of their charges; every output is
@@ -29,7 +36,8 @@ Sign conventions of a row (phi has N+1 nodes, phi[N] = 0 is a Dirichlet
 value, node 0 is a ghost tied to node 1 and carries zero quadrature
 weight):
 
-* ``w``      — full trapezoid weights (node 0 weight is 0);
+* ``wG``     — the Green profile times the full trapezoid weights
+  (node 0 weight is 0), computed once by the caller;
 * ``w_in``   — trapezoid weights with the first cell removed (the
   origin cell of |u|^p is handled by the log-adapted rule instead);
 * ``c``      — H^1 cell coefficients; cell 0 is excluded from the
@@ -46,59 +54,55 @@ import numpy as np
 __all__ = ["plane_energy", "plane_energy_grad"]
 
 
-def _quadratic(phi, q, G, lam, sig_theta, gl2, w, c):
-    """Per-row cell differences, w*G, <phi, G>_w and the quadratic form Q."""
-    d = phi[:, 1:] - phi[:, :-1]
-    wG = w * G
-    mpg = phi @ wG
-    kin = (d[:, 1:] * d[:, 1:]) @ c[1:]
-    return d, wG, mpg, kin - q * (2.0 * lam * mpg + q * (lam * gl2 - sig_theta))
-
-
 def _exponent(p):
     # a scalar power keeps numpy's fast paths (x**1.0, x**0.5)
     return p[:, None] if getattr(p, "ndim", 0) else p
 
 
-def plane_energy(phi, q, G, p, lam, sig_theta, gl2, w, w_in, c, w0, g0):
-    """Energy pieces of each row.
+def plane_energy(phi, q, G, p, lam, sig_theta, gl2, wG, w_in, c, w0, g0):
+    """Energy of each row, with the pieces its gradient is built from.
 
-    Returns ``(energy, qform, pterm)``: ``energy`` = qform/2 - pterm/p,
-    ``qform`` the quadratic form Q and ``pterm`` the full |u|^p integral
-    including the origin cell (zeros when ``p`` is None).
+    Returns ``(energy, qform, pterm, pieces)``: ``energy`` =
+    qform/2 - pterm/p, ``qform`` the quadratic form Q, ``pterm`` the
+    full |u|^p integral including the origin cell (zeros when ``p`` is
+    None), and ``pieces`` the input of :func:`plane_energy_grad` at this
+    point, ``(d, <phi, G>_w, s, s0)`` (``s`` and ``s0`` None when ``p``
+    is None).
     """
-    qform = _quadratic(phi, q, G, lam, sig_theta, gl2, w, c)[3]
+    d = phi[:, 1:] - phi[:, :-1]
+    mpg = phi @ wG
+    kin = (d[:, 1:] * d[:, 1:]) @ c[1:]
+    qform = kin - q * (2.0 * lam * mpg + q * (lam * gl2 - sig_theta))
     if p is None:
-        return 0.5 * qform, qform, np.zeros(len(q))
-    pe = _exponent(p)
+        return 0.5 * qform, qform, np.zeros(len(q)), (d, mpg, None, None)
+    pe = _exponent(p) - 2.0
     u = phi + q[:, None] * G
+    s = np.abs(u)
+    s **= pe  # the point's one power pass
+    s *= u
     u0 = phi[:, 1:2] + q[:, None] * g0
-    pterm = (np.abs(u) ** pe) @ w_in + (np.abs(u0) ** pe) @ w0
-    return 0.5 * qform - pterm / p, qform, pterm
+    s0 = np.abs(u0) ** pe * u0
+    u *= s  # |u|^p, in place: no further (k, n) temporary
+    pterm = u @ w_in + (s0 * u0) @ w0
+    return 0.5 * qform - pterm / p, qform, pterm, (d, mpg, s, s0)
 
 
-def plane_energy_grad(phi, q, G, p, lam, sig_theta, gl2, w, w_in, c, w0, g0,
-                      gphi):
-    """Energy pieces plus exact partial derivatives of each row.
+def plane_energy_grad(q, pieces, G, p, lam, sig_theta, gl2, wG, w_in, c, w0,
+                      g0, gphi):
+    """Exact partial derivatives of each row at the point ``pieces`` of
+    :func:`plane_energy` came from (charges ``q``).
 
     Fills ``gphi`` (same shape as phi) with dE/dphi_j for the interior
     nodes 1..N-1 (ghost and Dirichlet entries are set to 0) and returns
-    ``(energy, qform, pterm, gq, dmq)`` with ``gq`` = dE/dq excluding
-    any cross-plane coupling and ``dmq`` = dmass/dq.
+    ``(gq, dmq)`` with ``gq`` = dE/dq excluding any cross-plane coupling
+    and ``dmq`` = dmass/dq.  Takes the arguments of ``plane_energy``
+    after the state; ``p`` is not read, since ``pieces`` holds s.
     """
-    d, wG, mpg, qform = _quadratic(phi, q, G, lam, sig_theta, gl2, w, c)
+    d, mpg, s, s0 = pieces
     gphi[:] = (-lam * q)[:, None] * wG
     half_dmq = mpg + q * gl2
     gq = q * sig_theta - lam * half_dmq
-    energy, pterm = 0.5 * qform, np.zeros(len(q))
-    if p is not None:
-        pe = _exponent(p) - 2.0
-        u = phi + q[:, None] * G
-        s = np.abs(u) ** pe * u  # one power pass serves energy and gradient
-        u0 = phi[:, 1:2] + q[:, None] * g0
-        s0 = np.abs(u0) ** pe * u0
-        pterm = (s * u) @ w_in + (s0 * u0) @ w0
-        energy = energy - pterm / p
+    if s is not None:
         ws = w_in * s
         gphi -= ws
         gphi[:, 1] -= s0 @ w0
@@ -110,4 +114,4 @@ def plane_energy_grad(phi, q, G, p, lam, sig_theta, gl2, w, w_in, c, w0, g0,
     gphi[:, :-1] -= t
     gphi[:, 0] = 0.0
     gphi[:, -1] = 0.0
-    return energy, qform, pterm, gq, 2.0 * half_dmq
+    return gq, 2.0 * half_dmq

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import HybridParams
+from .energy import HybridParams, check_power
 from .grid import RadialField
 from .solver import (
     GroundStateReport,
@@ -31,11 +31,12 @@ __all__ = [
     "RhoDetail",
     "rho",
     "rho_detail",
+    "check_critical_pair",
     "critical_mass",
     "mass_split_infimum",
     "SWEEP_MODES",
     "sweep",
-    "sweep_values",
+    "sweep_params",
     "monotone_radial_check",
     "rearrange_decreasing",
 ]
@@ -202,10 +203,19 @@ def rho(p: float, cfg: SolverConfig | None = None) -> float:
     return rho_detail(p, cfg).value
 
 
+def check_critical_pair(p1: float, p2: float) -> None:
+    """Raise ValueError unless the powers (p1, p2) have a critical mass:
+    both in the mass-subcritical range (2, 4), and distinct."""
+    check_power(p1, "p1")
+    check_power(p2, "p2")
+    if p1 == p2:
+        raise ValueError(
+            f"critical mass requires two distinct powers, got {p1:g}:{p2:g}")
+
+
 def critical_mass(p1: float, p2: float, cfg: SolverConfig | None = None) -> float:
     """Mass at which the two free-plane energy curves cross."""
-    if p1 == p2:
-        raise ValueError("critical mass requires two distinct powers")
+    check_critical_pair(p1, p2)
     r1 = rho(p1, cfg)
     r2 = rho(p2, cfg)
     exponent = (4.0 - p1) * (4.0 - p2) / (2.0 * (p2 - p1))
@@ -229,15 +239,30 @@ def mass_split_infimum(p1: float, p2: float, mu: float, rho1: float,
     return float(g[k]), float(m[k])
 
 
-def sweep_values(values) -> tuple[float, ...]:
-    """The sweep values as floats; raises ValueError unless there is at
-    least one and they strictly ascend."""
+def sweep_params(P: HybridParams, mode: str,
+                 values) -> dict[float, HybridParams]:
+    """Each row's parameters, keyed by its value in ascending order.
+
+    Raises ValueError on an unknown mode, on values that are empty or
+    not strictly ascending, and on a row whose parameters are invalid.
+    No solve runs.
+    """
+    if mode not in SWEEP_MODES:
+        raise ValueError(f"unknown sweep mode {mode!r}; choose from "
+                         + ", ".join(SWEEP_MODES))
     vals = tuple(float(v) for v in values)
     if not vals:
         raise ValueError("sweep needs at least one parameter value")
     if any(b <= a for a, b in zip(vals, vals[1:])):
         raise ValueError("sweep values must be strictly ascending")
-    return vals
+    rows = {}
+    for v in vals:
+        try:
+            rows[v] = dataclasses.replace(
+                P, **dict.fromkeys(_SWEPT_FIELDS[mode], v))
+        except ValueError as exc:
+            raise ValueError(f"sweep row {mode}={v:g}: {exc}") from None
+    return rows
 
 
 def _references(P: HybridParams, mode: str, cfg: SolverConfig) -> dict[str, float]:
@@ -274,16 +299,11 @@ def sweep(P: HybridParams, mode: str, values,
     A failed reference leaves ``references`` empty and adds one last
     error with value None.
     """
-    if mode not in SWEEP_MODES:
-        raise ValueError(f"unknown sweep mode {mode!r}; choose from "
-                         + ", ".join(SWEEP_MODES))
-    vals = sweep_values(values)
-    params = [dataclasses.replace(P, **dict.fromkeys(_SWEPT_FIELDS[mode], v))
-              for v in vals]
+    params = sweep_params(P, mode, values)
     cfg = cfg if cfg is not None else SolverConfig()
     rows = []
     errors = []
-    for value, Pv in zip(vals, params):
+    for value, Pv in params.items():
         try:
             rows.append(_row_from_report(value, solve_hybrid(Pv, cfg)))
         except _SOLVE_ERRORS as exc:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _svgplot, analysis
-from .energy import HybridParams, total_field
+from .energy import HybridParams, check_power, total_field
 from .solver import GroundStateReport, SolverConfig, solve_hybrid, solve_planar
 from .verify import run_suite
 
@@ -266,9 +266,10 @@ def _apply_mu_relative(rc: RunConfig) -> RunConfig:
         raise UsageError("--mu-relative cannot combine with a mass sweep; "
                          "give absolute --values instead")
     P = rc.params
-    if P.p1 == P.p2:
-        raise UsageError("--mu-relative needs distinct powers p1 != p2 "
-                         "(the critical mass is defined by their crossing)")
+    try:
+        analysis.check_critical_pair(P.p1, P.p2)
+    except ValueError as exc:
+        raise UsageError(f"--mu-relative: {exc}") from None
     mustar = analysis.critical_mass(P.p1, P.p2, rc.solver)
     return dataclasses.replace(
         rc, params=dataclasses.replace(P, mu=rc.mu_relative * mustar))
@@ -315,7 +316,10 @@ def cmd_solve(rc: RunConfig) -> int:
 
 def cmd_sweep(rc: RunConfig) -> int:
     try:
-        values = analysis.sweep_values(rc.values or ())
+        # every row is checked at the given mass, which --mu-relative
+        # only rescales, before its critical-mass solves run
+        values = tuple(analysis.sweep_params(rc.params, rc.mode,
+                                             rc.values or ()))
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     rc = _apply_mu_relative(rc)
@@ -363,10 +367,13 @@ def cmd_sweep(rc: RunConfig) -> int:
 def cmd_baseline(rc: RunConfig) -> int:
     if not rc.p_list and not rc.mustar_pairs:
         raise UsageError("baseline needs --p and/or --mustar")
-    for p in rc.p_list or ():
-        if not 2.0 < p < 4.0:
-            raise UsageError(
-                f"p={p:g} outside the mass-subcritical range (2, 4)")
+    try:  # every power and pair, before the first solve
+        for p in rc.p_list or ():
+            check_power(p)
+        for p1, p2 in rc.mustar_pairs or ():
+            analysis.check_critical_pair(p1, p2)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     payload: dict = {
         "schema_version": SCHEMA_VERSION,
         "command": "baseline",
@@ -392,10 +399,7 @@ def cmd_baseline(rc: RunConfig) -> int:
             "rel_err": abs(slope - expected) / expected,
         }
     for p1, p2 in rc.mustar_pairs or ():
-        try:
-            mustar = analysis.critical_mass(p1, p2, rc.solver)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+        mustar = analysis.critical_mass(p1, p2, rc.solver)
         r1 = analysis.rho(p1, rc.solver)
         r2 = analysis.rho(p2, rc.solver)
         e1 = -r1 * mustar ** (2.0 / (4.0 - p1))

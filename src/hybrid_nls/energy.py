@@ -56,6 +56,7 @@ __all__ = [
     "HybridState",
     "ActionValues",
     "HybridGradient",
+    "check_power",
     "mass",
     "q_form_sigma",
     "f_single",
@@ -93,6 +94,13 @@ class ChargedField:
         return self.phi.grid
 
 
+def check_power(p: float, name: str = "p") -> None:
+    """Raise ValueError unless p lies in the mass-subcritical range (2, 4)."""
+    if not 2.0 < p < 4.0:
+        raise ValueError(
+            f"{name}={p:g} outside the mass-subcritical range (2, 4)")
+
+
 @dataclass(frozen=True)
 class HybridParams:
     """Model parameters: powers, interaction strengths, coupling, mass."""
@@ -107,10 +115,8 @@ class HybridParams:
     def __post_init__(self) -> None:
         for name in ("p1", "p2", "sigma1", "sigma2", "beta", "mu"):
             object.__setattr__(self, name, float(getattr(self, name)))
-        for name, p in (("p1", self.p1), ("p2", self.p2)):
-            if not 2.0 < p < 4.0:
-                raise ValueError(
-                    f"{name}={p} outside the mass-subcritical range (2, 4)")
+        check_power(self.p1, "p1")
+        check_power(self.p2, "p2")
         if not math.isfinite(self.sigma1) or not math.isfinite(self.sigma2):
             raise ValueError("interaction strengths must be finite")
         if not self.beta >= 0.0:
@@ -242,8 +248,7 @@ def q_form_sigma(u: ChargedField, sigma: float) -> float:
 
 def f_single(u: ChargedField, p: float, sigma: float) -> float:
     """Single-plane energy 1/2 Q_sigma(u) - 1/p |u|_p^p."""
-    if not 2.0 < p < 4.0:
-        raise ValueError(f"p={p} outside (2, 4)")
+    check_power(p)
     return 0.5 * q_form_sigma(u, sigma) - lp_power(u, p) / p
 
 
@@ -265,11 +270,13 @@ def grad_f_hybrid(U: HybridState, P: HybridParams) -> HybridGradient:
     out = []
     for u, sigma, p in ((U.u1, P.sigma1, P.p1), (U.u2, P.sigma2, P.p2)):
         pd = plane_data(grid, u.lam)
+        q = np.array([u.q])
+        args = (pd["G"], p, u.lam, sigma + pd["theta"], pd["gl2"],
+                grid.w_trapz * pd["G"], pd["w_in"], grid.c_h1,
+                pd["area0"] * pd["lagw"], pd["g0"])
+        pieces = _kernels.plane_energy(u.phi.values[None], q, *args)[3]
         gphi = np.empty((1, grid.n_nodes))  # the plane as a one-row stack
-        gq = float(_kernels.plane_energy_grad(
-            u.phi.values[None], np.array([u.q]), pd["G"], p, u.lam,
-            sigma + pd["theta"], pd["gl2"], grid.w_trapz, pd["w_in"],
-            grid.c_h1, pd["area0"] * pd["lagw"], pd["g0"], gphi)[3][0])
+        gq = float(_kernels.plane_energy_grad(q, pieces, *args, gphi)[0][0])
         d = np.zeros(grid.n_nodes)
         d[1:-1] = gphi[0, 1:-1] / grid.w_trapz[1:-1]
         d[0] = d[1]

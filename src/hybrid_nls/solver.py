@@ -24,7 +24,11 @@ factor can trap (the rule and the argument are in _linear_solver).
 
 Steps are safeguarded by Armijo backtracking on the true energy, and
 the iterate is retracted to the constraint set after every step (charge
-clamp at zero, then a joint rescale of profiles and charges).
+clamp at zero, then a joint rescale of profiles and charges).  Each
+evaluated point, the start and every trial, gets one energy-kernel call
+and so one |u|^p power pass: the accepted trial's pieces give the next
+iteration's gradient, multiplier estimate and convergence test, and are
+dropped once that gradient is assembled.
 
 Convergence is declared on the W-metric projected-gradient norm, scaled
 by max(1, |omega_hat| * sqrt(mu)) so that deep, tightly bound states are
@@ -431,12 +435,13 @@ def _descend(grid, lam, pd, p, sigmas, beta, mu, cfg, phi, q):
     charged = sigmas is not None
     stride = nin + (1 if charged else 0)
     sig_theta = th + (np.array(sigmas) if charged else 0.0)
-    args = (G, p, lam, sig_theta, gl2, w, pd["w_in"], grid.c_h1,
+    wG = w * G
+    args = (G, p, lam, sig_theta, gl2, wG, pd["w_in"], grid.c_h1,
             pd["area0"] * pd["lagw"], pd["g0"])
     # W metric of the flat (plane, node-or-charge) layout; the gradient
     # covectors are paired in its inverse
     winv = np.tile(np.append(1.0 / w[1:-1], np.ones(stride - nin)), k)
-    w2, Gin, wG = 2.0 * w[1:-1], G[1:-1], w * G
+    w2, Gin = 2.0 * w[1:-1], G[1:-1]
 
     shift = lam
     lin_solve = _linear_solver(grid, shift, th, sigmas, beta)
@@ -445,8 +450,10 @@ def _descend(grid, lam, pd, p, sigmas, beta, mu, cfg, phi, q):
     def coupling(q_):
         return beta * q_[0] * q_[1] if k == 2 else 0.0
 
-    def energy_of(phi_, q_):
-        return float(plane_energy(phi_, q_, *args)[0].sum()) - coupling(q_)
+    def evaluate(phi_, q_):
+        # energy, Q, |u|^p integral and gradient pieces of one point
+        e, qf, pt, pieces_ = plane_energy(phi_, q_, *args)
+        return float(e.sum()) - coupling(q_), qf, pt, pieces_
 
     def retract(phi_, q_):
         # ghost tie, Dirichlet pin, charge clamp, one rescale to mass mu
@@ -461,7 +468,7 @@ def _descend(grid, lam, pd, p, sigmas, beta, mu, cfg, phi, q):
         return c * phi_, c * q_
 
     phi, q = retract(phi.copy(), q)
-    energy = energy_of(phi, q)
+    energy, qform, pt, pieces = evaluate(phi, q)
     gphi = np.empty((k, n))
     # gradient and mass-gradient covectors, per plane and flat
     rhs = np.zeros((2, k, stride))
@@ -474,7 +481,9 @@ def _descend(grid, lam, pd, p, sigmas, beta, mu, cfg, phi, q):
     pg_norm = math.inf
 
     for iterations in range(1, cfg.max_iters + 1):
-        _, qform, pt, gq, dmq = plane_energy_grad(phi, q, *args, gphi)
+        gq, dmq = plane_energy_grad(q, pieces, *args, gphi)
+        # drop the pieces here: only the line search's latest trial keeps any
+        pieces = point = None
         rhs[0, :, :nin] = gphi[:, 1:-1]
         rhs[1, :, :nin] = w2 * (phi[:, 1:-1] + q[:, None] * Gin)
         if charged:
@@ -514,23 +523,23 @@ def _descend(grid, lam, pd, p, sigmas, beta, mu, cfg, phi, q):
         pvec = pvec.reshape(k, stride)
 
         s_try = min(step * _STEP_GROW, _STEP_MAX)
-        accepted = False
         while s_try >= _STEP_FLOOR:
             trial = phi.copy()
             trial[:, 1:-1] -= s_try * pvec[:, :nin]
             retr = retract(trial, q - s_try * pvec[:, nin] if charged else q)
             if retr is not None:
-                e_try = energy_of(*retr)
+                point = evaluate(*retr)
+                e_try = point[0]
                 if np.isfinite(e_try) and e_try <= energy - _ARMIJO * s_try * slope:
-                    accepted = True
                     break
+                point = None  # a rejected trial's pieces go before the next
             s_try *= 0.5
-        if not accepted:
+        if point is None:
             break
 
         drop = energy - e_try
         phi, q = retr
-        energy = e_try
+        energy, qform, pt, pieces = point
         step = s_try
         stall = stall + 1 if drop <= _ENERGY_TOL * max(1.0, abs(energy)) else 0
         if stall >= _STALL_LIMIT:

@@ -264,6 +264,17 @@ class TestSweep:
                      "--mu-relative", "0.5", "--values", "1,2",
                      "--out", str(tmp_path)]) == 2
 
+    def test_mu_relative_checks_rows_before_critical_mass(self, tmp_path,
+                                                          monkeypatch, capsys):
+        def no_solve(p, cfg=None):
+            raise AssertionError(f"rho_detail({p}) ran before the rows were checked")
+
+        monkeypatch.setattr(analysis, "rho_detail", no_solve)
+        assert main(["sweep", "--mode", "beta", "--p1", "2.5", "--p2", "3.5",
+                     "--mu-relative", "0.5", "--values=-1,1",
+                     "--out", str(tmp_path)]) == 2
+        assert "beta=-1:" in capsys.readouterr().err
+
 
 class TestBaseline:
     def test_baseline_rho_mustar_and_scaling(self, tmp_path):
@@ -291,6 +302,20 @@ class TestBaseline:
         monkeypatch.setattr(analysis, "rho_detail", no_solve)
         assert main(["baseline", "--p", "3,5", "--out", str(tmp_path)]) == 2
         assert "p=5 " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,named", [
+        (["--p", "3", "--mustar", "3:3"], "3:3"),
+        (["--mustar", "2.5:5"], "p2=5 "),
+    ])
+    def test_baseline_checks_every_pair_before_solving(self, tmp_path,
+                                                      monkeypatch, capsys,
+                                                      argv, named):
+        def no_solve(p, cfg=None):
+            raise AssertionError(f"rho_detail({p}) ran before the pairs were checked")
+
+        monkeypatch.setattr(analysis, "rho_detail", no_solve)
+        assert main(["baseline", *argv, "--out", str(tmp_path)]) == 2
+        assert named in capsys.readouterr().err
 
 
 class TestVerify:

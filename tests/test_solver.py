@@ -24,7 +24,7 @@ import pytest
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 import hybrid_nls
-from hybrid_nls import solver
+from hybrid_nls import _kernels, solver
 from hybrid_nls.energy import (
     HybridParams,
     f_hybrid,
@@ -52,7 +52,7 @@ from hybrid_nls.solver import (
     solve_single,
 )
 
-from test_energy import random_state
+from test_energy import kernel_args, random_state
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -508,6 +508,35 @@ class TestReportContract:
     def test_iteration_accounting(self, planar3):
         assert planar3.iterations >= 1
         assert planar3.converged
+
+
+class TestDescentHandoff:
+    """The descent takes each iteration's gradient from the pieces of the
+    accepted trial's energy evaluation, so a stale piece would show as a
+    returned energy that is not the returned point's."""
+
+    CASES = {
+        "one-plane": (3.0, (0.5,), 0.0),
+        "two-planes": (np.array([2.5, 3.5]), (0.3, -0.2), 0.8),
+        "linear": (None, (0.0, 1.0), 0.5),
+    }
+
+    @pytest.mark.parametrize("p,sigmas,beta", CASES.values(), ids=CASES)
+    def test_energy_is_a_fresh_evaluation_of_the_returned_point(
+            self, p, sigmas, beta):
+        cfg = SolverConfig(N=512)
+        s1, s2 = (sigmas * 2)[:2]
+        grid, lam, pd = solver._setup(
+            omega_star(HybridParams(3.0, 3.0, s1, s2, beta, 1.0)), cfg)
+        start = solver._initial_guess(grid, pd, sigmas, beta, 1.0, 0.5,
+                                      lam / _RATE_MARGIN)
+        run = solver._descend(grid, lam, pd, p, sigmas, beta, 1.0, cfg, *start)
+        assert run["converged"] and run["iterations"] > 2
+        phi, q = run["phi"], run["q"]
+        args = kernel_args(grid, lam, p, pd["theta"] + np.array(sigmas))
+        energy = _kernels.plane_energy(phi, q, *args)[0]
+        coupling = beta * q[0] * q[1] if len(q) == 2 else 0.0
+        assert float(energy.sum()) - coupling == run["energy"]
 
 
 def tridiagonal_entries(grid, shift):
