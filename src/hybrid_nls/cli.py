@@ -26,7 +26,7 @@ from .verify import run_suite
 __all__ = ["RunConfig", "main", "cmd_solve", "cmd_sweep", "cmd_baseline",
            "cmd_verify"]
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 _COMMANDS = ("solve", "sweep", "baseline", "verify")
 _FORMATS = ("json", "csv", "svg")

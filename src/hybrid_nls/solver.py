@@ -1,26 +1,38 @@
 """Ground-state solvers for the planar, single-plane and two-plane problems.
 
-The minimization runs a linearly preconditioned projected descent on the
-mass sphere.  The preconditioner is the positive-definite linear part of
-the energy Hessian: radial stiffness + shift * mass diagonal on each
-plane's profile, and the charge block (1x1, or the 2x2 block coupled by
-beta) on the charges, with no profile-charge entries.  So it is
-factored as one SPD tridiagonal shared by the planes (LAPACK dpttrf,
-refactored when the shift moves) and a charge block inverted in closed
-form; each iteration solves its two right-hand sides in one dpttrs
-call.  The iteration count is not independent of the mesh: at N=8192
-the default grading 1.01 makes first cells near 1e-20 and the descent
-stops unconverged after 61 iterations, where grading 1.0025 converges
-in 17.
+The minimization runs a projected descent on the mass sphere, with
+linearly preconditioned steps and a Newton endgame.  The preconditioner
+is the positive-definite linear part of the energy Hessian: radial
+stiffness + shift * mass diagonal on each plane's profile, and the
+charge block (1x1, or the 2x2 block coupled by beta) on the charges,
+with no profile-charge entries.  So it is factored as one SPD
+tridiagonal shared by the planes (LAPACK dpttrf, refactored when the
+shift moves) and a charge block inverted in closed form; each iteration
+solves its two right-hand sides in one dpttrs call.
+
+That preconditioner leaves out the |u|^p curvature, and where that term
+dominates (a strong interaction at large mass, or p near 2) the descent
+contracts by only 0.91-0.94 per iteration.  A start that is in a basin
+but crawling switches to Newton steps on the full constrained Hessian,
+which has the same shape: per plane a tridiagonal (now indefinite,
+LU-factored by dgttrf) bordered by its charge column, plus the charge
+block and the mass constraint.  The gate, the fallback and the
+progress stop are in _descend, the factorization in _newton_solver.
+The endgame takes the sigma = 6, mu = 2 mu* hybrid from 138 to 46
+iterations.  Convergence still depends on the mesh: at N=8192 the
+default grading 1.01 makes first cells near 1e-20, the scaled norm
+stays above 1e3 against a tolerance of 1e-6, and the descent stops
+without progress after 14 iterations; grading 1.0025 converges in 18.
 
 That dpttrs call solves only the leading block the right-hand sides
-reach.  Deep states underflow to exact zeros well inside the box, and
-carrying the solve into that tail runs the forward sweep through
-subnormal numbers, where a multiplier above 1/2 traps it at the
-smallest subnormal.  The cut changes the solution only below e^-80 of
-its value at the last nonzero right-hand-side node, and up to that
-node not at all; the right-hand sides are scanned for it only when the
-factor can trap (the rule and the argument are in _linear_solver).
+reach, and the Newton solve the leading block the state reaches.  Deep
+states underflow to exact zeros well inside the box, and carrying the
+solve into that tail runs the forward sweep through subnormal numbers,
+where a multiplier above 1/2 traps it at the smallest subnormal.  The
+cut changes the solution only below e^-80 of its value at the last
+nonzero right-hand-side node, and up to that node not at all; the
+right-hand sides are scanned for it only when the factor can trap (the
+rule and the argument are in _linear_solver).
 
 Steps are safeguarded by Armijo backtracking on the true energy, and
 the iterate is retracted to the constraint set after every step (charge
@@ -32,7 +44,9 @@ dropped once that gradient is assembled.
 
 Convergence is declared on the W-metric projected-gradient norm, scaled
 by max(1, |omega_hat| * sqrt(mu)) so that deep, tightly bound states are
-held to the same *relative* stationarity as shallow ones.
+held to the same *relative* stationarity as shallow ones.  Every run
+records why it stopped (``stop``; the winner's is the report's
+``stop_reason``).
 
 At beta = 0 only the two single-plane problems are solved: the ground
 state then sits on one plane (the argument is in solve_hybrid).
@@ -40,15 +54,16 @@ state then sits on one plane (the argument is in solve_hybrid).
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dpttrs
+from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dpttrs
 
-from ._kernels import plane_energy, plane_energy_grad
+from ._kernels import _exponent, plane_energy, plane_energy_grad
 from .energy import (
     ChargedField,
     HybridParams,
@@ -92,6 +107,22 @@ _STEP_FLOOR = 1e-14
 _STALL_LIMIT = 50
 #: a step that lowers the energy by at most this much relative stalls
 _ENERGY_TOL = 1e-10
+#: Newton endgame: past iteration _NEWTON_AFTER, a start whose scaled
+#: projected-gradient norm fell by less than _CRAWL per iteration over the
+#: last _WINDOW iterations, with omega_hat within _OMEGA_DRIFT relative
+#: over them, takes Newton steps from then on ...
+_NEWTON_AFTER = 8
+_WINDOW = 5
+_CRAWL = 0.8
+_OMEGA_DRIFT = 0.01
+#: ... unless that norm is within this factor of its tolerance.  There the
+#: norm's roundoff floor sets its ratio, not the contraction: on the
+#: N=32768, grading 1.000625 mesh, ulp-level noise in phi alone gives a
+#: norm of about twice the default tolerance, and no step can beat that
+_NOISE_BAND = 10.0
+#: ... and stops without progress once that norm has not fallen by this
+#: factor over its last _WINDOW Newton-mode iterations
+_PROGRESS = 0.5
 #: starts whose energies agree to this relative gap reached the same state
 _TIE = 1e-12
 #: the preconditioner solve stops this many nats of multiplier decay past
@@ -144,6 +175,8 @@ class GroundStateReport:
     boundary_residuals: tuple[float, float]
     iterations: int
     converged: bool
+    #: why the winning start's descent ended (see ``_descend``)
+    stop_reason: str
     profile_samples: dict[str, list[float]]
     #: endpoint branches when the uncoupled problem ties (both one-sided
     #: configurations reach the same energy); None otherwise
@@ -163,6 +196,7 @@ class GroundStateReport:
             "boundary_residuals": list(self.boundary_residuals),
             "iterations": self.iterations,
             "converged": self.converged,
+            "stop_reason": self.stop_reason,
             "profile_samples": self.profile_samples,
         }
         if self.branches is not None:
@@ -341,6 +375,115 @@ def _linear_solver(
     return solve
 
 
+def _newton_solver(grid, pd, phi, q, p, omega, sigmas, beta):
+    """Factor the Hessian of E + (omega/2)*mass at the state (phi, q).
+
+    The descent's Newton step.  Same unknowns, layout and call as
+    ``_linear_solver``'s solve; projecting its two solutions against the
+    mass gradient, as the descent does, eliminates the mass border.
+    Each plane's profile block is stiffness + omega*W minus the |u|^p
+    curvature (p-1)|u|^(p-2) w_in, with the origin cell's on node 1.
+    The blocks are stacked as one tridiagonal with zero coupling and
+    LU-factored (dgttrf: the block is indefinite).  Each charge borders
+    its plane with the column (omega-lam) wG minus the curvature times
+    G, and the charges' k x k Schur complement is inverted.  Each
+    solve takes one step of iterative refinement: the convergence test
+    weighs the residual by 1/w, and w is tiny near the origin of a
+    graded mesh.  Without it the sigma = 6, mu = 2 mu* hybrid at
+    N=32768 stops without progress.
+
+    Only the leading M nodes are solved, as in ``_linear_solver``: M is
+    the node after the last where phi (or, with charges, G) is nonzero,
+    extended until the tail operator stiffness + omega*W (no curvature
+    and no border there) has decayed by e^-_CUT_NATS, at the
+    constant-coefficient rate 2 asinh(h sqrt(omega)/2) nats per cell.
+    Raises ArithmeticError when a factor is singular.
+    """
+    k, n = phi.shape
+    nin = n - 2
+    w, cu, G, lam = grid.w_trapz, grid.c_h1, pd["G"], pd["lam"]
+    charged = sigmas is not None
+    stride = nin + (1 if charged else 0)
+    live = (phi[:, 1:-1] != 0.0).any(axis=0)
+    if charged:
+        live |= G[1:-1] != 0.0
+    nz = np.flatnonzero(live)
+    last = min(int(nz[-1]) + 1 if nz.size else 0, nin - 1)
+    m = nin
+    if omega > 0.0 and last < nin - 1:
+        nats = np.cumsum(2.0 * np.arcsinh(0.5 * math.sqrt(omega) * grid.h[last + 1:-1]))
+        m = min(nin, last + 2 + int(np.searchsorted(nats, _CUT_NATS)))
+
+    # curvature of the |u|^p term, weights included: (p-1)|u|^(p-2) w
+    g0 = pd["g0"]
+    a = phi + q[:, None] * G
+    a0 = phi[:, 1:2] + q[:, None] * g0
+    if p is None:
+        a, a0 = np.zeros_like(a), np.zeros_like(a0)
+    else:
+        pm = _exponent(p)
+        a = (pm - 1.0) * np.abs(a) ** (pm - 2.0) * pd["w_in"]
+        a0 = (pm - 1.0) * np.abs(a0) ** (pm - 2.0) * (pd["area0"] * pd["lagw"])
+    sl = slice(1, m + 1)
+    diag = omega * w[sl] + cu[1:m + 1] - a[:, sl]
+    diag[:, 1:] += cu[1:m]
+    diag[:, 0] -= a0.sum(axis=1)
+    off = np.zeros((k, m))
+    off[:, :-1] = -cu[1:m]
+    off = off.ravel()[:-1]
+    dl, d, du, du2, ipiv, info = dgttrf(off, diag.ravel(), off)
+    if info != 0:
+        raise ArithmeticError(f"Newton block is singular (dgttrf info {info})")
+
+    def tri_solve(b):  # (r, k, m) -> (r, k, m)
+        r = len(b)
+        x = dgttrs(dl, d, du, du2, ipiv, b.reshape(r, k * m).T)[0]
+        return x.T.reshape(r, k, m)
+
+    if charged:
+        border = (omega - lam) * (w * G)[sl] - a[:, sl] * G[sl]
+        border[:, 0] -= (a0 * g0).sum(axis=1)
+        cblock = -beta * (1.0 - np.eye(k))
+        cblock[np.diag_indices(k)] = (
+            pd["theta"] + np.asarray(sigmas) + (omega - lam) * pd["gl2"]
+            - (a * G * G).sum(axis=1) - (a0 * g0 * g0).sum(axis=1))
+        ycol = tri_solve(np.eye(k)[:, :, None] * border)  # A^-1 of each border
+        try:
+            schur_inv = np.linalg.inv(cblock - np.einsum("in,jin->ij", border, ycol))
+        except np.linalg.LinAlgError as exc:
+            raise ArithmeticError("Newton charge block is singular") from exc
+
+    def solve_once(rows):
+        out = np.zeros_like(rows)
+        x = tri_solve(rows[:, :, :m])
+        if charged:
+            y = (rows[:, :, nin] - (x * border).sum(-1)) @ schur_inv.T
+            x -= np.einsum("rj,jin->rin", y, ycol)
+            out[:, :, nin] = y
+        out[:, :, :m] = x
+        return out
+
+    def apply(z):  # the Hessian times z, over the solved block
+        x = z[:, :, :m]
+        hz = np.zeros_like(z)
+        hz[:, :, :m] = diag * x
+        hz[:, :, :m - 1] -= cu[1:m] * x[:, :, 1:]
+        hz[:, :, 1:m] -= cu[1:m] * x[:, :, :-1]
+        if charged:
+            y = z[:, :, nin]
+            hz[:, :, :m] += y[:, :, None] * border
+            hz[:, :, nin] = (x * border).sum(-1) + y @ cblock.T
+        return hz
+
+    def solve(rhs):
+        rows = rhs.reshape(len(rhs), k, stride)
+        z = solve_once(rows)
+        z += solve_once(rows - apply(z))
+        return z.reshape(rhs.shape)
+
+    return solve
+
+
 def omega_star_grid(P: HybridParams, cfg: SolverConfig | None = None) -> float:
     """Grid value of the coupling threshold: -min Q(U)/mass(U).
 
@@ -362,8 +505,9 @@ def omega_star_grid(P: HybridParams, cfg: SolverConfig | None = None) -> float:
     run = _descend(grid, lam, pd, None, sigmas, P.beta, 1.0, cfg, phi, q)
     if not run["converged"]:
         raise RuntimeError(
-            f"linear descent stopped unconverged after {run['iterations']} "
-            f"iterations (projected-gradient norm {run['grad_norm']:.3e})")
+            f"linear descent stopped unconverged ({run['stop']}) after "
+            f"{run['iterations']} iterations (projected-gradient norm "
+            f"{run['grad_norm']:.3e})")
     return -2.0 * run["energy"]
 
 
@@ -414,8 +558,24 @@ def _initial_guess(grid, pd, sigmas, beta, mu, start, omega_ref):
     return phi, q
 
 
+def _tangent_direction(solve, flat):
+    """Solve the two right-hand sides (gradient, mass gradient) and
+    project the first solution onto the mass sphere's tangent space in
+    the solve's metric; returns (direction, slope), or None when the
+    result is not a descent direction."""
+    gvec, dmvec = flat
+    dvec, nvec = solve(flat)
+    denom = float(dmvec @ nvec)
+    if not (denom != 0.0 and np.isfinite(denom)):
+        return None
+    pvec = dvec - (float(dmvec @ dvec) / denom) * nvec
+    slope = float(gvec @ pvec)
+    return (pvec, slope) if slope > 0.0 and np.isfinite(slope) else None
+
+
 def _descend(grid, lam, pd, p, sigmas, beta, mu, cfg, phi, q):
-    """Preconditioned projected descent from one start; returns a run dict.
+    """Projected descent from one start, with a Newton endgame; returns a
+    run dict.
 
     The state is plane-batched: ``phi`` holds one plane per row, shape
     (k, n), and ``q`` their charges, shape (k,).  ``sigmas`` is None for
@@ -423,10 +583,32 @@ def _descend(grid, lam, pd, p, sigmas, beta, mu, cfg, phi, q):
     the power, one scalar or one per row; None switches the |u|^p term
     off, and the descent then minimizes the linear energy Q/2.
 
-    The linear-part solve is refactored with a mass shift that tracks
-    the running multiplier estimate so the metric stays matched to the
-    Hessian even when the final omega sits far from the decomposition
-    rate (the chargeless planar problem being the extreme case).
+    Each step starts as a preconditioned step: the linear-part solve is
+    refactored with a mass shift that tracks the running multiplier
+    estimate, so the metric stays matched to the linear part even when
+    the final omega sits far from the decomposition rate (the chargeless
+    planar problem being the extreme case).  Where the nonlinear term
+    dominates the Hessian that metric contracts slowly.  So once a start
+    is in a basin but crawling (past iteration _NEWTON_AFTER, the scaled
+    projected-gradient norm fell by less than _CRAWL per iteration over
+    the last _WINDOW iterations while omega_hat stayed within
+    _OMEGA_DRIFT relative, and it is still more than _NOISE_BAND times
+    its tolerance), it takes Newton steps for the rest of its descent:
+    the same projection with ``_newton_solver`` in place of the
+    preconditioner, first trial step 1.  The preconditioned direction is
+    the fallback for a step whose Newton factor fails or whose Newton
+    direction does not descend.  Switched on from the first iteration,
+    Newton steps sent a quarter of the benchmark's 640 warm-pool solves
+    to other critical points, hence the gate.  In Newton mode a start
+    that has not cut its norm by _PROGRESS over its last _WINDOW
+    iterations stops.
+
+    The run dict's ``stop`` says why the descent ended: ``converged``,
+    ``stalled`` (_STALL_LIMIT steps in a row each lowered the energy by
+    at most _ENERGY_TOL relative), ``no_progress`` (the Newton-mode
+    rule), ``line_search`` (no step down to _STEP_FLOOR passed Armijo),
+    ``max_iters`` or ``degenerate`` (not even the Euclidean projected
+    gradient descends).
     """
     k, n = phi.shape
     nin = n - 2
@@ -477,8 +659,11 @@ def _descend(grid, lam, pd, p, sigmas, beta, mu, cfg, phi, q):
     step = _STEP_SIZE
     stall = 0
     iterations = 0
-    converged = False
+    stop = "max_iters"
     pg_norm = math.inf
+    # (scaled norm, omega_hat) of the last _WINDOW + 1 iterations
+    recent = collections.deque(maxlen=_WINDOW + 1)
+    newton, newton_iters = False, 0
 
     for iterations in range(1, cfg.max_iters + 1):
         gq, dmq = plane_energy_grad(q, pieces, *args, gphi)
@@ -495,8 +680,22 @@ def _descend(grid, lam, pd, p, sigmas, beta, mu, cfg, phi, q):
         omega_hat = (float((pt - qform).sum()) + 2.0 * coupling(q)) / mu
         scale = max(1.0, abs(omega_hat) * math.sqrt(mu))
         if pg_norm <= cfg.grad_tol * scale:
-            converged = True
+            stop = "converged"
             break
+
+        recent.append((pg_norm / scale, omega_hat))
+        if newton:
+            newton_iters += 1
+            if (newton_iters >= _WINDOW
+                    and recent[-1][0] > _PROGRESS * recent[0][0]):
+                stop = "no_progress"
+                break
+        elif (iterations > _NEWTON_AFTER and len(recent) > _WINDOW
+              and pg_norm > _NOISE_BAND * cfg.grad_tol * scale
+              and recent[-1][0] > _CRAWL ** _WINDOW * recent[0][0]
+              and all(abs(o - omega_hat) <= _OMEGA_DRIFT * abs(omega_hat)
+                      for _, o in recent)):
+            newton = True
 
         since_factor += 1
         target = abs(omega_hat)
@@ -506,23 +705,28 @@ def _descend(grid, lam, pd, p, sigmas, beta, mu, cfg, phi, q):
             lin_solve = _linear_solver(grid, shift, th, sigmas, beta)
             since_factor = 0
 
-        dvec, nvec = lin_solve(flat)
-        denom = float(dmvec @ nvec)
-        if denom > 0.0 and np.isfinite(denom):
-            pvec = dvec - (float(dmvec @ dvec) / denom) * nvec
-            slope = float(gvec @ pvec)
-        else:
-            slope = -1.0
-        if not (slope > 0.0 and np.isfinite(slope)):
+        found = None
+        if newton:
+            try:
+                found = _tangent_direction(_newton_solver(
+                    grid, pd, phi, q, p, omega_hat, sigmas, beta), flat)
+            except ArithmeticError:
+                pass
+        s_try = 1.0 if found else min(step * _STEP_GROW, _STEP_MAX)
+        if found is None:
+            found = _tangent_direction(lin_solve, flat)
+        if found is None:
             # degenerate preconditioned direction: euclidean fallback
             mm_e = float(dmvec @ dmvec)
             pvec = gvec - (float(dmvec @ gvec) / mm_e) * dmvec
             slope = float(gvec @ pvec)
             if not (slope > 0.0 and np.isfinite(slope)):
+                stop = "degenerate"
                 break
+        else:
+            pvec, slope = found
         pvec = pvec.reshape(k, stride)
 
-        s_try = min(step * _STEP_GROW, _STEP_MAX)
         while s_try >= _STEP_FLOOR:
             trial = phi.copy()
             trial[:, 1:-1] -= s_try * pvec[:, :nin]
@@ -535,6 +739,7 @@ def _descend(grid, lam, pd, p, sigmas, beta, mu, cfg, phi, q):
                 point = None  # a rejected trial's pieces go before the next
             s_try *= 0.5
         if point is None:
+            stop = "line_search"
             break
 
         drop = energy - e_try
@@ -543,6 +748,7 @@ def _descend(grid, lam, pd, p, sigmas, beta, mu, cfg, phi, q):
         step = s_try
         stall = stall + 1 if drop <= _ENERGY_TOL * max(1.0, abs(energy)) else 0
         if stall >= _STALL_LIMIT:
+            stop = "stalled"
             break
 
     return {
@@ -550,7 +756,8 @@ def _descend(grid, lam, pd, p, sigmas, beta, mu, cfg, phi, q):
         "q": q,
         "energy": energy,
         "iterations": iterations,
-        "converged": converged,
+        "converged": stop == "converged",
+        "stop": stop,
         "grad_norm": pg_norm,
     }
 
@@ -622,6 +829,7 @@ def _build_report(grid, lam, run, P, plane=None, *, vertex=True):
         boundary_residuals=bres,
         iterations=run["iterations"],
         converged=run["converged"],
+        stop_reason=run["stop"],
         profile_samples=_sample_profiles(grid, U.u1, U.u2),
         state=U,
     )

@@ -42,9 +42,10 @@ class TestSolve:
                      *FAST])
         assert code == 0
         d = read_json(tmp_path / "report.json")
-        assert d["schema_version"] == 3
+        assert d["schema_version"] == 4
         assert d["command"] == "solve"
         assert d["converged"] is True
+        assert d["stop_reason"] == "converged"
         assert d["q1"] > 0.0
         assert d["q1"] == pytest.approx(d["q2"], rel=1e-8)
         rows = read_csv(tmp_path / "profiles.csv")

@@ -447,10 +447,11 @@ class TestCoupledHybrid:
 
     def test_one_sided_start_beats_converged_saddle(self):
         # beta = 0 near p = 4: the equal split converges at a saddle
-        # (+0.0099) while the one-sided starts stop unconverged lower
+        # (+0.0099) while the one-sided starts converge lower, through the
+        # Newton endgame (preconditioned steps alone stop them unconverged)
         r = _solve_two_plane(HybridParams(3.95, 3.95, 4.0, 4.0, 0.0, 10.0),
                              SolverConfig(N=512))
-        assert not r.converged
+        assert r.converged
         assert rel(r.energy, -5.088161e-3) < 1e-6  # pinned, N=512
         assert min(r.mass1, r.mass2) < 1e-12
 
@@ -501,8 +502,10 @@ class TestReportContract:
         text = json.dumps(d, sort_keys=True)
         back = json.loads(text)
         assert back["energy"] == r.energy
+        assert back["stop_reason"] == r.stop_reason == "converged"
         assert "state" not in back
         assert len(back["branches"]) == 2
+        assert [b["stop_reason"] for b in back["branches"]] == ["converged"] * 2
         assert isinstance(r, GroundStateReport)
 
     def test_iteration_accounting(self, planar3):
@@ -537,6 +540,119 @@ class TestDescentHandoff:
         energy = _kernels.plane_energy(phi, q, *args)[0]
         coupling = beta * q[0] * q[1] if len(q) == 2 else 0.0
         assert float(energy.sum()) - coupling == run["energy"]
+
+
+
+class TestNewtonStep:
+    """The endgame's Newton direction against a dense KKT solve whose
+    Hessian is central differences of the kernel gradient."""
+
+    CASES = {
+        "one-plane": (3.0, (0.5,), 0.0),
+        "two-planes": (np.array([2.5, 3.5]), (0.3, -0.2), 0.8),
+        "planar": (3.0, None, 0.0),
+    }
+
+    @pytest.mark.parametrize("p,sigmas,beta", CASES.values(), ids=CASES)
+    def test_matches_dense_finite_difference_kkt(self, p, sigmas, beta):
+        cfg = SolverConfig(N=128, grading=1.02, max_iters=6)
+        charged = sigmas is not None
+        if charged:
+            s1, s2 = (sigmas * 2)[:2]
+            grid, lam, pd = solver._setup(
+                omega_star(HybridParams(3.0, 3.0, s1, s2, beta, 1.0)), cfg)
+        else:
+            lam = 1.0
+            grid = _grid_for(lam, cfg)
+            pd = plane_data(grid, lam)
+        start = solver._initial_guess(grid, pd, sigmas, beta, 1.0, 0.5,
+                                      lam / _RATE_MARGIN)
+        run = solver._descend(grid, lam, pd, p, sigmas, beta, 1.0, cfg, *start)
+        phi, q = run["phi"], run["q"]
+        k, n = phi.shape
+        nin = n - 2
+        stride = nin + charged
+        args = kernel_args(grid, lam, p,
+                           pd["theta"] + (np.array(sigmas) if charged else 0.0))
+        w, G = grid.w_trapz[1:-1], pd["G"][1:-1]
+
+        def covectors(x):
+            """Energy and mass gradients at the flat unknowns x, and omega."""
+            x = x.reshape(k, stride)
+            ph = np.zeros((k, n))
+            ph[:, 1:-1] = x[:, :nin]
+            ph[:, 0] = ph[:, 1]
+            qq = x[:, nin].copy() if charged else np.zeros(k)
+            _, qform, pterm, pieces = _kernels.plane_energy(ph, qq, *args)
+            gphi = np.empty((k, n))
+            gq, dmq = _kernels.plane_energy_grad(qq, pieces, *args, gphi)
+            g, a = np.zeros((k, stride)), np.zeros((k, stride))
+            g[:, :nin] = gphi[:, 1:-1]
+            a[:, :nin] = 2.0 * w * (ph[:, 1:-1] + qq[:, None] * G)
+            coupling = 0.0
+            if charged:
+                coupling = beta * qq[0] * qq[1] if k == 2 else 0.0
+                g[:, nin] = gq - beta * qq[::-1] if k == 2 else gq
+                a[:, nin] = dmq
+            omega = float((pterm - qform).sum()) + 2.0 * coupling  # mass 1
+            return g.ravel(), a.ravel(), omega
+
+        x0 = np.zeros((k, stride))
+        x0[:, :nin] = phi[:, 1:-1]
+        if charged:
+            x0[:, nin] = q
+        x0 = x0.ravel()
+        g, a, omega = covectors(x0)
+        H = np.empty((x0.size, x0.size))
+        for j in range(x0.size):
+            # relative steps: |u|^(p-2) has a kink at u = 0, and deep
+            # states' tails are exact zeros
+            e = np.zeros(x0.size)
+            e[j] = h = 1e-4 * max(abs(x0[j]), 1e-6 * np.abs(x0).max())
+            gp, ap, _ = covectors(x0 + e)
+            gm, am, _ = covectors(x0 - e)
+            H[:, j] = (gp - gm + 0.5 * omega * (ap - am)) / (2.0 * h)
+        H = 0.5 * (H + H.T)
+        kkt = np.block([[H, a[:, None]], [a[None, :], np.zeros((1, 1))]])
+        dense = np.linalg.solve(kkt, np.append(g, 0.0))[:-1]
+
+        newton = solver._newton_solver(grid, pd, phi, q, p, omega, sigmas, beta)
+        pvec, slope = solver._tangent_direction(newton, np.stack([g, a]))
+        assert slope > 0.0
+        # measured: 3e-11 (one plane), 5e-10 (two planes), 1e-12 (planar)
+        assert np.linalg.norm(pvec - dense) <= 1e-8 * np.linalg.norm(dense)
+
+
+
+class TestNewtonEndgame:
+    """Iteration counts and stop reasons of the cases the preconditioned
+    descent alone contracted slowly on (0.91-0.94 per iteration)."""
+
+    def test_planar_near_p2_converges(self):
+        # preconditioned steps alone: the stall rule stopped it unconverged
+        # after 144 iterations, at a norm 1.5x its tolerance
+        r = solve_planar(2.05, 1.0)
+        assert r.converged and r.stop_reason == "converged"
+        assert r.iterations <= 30
+
+    def test_criterion_8_heavy_hybrid(self):
+        # preconditioned steps alone: 138 iterations for the winning start
+        from hybrid_nls.analysis import critical_mass
+
+        mu = 2.0 * critical_mass(2.5, 3.5)
+        r = solve_hybrid(HybridParams(2.5, 3.5, 6.0, 6.0, 1.0, mu))
+        assert r.converged and r.stop_reason == "converged"
+        assert r.iterations <= 60
+        assert rel(r.energy, -109.89559722228817) < 1e-10  # pinned, 138 its
+
+    def test_underresolved_deep_single_stops_without_progress(self):
+        # the state keeps narrowing toward the first cell, so the grid, not
+        # the problem, sets the answer: preconditioned steps alone ran all
+        # 50,000 iterations and stopped with no reason given
+        r = solve_single(3.86, -0.27, 61.3)
+        assert not r.converged
+        assert r.stop_reason == "no_progress"
+        assert r.iterations < 500
 
 
 def tridiagonal_entries(grid, shift):
