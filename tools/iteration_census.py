@@ -55,12 +55,16 @@ def environment() -> dict:
 
 
 def _commit(src: Path) -> str | None:
+    """Short hash of the tree holding ``src``, marked dirty when ``src``
+    itself has uncommitted changes."""
+    def git(*args):
+        return subprocess.run(["git", "-C", str(src), *args], capture_output=True,
+                              text=True, check=True).stdout.strip()
     try:
-        out = subprocess.run(["git", "-C", str(src), "describe", "--always", "--dirty"],
-                             capture_output=True, text=True, check=True)
+        head, dirty = git("rev-parse", "--short", "HEAD"), git("status", "--porcelain", "--", ".")
     except (OSError, subprocess.CalledProcessError):
         return None
-    return out.stdout.strip()
+    return head + ("-dirty" if dirty else "")
 
 
 def census(ops, hybrid_nls, solver) -> dict:
