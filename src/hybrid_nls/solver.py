@@ -416,14 +416,14 @@ def _newton_solver(grid, pd, phi, q, p, omega, sigmas, beta):
 
     # curvature of the |u|^p term, weights included: (p-1)|u|^(p-2) w
     g0 = pd["g0"]
-    a = phi + q[:, None] * G
-    a0 = phi[:, 1:2] + q[:, None] * g0
+    u = phi + q[:, None] * G
+    u0 = phi[:, 1:2] + q[:, None] * g0
     if p is None:
-        a, a0 = np.zeros_like(a), np.zeros_like(a0)
+        a, a0 = np.zeros_like(u), np.zeros_like(u0)
     else:
         pm = _exponent(p)
-        a = (pm - 1.0) * np.abs(a) ** (pm - 2.0) * pd["w_in"]
-        a0 = (pm - 1.0) * np.abs(a0) ** (pm - 2.0) * (pd["area0"] * pd["lagw"])
+        a = (pm - 1.0) * np.abs(u) ** (pm - 2.0) * pd["w_in"]
+        a0 = (pm - 1.0) * np.abs(u0) ** (pm - 2.0) * (pd["area0"] * pd["lagw"])
     sl = slice(1, m + 1)
     diag = omega * w[sl] + cu[1:m + 1] - a[:, sl]
     diag[:, 1:] += cu[1:m]
