@@ -8,7 +8,7 @@ charge ordering and mass concentration.
 
 Layers, bottom up:
 
-* :mod:`hybrid_nls.specfun` — Bessel/Green closed forms.
+* :mod:`hybrid_nls.specfun` — Green-kernel closed forms.
 * :mod:`hybrid_nls.grid` — graded radial mesh and quadratures.
 * :mod:`hybrid_nls.energy` — discrete energies, gradients, residuals.
 * :mod:`hybrid_nls.solver` — projected-gradient ground-state solves.
@@ -54,10 +54,7 @@ from hybrid_nls.solver import (
 )
 from hybrid_nls.specfun import (
     EULER_GAMMA,
-    bessel_k0,
-    bessel_k1,
     green_l2_norm_sq,
-    green_value,
     lambda_for_theta,
     theta,
 )
@@ -82,14 +79,11 @@ __all__ = [
     "SweepTable",
     "VerifyReport",
     "action_functionals",
-    "bessel_k0",
-    "bessel_k1",
     "critical_mass",
     "extract_omega",
     "f_hybrid",
     "f_single",
     "green_l2_norm_sq",
-    "green_value",
     "lambda_for_theta",
     "make_grid",
     "mass_split_infimum",

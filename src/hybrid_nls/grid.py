@@ -8,7 +8,9 @@ singularity there) and uniform further out:
     cells  h_k = h0 * g^k            for k < N/2,
     cells  h_k = h0 * g^(N/2)        for k >= N/2,
 
-with g the grading ratio and h0 fixed by sum(h_k) = R.
+with g the grading ratio and h0 fixed by sum(h_k) = R.  A grading whose
+h0 squares below the smallest normal double (h0 < ~1.5e-154) is refused:
+the cell areas and the Laplacian's 1/h0^2 would leave the double range.
 
 Two weight vectors are precomputed per grid:
 
@@ -25,6 +27,8 @@ r = r_1 e^{-z/2} (see :func:`origin_cell_rule`), never by trapezoid.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +37,8 @@ __all__ = [
     "RadialGrid",
     "RadialField",
     "make_grid",
+    "first_cell",
+    "check_first_cell",
     "eval_at_origin",
     "radial_laplacian",
     "origin_cell_rule",
@@ -82,6 +88,30 @@ class RadialField:
         self.values = vals
 
 
+def first_cell(R: float, n: int, g: float) -> float:
+    """First-cell width h0 of make_grid(R, n, g), overflow-safe in g."""
+    m = n // 2
+    if g <= 1.0:
+        return R / n
+    log_gm = m * math.log(g)
+    if log_gm > 600.0:
+        log_span = log_gm + math.log(1.0 / (g - 1.0) + (n - m))
+        return R * math.exp(-log_span)
+    gm = g**m
+    span = (gm - 1.0) / (g - 1.0) + (n - m) * gm
+    return R / span
+
+
+def check_first_cell(R: float, n: int, g: float) -> None:
+    """Raise ValueError when make_grid(R, n, g)'s first cell squares
+    below the smallest normal double."""
+    h0 = first_cell(R, n, g)
+    if not h0 * h0 >= sys.float_info.min:
+        raise ValueError(
+            f"grading {g} makes an N={n} first cell of {h0:.3g}, whose "
+            "square underflows; lower the grading or N")
+
+
 def make_grid(R: float, n: int, grading: float = 1.01) -> RadialGrid:
     """Build the graded radial mesh.
 
@@ -93,7 +123,8 @@ def make_grid(R: float, n: int, grading: float = 1.01) -> RadialGrid:
         Number of cells (>= 64); the grid has n + 1 nodes.
     grading : float
         Geometric ratio >= 1 applied to the inner half of the cells;
-        1 gives a uniform mesh.  Must stay < 2.
+        1 gives a uniform mesh.  Must stay < 2, and small enough that
+        the first cell's square is a normal double.
 
     Returns
     -------
@@ -108,6 +139,7 @@ def make_grid(R: float, n: int, grading: float = 1.01) -> RadialGrid:
         raise ValueError(f"need at least 64 cells, got {n}")
     if not 1.0 <= grading < 2.0:
         raise ValueError(f"grading ratio must be in [1, 2), got {grading}")
+    check_first_cell(R, n, grading)
 
     m = n // 2
     if grading == 1.0:

@@ -22,7 +22,8 @@ The endgame takes the sigma = 6, mu = 2 mu* hybrid from 138 to 46
 iterations.  Convergence still depends on the mesh: at N=8192 the
 default grading 1.01 makes first cells near 1e-20, the scaled norm
 stays above 1e3 against a tolerance of 1e-6, and the descent stops
-without progress after 14 iterations; grading 1.0025 converges in 18.
+after 12 iterations on a preconditioned direction that does not
+descend; grading 1.0025 converges in 18.
 
 That dpttrs call solves only the leading block the right-hand sides
 reach, and the Newton solve the leading block the state reaches.  Deep
@@ -75,7 +76,13 @@ from .energy import (
     plane_data,
     total_field,
 )
-from .grid import RadialField, RadialGrid, make_grid
+from .grid import (
+    RadialField,
+    RadialGrid,
+    check_first_cell,
+    first_cell,
+    make_grid,
+)
 from .specfun import lambda_for_theta
 
 __all__ = [
@@ -102,16 +109,14 @@ _ARMIJO = 1e-4
 #: first trial step of the line search
 _STEP_SIZE = 1.0
 _STEP_GROW = 1.3
-_STEP_MAX = 10.0
 _STEP_FLOOR = 1e-14
 _STALL_LIMIT = 50
 #: a step that lowers the energy by at most this much relative stalls
 _ENERGY_TOL = 1e-10
-#: Newton endgame: past iteration _NEWTON_AFTER, a start whose scaled
-#: projected-gradient norm fell by less than _CRAWL per iteration over the
-#: last _WINDOW iterations, with omega_hat within _OMEGA_DRIFT relative
-#: over them, takes Newton steps from then on ...
-_NEWTON_AFTER = 8
+#: Newton endgame: a start whose scaled projected-gradient norm fell by
+#: less than _CRAWL per iteration over the last _WINDOW iterations, with
+#: omega_hat within _OMEGA_DRIFT relative over them, takes Newton steps
+#: from then on ...
 _WINDOW = 5
 _CRAWL = 0.8
 _OMEGA_DRIFT = 0.01
@@ -151,6 +156,7 @@ class SolverConfig:
             raise ValueError(f"N must be at least 64, got {self.N}")
         if not 1.0 <= self.grading < 2.0:
             raise ValueError(f"grading must lie in [1, 2), got {self.grading}")
+        check_first_cell(self.R, self.N, self.grading)
         if not self.grad_tol > 0:
             raise ValueError(f"grad_tol must be > 0, got {self.grad_tol}")
         if self.max_iters < 1:
@@ -243,32 +249,18 @@ def refine_config(cfg: SolverConfig) -> SolverConfig:
 # grid selection
 
 
-def _first_cell(R: float, n: int, g: float) -> float:
-    """First-cell width of make_grid(R, n, g), overflow-safe in g."""
-    m = n // 2
-    if g <= 1.0:
-        return R / n
-    log_gm = m * math.log(g)
-    if log_gm > 600.0:
-        log_span = log_gm + math.log(1.0 / (g - 1.0) + (n - m))
-        return R * math.exp(-log_span)
-    gm = g**m
-    span = (gm - 1.0) / (g - 1.0) + (n - m) * gm
-    return R / span
-
-
 def _auto_grading(R: float, n: int, g_default: float, lam: float) -> float:
     """Increase the grading until the first cell resolves scale 1/sqrt(lam)."""
     target = _FIRST_CELL_FACTOR / math.sqrt(lam)
-    if _first_cell(R, n, g_default) <= target:
+    if first_cell(R, n, g_default) <= target:
         return g_default
     lo, hi = max(g_default, 1.0 + 1e-9), 1.2
-    if _first_cell(R, n, hi) > target:
+    if first_cell(R, n, hi) > target:
         raise ValueError(
             f"rate {lam:.3e} is too deep for an N={n} grid; increase N")
     for _ in range(100):
         mid = 0.5 * (lo + hi)
-        if _first_cell(R, n, mid) > target:
+        if first_cell(R, n, mid) > target:
             lo = mid
         else:
             hi = mid
@@ -589,26 +581,26 @@ def _descend(grid, lam, pd, p, sigmas, beta, mu, cfg, phi, q):
     the final omega sits far from the decomposition rate (the chargeless
     planar problem being the extreme case).  Where the nonlinear term
     dominates the Hessian that metric contracts slowly.  So once a start
-    is in a basin but crawling (past iteration _NEWTON_AFTER, the scaled
-    projected-gradient norm fell by less than _CRAWL per iteration over
-    the last _WINDOW iterations while omega_hat stayed within
-    _OMEGA_DRIFT relative, and it is still more than _NOISE_BAND times
-    its tolerance), it takes Newton steps for the rest of its descent:
-    the same projection with ``_newton_solver`` in place of the
-    preconditioner, first trial step 1.  The preconditioned direction is
-    the fallback for a step whose Newton factor fails or whose Newton
-    direction does not descend.  Switched on from the first iteration,
-    Newton steps sent a quarter of the benchmark's 640 warm-pool solves
-    to other critical points, hence the gate.  In Newton mode a start
-    that has not cut its norm by _PROGRESS over its last _WINDOW
-    iterations stops.
+    is in a basin but crawling (the scaled projected-gradient norm fell
+    by less than _CRAWL per iteration over the last _WINDOW iterations
+    while omega_hat stayed within _OMEGA_DRIFT relative, and it is still
+    more than _NOISE_BAND times its tolerance), it takes Newton steps for
+    the rest of its descent: the same projection with ``_newton_solver``
+    in place of the preconditioner, first trial step 1.  The
+    preconditioned direction is the fallback for a step whose Newton
+    factor fails or whose Newton direction does not descend.  Switched
+    on from the first iteration, Newton steps sent a quarter of the
+    benchmark's 640 warm-pool solves to other critical points, hence the
+    gate.  In Newton mode a start that has not cut its norm by _PROGRESS
+    over its last _WINDOW iterations stops.
 
     The run dict's ``stop`` says why the descent ended: ``converged``,
     ``stalled`` (_STALL_LIMIT steps in a row each lowered the energy by
     at most _ENERGY_TOL relative), ``no_progress`` (the Newton-mode
     rule), ``line_search`` (no step down to _STEP_FLOOR passed Armijo),
-    ``max_iters`` or ``degenerate`` (not even the Euclidean projected
-    gradient descends).
+    ``max_iters`` or ``degenerate`` (the preconditioned direction does
+    not descend; the N=8192, grading 1.01 hybrid of the module docstring
+    stops so after 12 iterations).
     """
     k, n = phi.shape
     nin = n - 2
@@ -655,7 +647,6 @@ def _descend(grid, lam, pd, p, sigmas, beta, mu, cfg, phi, q):
     # gradient and mass-gradient covectors, per plane and flat
     rhs = np.zeros((2, k, stride))
     flat = rhs.reshape(2, -1)
-    gvec, dmvec = flat
     step = _STEP_SIZE
     stall = 0
     iterations = 0
@@ -690,7 +681,7 @@ def _descend(grid, lam, pd, p, sigmas, beta, mu, cfg, phi, q):
                     and recent[-1][0] > _PROGRESS * recent[0][0]):
                 stop = "no_progress"
                 break
-        elif (iterations > _NEWTON_AFTER and len(recent) > _WINDOW
+        elif (len(recent) > _WINDOW
               and pg_norm > _NOISE_BAND * cfg.grad_tol * scale
               and recent[-1][0] > _CRAWL ** _WINDOW * recent[0][0]
               and all(abs(o - omega_hat) <= _OMEGA_DRIFT * abs(omega_hat)
@@ -712,19 +703,13 @@ def _descend(grid, lam, pd, p, sigmas, beta, mu, cfg, phi, q):
                     grid, pd, phi, q, p, omega_hat, sigmas, beta), flat)
             except ArithmeticError:
                 pass
-        s_try = 1.0 if found else min(step * _STEP_GROW, _STEP_MAX)
+        s_try = 1.0 if found else step * _STEP_GROW
         if found is None:
             found = _tangent_direction(lin_solve, flat)
         if found is None:
-            # degenerate preconditioned direction: euclidean fallback
-            mm_e = float(dmvec @ dmvec)
-            pvec = gvec - (float(dmvec @ gvec) / mm_e) * dmvec
-            slope = float(gvec @ pvec)
-            if not (slope > 0.0 and np.isfinite(slope)):
-                stop = "degenerate"
-                break
-        else:
-            pvec, slope = found
+            stop = "degenerate"
+            break
+        pvec, slope = found
         pvec = pvec.reshape(k, stride)
 
         while s_try >= _STEP_FLOOR:

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import subprocess
 import sys
+import warnings
 import xml.dom.minidom
 
 import pytest
@@ -77,6 +78,16 @@ class TestSolve:
 
     def test_invalid_grid_exits_2(self, tmp_path):
         assert main(["solve", "--N", "8", "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("n, grading", [("8192", "1.2"), ("2048", "1.9")])
+    def test_unbuildable_grading_exits_2(self, tmp_path, capsys, n, grading):
+        # the first cell's square underflows: refused before any mesh power
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["solve", "--N", n, "--grading", grading,
+                         "--out", str(tmp_path)])
+        assert code == 2
+        assert "square underflows" in capsys.readouterr().err
 
     def test_nonconvergence_exits_1_with_partial_report(self, tmp_path):
         code = main(["solve", "--max-iters", "10", "--out", str(tmp_path),

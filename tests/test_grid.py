@@ -13,6 +13,7 @@ from scipy.integrate import quad
 from hybrid_nls.grid import (
     RadialField,
     eval_at_origin,
+    first_cell,
     make_grid,
     origin_cell_rule,
     radial_laplacian,
@@ -67,6 +68,17 @@ class TestMakeGrid:
             make_grid(40.0, 1024, 0.9)
         with pytest.raises(ValueError):
             make_grid(40.0, 1024, 2.5)
+        # first cells of 1.4e-287 and 0 (the closed form underflows): their
+        # squares are not normal doubles
+        for n, ratio in ((2048, 1.9), (8192, 1.2)):
+            with pytest.raises(ValueError, match="square underflows"):
+                make_grid(40.0, n, ratio)
+
+    @pytest.mark.parametrize("n, ratio", [(64, 1.0), (1024, 1.01),
+                                          (32768, 1.01), (2048, 1.2)])
+    def test_first_cell_law_matches_mesh(self, n, ratio):
+        assert first_cell(40.0, n, ratio) == pytest.approx(
+            make_grid(40.0, n, ratio).h[0], rel=1e-12)
 
     def test_quadrature_weights_nonnegative(self):
         for ratio in (1.0, 1.01, 1.05):

@@ -120,6 +120,8 @@ class TestConfigContract:
             {"grad_tol": float("nan")},
             {"starts": (1.5,)},
             {"starts": ()},
+            {"N": 8192, "grading": 1.2},
+            {"grading": 1.9},
         ],
     )
     def test_rejects_bad_values(self, kw):

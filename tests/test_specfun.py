@@ -1,10 +1,11 @@
 """Closed-form layer tests.
 
-The Bessel values are checked against an independent oracle: adaptive
-quadrature of the integral representations
+The Green kernel G_lam(r) = K0(sqrt(lam) r) / (2 pi) is checked against
+an independent oracle: adaptive quadrature of the integral
+representations
 
     K0(x) = int_0^inf exp(-x cosh t) dt,
-    K1(x) = int_0^inf exp(-x cosh t) cosh t dt,
+    K1(x) = -K0'(x) = int_0^inf exp(-x cosh t) cosh t dt,
 
 so the library backend is never trusted blindly.  Frozen reference
 digits below were produced by that oracle.
@@ -34,66 +35,59 @@ def k1_oracle(x: float) -> float:
     return val
 
 
+def k0(x):
+    """K0 as the library evaluates it: 2 pi times the lam = 1 kernel."""
+    return 2.0 * math.pi * sf.green_profile(1.0, x)
+
+
+def k0_slope(x: float) -> float:
+    # relative step: K0''' ~ 2/x^3 blows up as x -> 0
+    h = 1e-4 * x
+    return float(k0(x + h) - k0(x - h)) / (2.0 * h)
+
+
 # Frozen oracle outputs (quadrature above, 16 digits).
 K0_AT_1 = 0.4210244382407083
 K0_AT_10 = 1.778006231616765e-05
-K1_AT_1 = 0.6019072301972346
 
 
 class TestBesselValues:
     def test_frozen_reference_points(self):
-        assert sf.bessel_k0(1.0) == pytest.approx(K0_AT_1, rel=1e-12)
-        assert sf.bessel_k0(10.0) == pytest.approx(K0_AT_10, rel=1e-12)
-        assert sf.bessel_k1(1.0) == pytest.approx(K1_AT_1, rel=1e-12)
+        assert k0(1.0) == pytest.approx(K0_AT_1, rel=1e-12)
+        assert k0(10.0) == pytest.approx(K0_AT_10, rel=1e-12)
 
     @pytest.mark.parametrize("x", [0.5, 1.0, 2.0, 10.0, 50.0, 300.0])
     def test_k0_against_quadrature_oracle(self, x):
-        assert sf.bessel_k0(x) == pytest.approx(k0_oracle(x), rel=1e-9)
-
-    @pytest.mark.parametrize("x", [0.5, 1.0, 2.0, 10.0, 50.0])
-    def test_k1_against_quadrature_oracle(self, x):
-        assert sf.bessel_k1(x) == pytest.approx(k1_oracle(x), rel=1e-9)
+        assert k0(x) == pytest.approx(k0_oracle(x), rel=1e-9)
 
     def test_small_argument_log_limit(self):
         # K0(x) -> -log(x/2) - gamma as x -> 0+
         for x in (1e-4, 1e-6, 1e-8):
-            drift = sf.bessel_k0(x) + math.log(x / 2.0) + sf.EULER_GAMMA
+            drift = k0(x) + math.log(x / 2.0) + sf.EULER_GAMMA
             assert abs(drift) <= 10.0 * x * x * max(1.0, -math.log(x))
 
     def test_k1_leading_singularity(self):
+        # the kernel's slope carries the log singularity: x K1(x) -> 1
         for x in (1e-4, 1e-6, 1e-8):
-            assert x * sf.bessel_k1(x) == pytest.approx(1.0, abs=1e-7)
+            assert -x * k0_slope(x) == pytest.approx(1.0, abs=1e-7)
 
     def test_derivative_identity_at_2(self):
-        h = 1e-4
-        fd = (sf.bessel_k0(2.0 + h) - sf.bessel_k0(2.0 - h)) / (2.0 * h)
-        assert abs(fd + sf.bessel_k1(2.0)) <= 1e-6
+        assert abs(k0_slope(2.0) + k1_oracle(2.0)) <= 1e-6
 
     def test_derivative_identity_log_spaced(self):
         for x in np.logspace(math.log10(0.01), math.log10(50.0), 20):
-            h = 1e-4 * x  # relative step: K0''' ~ 2/x^3 blows up as x -> 0
-            fd = (sf.bessel_k0(x + h) - sf.bessel_k0(x - h)) / (2.0 * h)
-            assert abs(fd + sf.bessel_k1(x)) <= 1e-6 * max(1.0, sf.bessel_k1(x))
+            k1 = k1_oracle(x)
+            assert abs(k0_slope(x) + k1) <= 1e-6 * max(1.0, k1)
 
     def test_positive_and_decreasing(self):
-        xs = np.logspace(-6, 2.5, 60)
-        k0 = np.array([sf.bessel_k0(x) for x in xs])
-        k1 = np.array([sf.bessel_k1(x) for x in xs])
-        assert np.all(k0 > 0) and np.all(k1 > 0)
-        assert np.all(np.diff(k0) < 0) and np.all(np.diff(k1) < 0)
+        prof = k0(np.logspace(-6, 2.5, 60))
+        assert np.all(prof > 0)
+        assert np.all(np.diff(prof) < 0)
 
     def test_domain_errors(self):
         for bad in (0.0, -1.0, float("nan")):
             with pytest.raises(ValueError):
-                sf.bessel_k0(bad)
-            with pytest.raises(ValueError):
-                sf.bessel_k1(bad)
-
-    def test_underflow_returns_zero_with_warning(self):
-        with pytest.warns(sf.BesselUnderflow):
-            assert sf.bessel_k0(800.0) == 0.0
-        with pytest.warns(sf.BesselUnderflow):
-            assert sf.bessel_k1(800.0) == 0.0
+                sf.green_profile(bad, np.array([1.0]))
 
 
 class TestTheta:
@@ -136,26 +130,26 @@ class TestTheta:
 
 class TestGreenKernel:
     def test_value_is_scaled_bessel(self):
-        assert sf.green_value(1.0, 1.0) == pytest.approx(
-            sf.bessel_k0(1.0) / (2.0 * math.pi), rel=1e-15)
-        assert sf.green_value(1.0, 1.0) == pytest.approx(
+        assert sf.green_profile(1.0, 1.0) == pytest.approx(
+            K0_AT_1 / (2.0 * math.pi), rel=1e-12)
+        assert sf.green_profile(1.0, 1.0) == pytest.approx(
             k0_oracle(1.0) / (2.0 * math.pi), rel=1e-9)
 
     def test_log_singularity_normalization(self):
         r = 1e-6
-        drift = sf.green_value(1.0, r) + math.log(r) / (2.0 * math.pi) + sf.theta(1.0)
+        drift = sf.green_profile(1.0, r) + math.log(r) / (2.0 * math.pi) + sf.theta(1.0)
         assert abs(drift) <= 1e-5
 
     @pytest.mark.parametrize("lam", [0.5, 1.0, 10.0])
     def test_log_normalization_scaled(self, lam):
         r = 1e-6 / math.sqrt(lam)
-        drift = sf.green_value(lam, r) + math.log(r) / (2.0 * math.pi) + sf.theta(lam)
+        drift = sf.green_profile(lam, r) + math.log(r) / (2.0 * math.pi) + sf.theta(lam)
         assert abs(drift) <= 1e-4
 
     @pytest.mark.parametrize("r", [0.1, 1.0, 3.0])
     def test_rate_scaling(self, r):
-        assert sf.green_value(4.0, r) == pytest.approx(
-            sf.green_value(1.0, 2.0 * r), rel=1e-14)
+        assert sf.green_profile(4.0, r) == pytest.approx(
+            sf.green_profile(1.0, 2.0 * r), rel=1e-14)
 
     def test_l2_norm_closed_form(self):
         # Fourier-side oracle: (2 pi)^{-1} * int_0^inf k (k^2+lam)^{-2} dk
@@ -175,7 +169,9 @@ class TestGreenKernel:
         r = np.array([0.0, 0.5, 1.0, 2.0])
         prof = sf.green_profile(2.0, r)
         for i in (1, 2, 3):
-            assert prof[i] == pytest.approx(sf.green_value(2.0, r[i]), rel=1e-15)
+            assert prof[i] == sf.green_profile(2.0, r[i])
+            assert prof[i] == pytest.approx(
+                k0_oracle(math.sqrt(2.0) * r[i]) / (2.0 * math.pi), rel=1e-9)
         assert prof[0] == prof[1]  # origin placeholder
 
     def test_profile_underflow_is_silent_zero(self):
@@ -184,8 +180,8 @@ class TestGreenKernel:
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            sf.green_value(1.0, 0.0)
+            sf.green_profile(0.0, 1.0)
         with pytest.raises(ValueError):
-            sf.green_value(-1.0, 1.0)
+            sf.green_profile(-1.0, 1.0)
         with pytest.raises(ValueError):
             sf.green_l2_norm_sq(0.0)
