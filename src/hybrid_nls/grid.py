@@ -118,7 +118,7 @@ def make_grid(R: float, n: int, grading: float = 1.01) -> RadialGrid:
     Parameters
     ----------
     R : float
-        Truncation radius (> 0).  Fields are treated as zero beyond R.
+        Truncation radius (finite, > 0).  Fields are treated as zero beyond R.
     n : int
         Number of cells (>= 64); the grid has n + 1 nodes.
     grading : float
@@ -133,8 +133,8 @@ def make_grid(R: float, n: int, grading: float = 1.01) -> RadialGrid:
     R = float(R)
     n = int(n)
     grading = float(grading)
-    if R <= 0.0:
-        raise ValueError(f"R must be > 0, got {R}")
+    if not 0.0 < R < math.inf:
+        raise ValueError(f"R must be finite and > 0, got {R}")
     if n < 64:
         raise ValueError(f"need at least 64 cells, got {n}")
     if not 1.0 <= grading < 2.0:

@@ -150,8 +150,8 @@ class SolverConfig:
     starts: tuple[float, ...] = (0.1, 0.5, 0.9)
 
     def __post_init__(self) -> None:
-        if self.R <= 0.0:
-            raise ValueError(f"R must be > 0, got {self.R}")
+        if not 0.0 < self.R < math.inf:
+            raise ValueError(f"R must be finite and > 0, got {self.R}")
         if self.N < 64:
             raise ValueError(f"N must be at least 64, got {self.N}")
         if not 1.0 <= self.grading < 2.0:

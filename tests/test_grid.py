@@ -60,8 +60,9 @@ class TestMakeGrid:
             assert make_grid(10.0, n, 1.01).n_nodes == n + 1
 
     def test_construction_errors(self):
-        with pytest.raises(ValueError):
-            make_grid(-1.0, 1024, 1.01)
+        for bad_R in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                make_grid(bad_R, 1024, 1.01)
         with pytest.raises(ValueError):
             make_grid(40.0, 32, 1.01)
         with pytest.raises(ValueError):

@@ -113,6 +113,8 @@ class TestConfigContract:
             {"N": 8},
             {"R": -1.0},
             {"R": 0.0},
+            {"R": float("nan")},
+            {"R": float("inf")},
             {"grading": 0.5},
             {"grad_tol": 0.0},
             {"grading": 2.0},
