@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -260,8 +261,8 @@ def _apply_mu_relative(rc: RunConfig) -> RunConfig:
     """Rescale the target mass to a multiple of the critical mass."""
     if rc.mu_relative is None:
         return rc
-    if rc.mu_relative <= 0.0:
-        raise UsageError(f"--mu-relative must be > 0, got {rc.mu_relative}")
+    if not 0.0 < rc.mu_relative < math.inf:
+        raise UsageError(f"--mu-relative must be finite and > 0, got {rc.mu_relative}")
     if rc.command == "sweep" and rc.mode == "mu":
         raise UsageError("--mu-relative cannot combine with a mass sweep; "
                          "give absolute --values instead")

@@ -119,10 +119,10 @@ class HybridParams:
         check_power(self.p2, "p2")
         if not math.isfinite(self.sigma1) or not math.isfinite(self.sigma2):
             raise ValueError("interaction strengths must be finite")
-        if not self.beta >= 0.0:
-            raise ValueError(f"coupling must be >= 0, got {self.beta}")
-        if not self.mu > 0.0:
-            raise ValueError(f"target mass must be > 0, got {self.mu}")
+        if not 0.0 <= self.beta < math.inf:
+            raise ValueError(f"coupling must be finite and >= 0, got {self.beta}")
+        if not 0.0 < self.mu < math.inf:
+            raise ValueError(f"target mass must be finite and > 0, got {self.mu}")
 
 
 @dataclass

@@ -89,6 +89,13 @@ class TestSolve:
         assert code == 2
         assert "square underflows" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("opt", ["--mu", "--beta", "--mu-relative"])
+    def test_infinite_mass_or_coupling_exits_2(self, tmp_path, capsys, opt):
+        code = main(["solve", opt, "inf", "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "finite" in err and "Traceback" not in err
+
     def test_nonconvergence_exits_1_with_partial_report(self, tmp_path):
         code = main(["solve", "--max-iters", "10", "--out", str(tmp_path),
                      *FAST])

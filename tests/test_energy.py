@@ -81,6 +81,10 @@ class TestTypes:
             HybridParams(3.0, 3.0, 0.0, 0.0, 1.0, 0.0)
         with pytest.raises(ValueError):
             HybridParams(3.0, 3.0, float("inf"), 0.0, 1.0, 1.0)
+        for beta, mu in ((float("inf"), 1.0), (1.0, float("inf")),
+                         (float("nan"), 1.0), (1.0, float("nan"))):
+            with pytest.raises(ValueError, match="finite"):
+                HybridParams(3.0, 3.0, 0.0, 0.0, beta, mu)
 
     def test_charged_field_validation(self, small_grid):
         phi = RadialField(small_grid, np.zeros(small_grid.n_nodes))

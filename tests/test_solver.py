@@ -547,6 +547,156 @@ class TestDescentHandoff:
 
 
 
+def _state_distance(grid, pd, mu, a, b):
+    """sqrt(mass(U_a - U_b) / mu) of two runs' plane-batched states."""
+    w = grid.w_trapz
+    dm = solver._mass(a["phi"] - b["phi"], a["q"] - b["q"], w, w * pd["G"], pd["gl2"])
+    return math.sqrt(max(dm, 0.0) / mu)
+
+
+class TestScreenedMultistart:
+    """Each start pauses at _SCREEN times its tolerance; the multistart
+    finishes the lowest paused start and every other one that is not
+    within _DUPLICATE of a state it finished."""
+
+    CASES = {
+        "one-plane": (3.0, (0.5,), 0.0, 1.0),
+        "two-planes": (np.array([2.5, 3.5]), (0.3, -0.2), 0.8, 1.0),
+        "linear": (None, (0.0, 1.0), 0.5, 1.0),
+        "planar": (3.0, None, 0.0, 1.0),
+        # criterion 8's 2 mu* hybrid: start 0.1 pauses in the crawl, a few
+        # iterations before the Newton gate opens
+        "crawling": (np.array([2.5, 3.5]), (6.0, 6.0), 1.0, 44.85319),
+    }
+
+    @pytest.mark.parametrize("start", [0.1, 0.9])
+    @pytest.mark.parametrize("p,sigmas,beta,mu", CASES.values(), ids=CASES)
+    def test_resume_continues_the_run_exactly(self, p, sigmas, beta, mu, start):
+        cfg = SolverConfig(N=512)
+        if sigmas is None:
+            lam = 1.0
+            grid = _grid_for(lam, cfg)
+            pd = plane_data(grid, lam)
+        else:
+            s1, s2 = (sigmas * 2)[:2]
+            grid, lam, pd = solver._setup(
+                omega_star(HybridParams(3.0, 3.0, s1, s2, beta, mu)), cfg)
+        guess = solver._initial_guess(grid, pd, sigmas, beta, mu, start,
+                                      lam / _RATE_MARGIN)
+        args = (grid, lam, pd, p, sigmas, beta, mu, cfg)
+        whole = solver._descend(*args, *guess)
+        paused = solver._descend(*args, *guess, screen=True)
+        assert paused["stop"] == "screened" and not paused["converged"]
+        assert 1 <= paused["iterations"] < whole["iterations"]
+        # the paused run keeps the state and scalars only
+        assert all(not isinstance(x, np.ndarray) for x in paused["paused"])
+        done = solver._descend(*args, paused["phi"], paused["q"],
+                               paused=paused["paused"])
+        assert done["stop"] == whole["stop"] == "converged"
+        assert done["iterations"] == whole["iterations"]
+        assert done["energy"] == whole["energy"]
+        assert np.array_equal(done["phi"], whole["phi"])
+        assert np.array_equal(done["q"], whole["q"])
+        assert done["paused"] is None
+
+    def test_duplicate_rule_on_synthetic_runs(self, monkeypatch):
+        # four starts of a planar problem at mass 1: start 0 is the lowest
+        # paused one, start 1 lies 0.09 from it and start 2 0.11, start 3
+        # stopped before its screen
+        cfg = SolverConfig(N=256, starts=(0.1, 0.3, 0.5, 0.9))
+        grid = _grid_for(1.0, cfg)
+        pd = plane_data(grid, 1.0)
+        w = grid.w_trapz
+
+        def unit(f):  # one plane of mass 1
+            return f[None, :] / math.sqrt(f @ (f * w))
+
+        base = unit(np.exp(-grid.r ** 2))
+        bump = unit(np.exp(-(grid.r - 3.0) ** 2))
+
+        def run(i, phi, energy, stop="screened"):
+            return {"phi": phi, "q": np.zeros(1), "energy": energy,
+                    "iterations": 5, "converged": False, "stop": stop,
+                    "paused": (i,) if stop == "screened" else None}
+
+        starts = iter([run(0, base, -1.0), run(1, base + 0.09 * bump, -0.9),
+                       run(2, base + 0.11 * bump, -0.8),
+                       run(3, base, -0.5, stop="stalled")])
+        finished = []
+
+        def fake(grid_, lam_, pd_, p_, sigmas_, beta_, mu_, cfg_, phi, q,
+                 screen=False, paused=None):
+            if paused is None:
+                assert screen
+                return next(starts)
+            finished.append(paused[0])
+            return {"phi": phi, "q": q, "energy": -2.0 - paused[0],
+                    "iterations": 9, "converged": True, "stop": "converged",
+                    "paused": None}
+
+        monkeypatch.setattr(solver, "_descend", fake)
+        best = solver._solve_on_grid(grid, 1.0, pd, 3.0, None, 0.0, 1.0, cfg)
+        assert finished == [0, 2]  # lowest first; 1 joins 0, 3 was final
+        assert best["energy"] == -4.0
+
+    def test_loose_screen_still_finds_the_ground_state(self, monkeypatch):
+        # at a screen of 1e5 the lowest paused start ends at -0.0075398;
+        # only a start more than _DUPLICATE from it reaches the ground state
+        monkeypatch.setattr(solver, "_SCREEN", 1e5)
+        r = solve_hybrid(HybridParams(2.87, 2.919, 1.784, 1.116, 0.547, 0.556))
+        assert r.converged
+        assert rel(r.energy, -0.007976890972858195) < 1e-6
+
+    def test_sigma6_hybrid_finishes_both_regimes(self, monkeypatch):
+        # criterion 8's 2 mu* hybrid (N=512): starts 0.1 and 0.5 reach the
+        # plane-2 state and 0.9 the plane-1 one; the skipped start, run
+        # uninterrupted, ends on the state it was skipped for
+        cfg = SolverConfig(N=512)
+        P = HybridParams(2.5, 3.5, 6.0, 6.0, 1.0, 44.85319)
+        calls = []
+        descend = solver._descend
+
+        def counted(*args, **kwargs):
+            calls.append((args, kwargs, descend(*args, **kwargs)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(solver, "_descend", counted)
+        r = solve_hybrid(P, cfg)
+        firsts = [c for c in calls if c[1].get("paused") is None]
+        resumes = [c for c in calls if c[1].get("paused") is not None]
+        assert [c[2]["stop"] for c in firsts] == ["screened"] * 3
+        assert [c[2]["stop"] for c in resumes] == ["converged"] * 2
+        ends = [c[2] for c in resumes]
+        grid, pd = firsts[0][0][0], firsts[0][0][2]
+        assert _state_distance(grid, pd, P.mu, *ends) > 1.0
+        plane2 = [solver._mass(e["phi"][1:], e["q"][1:], grid.w_trapz,
+                               grid.w_trapz * pd["G"], pd["gl2"]) / P.mu for e in ends]
+        assert sorted(f > 0.9 for f in plane2) == [False, True]
+        resumed = {id(c[1]["paused"]) for c in resumes}
+        (skipped,) = [c for c in firsts if id(c[2]["paused"]) not in resumed]
+        whole = descend(*skipped[0])
+        assert whole["converged"]
+        joined = min(ends, key=lambda e: _state_distance(grid, pd, P.mu, whole, e))
+        assert _state_distance(grid, pd, P.mu, whole, joined) < 1e-6
+        assert rel(whole["energy"], joined["energy"]) < 1e-12
+        assert r.energy == min(e["energy"] for e in ends)
+
+
+class TestEntryValidation:
+    def test_infinite_mass_is_refused(self):
+        with pytest.raises(ValueError, match="finite"):
+            solve_planar(3.0, float("inf"))
+        with pytest.raises(ValueError, match="finite"):
+            solve_single(3.0, 0.0, float("inf"))
+        with pytest.raises(ValueError, match="finite"):
+            solve_hybrid(HybridParams(3.0, 3.0, 0.0, 0.0, float("inf"), 1.0))
+
+    def test_unscalable_start_names_the_mass(self):
+        # a subnormal mass passes validation; the start's mass underflows
+        with pytest.raises(ValueError, match="mass 1e-310"):
+            solve_planar(3.0, 1e-310, SolverConfig(N=256))
+
+
 class TestNewtonStep:
     """The endgame's Newton direction against a dense KKT solve whose
     Hessian is central differences of the kernel gradient."""
