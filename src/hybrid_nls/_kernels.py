@@ -30,21 +30,8 @@ scalar shared by all rows or a (k,) array with one power per row;
 ``p = None`` switches the nonlinear term off (no |u|^p pass, P = 0), so
 the energy is the quadratic form Q/2 alone.  ``sig_theta`` is sigma +
 theta, a scalar or one per row.  The cross-plane coupling -beta q_1 q_2
-is not part of a row and is left to the caller.
-
-Sign conventions of a row (phi has N+1 nodes, phi[N] = 0 is a Dirichlet
-value, node 0 is a ghost tied to node 1 and carries zero quadrature
-weight):
-
-* ``wG``     — the Green profile times the full trapezoid weights
-  (node 0 weight is 0), computed once by the caller;
-* ``w_in``   — trapezoid weights with the first cell removed (the
-  origin cell of |u|^p is handled by the log-adapted rule instead);
-* ``c``      — H^1 cell coefficients; cell 0 is excluded from the
-  stiffness sum because of the ghost tie;
-* ``w0``     — origin-cell quadrature weights, pi r_1^2 times the
-  log-adapted rule's weights;
-* ``g0``     — Green-kernel values at the origin-cell quadrature radii.
+is not part of a row and is left to the caller.  The plane arrays come
+in one :class:`hybrid_nls.energy.PlaneData` ``pd``; ``c`` is ``pd.grid.c_h1``.
 """
 
 from __future__ import annotations
@@ -59,7 +46,7 @@ def _exponent(p):
     return p[:, None] if getattr(p, "ndim", 0) else p
 
 
-def plane_energy(phi, q, G, p, lam, sig_theta, gl2, wG, w_in, c, w0, g0):
+def plane_energy(phi, q, p, sig_theta, pd):
     """Energy of each row, with the pieces its gradient is built from.
 
     Returns ``(energy, qform, pterm, pieces)``: ``energy`` =
@@ -70,45 +57,46 @@ def plane_energy(phi, q, G, p, lam, sig_theta, gl2, wG, w_in, c, w0, g0):
     is None).
     """
     d = phi[:, 1:] - phi[:, :-1]
-    mpg = phi @ wG
-    kin = (d[:, 1:] * d[:, 1:]) @ c[1:]
-    qform = kin - q * (2.0 * lam * mpg + q * (lam * gl2 - sig_theta))
+    mpg = phi @ pd.wG
+    kin = (d[:, 1:] * d[:, 1:]) @ pd.grid.c_h1[1:]
+    qform = kin - q * (2.0 * pd.lam * mpg + q * (pd.lam * pd.gl2 - sig_theta))
     if p is None:
         return 0.5 * qform, qform, np.zeros(len(q)), (d, mpg, None, None)
     pe = _exponent(p) - 2.0
-    u = phi + q[:, None] * G
+    u = phi + q[:, None] * pd.G
     s = np.abs(u)
     s **= pe  # the point's one power pass
     s *= u
-    u0 = phi[:, 1:2] + q[:, None] * g0
+    u0 = phi[:, 1:2] + q[:, None] * pd.g0
     s0 = np.abs(u0) ** pe * u0
     u *= s  # |u|^p, in place: no further (k, n) temporary
-    pterm = u @ w_in + (s0 * u0) @ w0
+    pterm = u @ pd.w_in + (s0 * u0) @ pd.w0
     return 0.5 * qform - pterm / p, qform, pterm, (d, mpg, s, s0)
 
 
-def plane_energy_grad(q, pieces, G, p, lam, sig_theta, gl2, wG, w_in, c, w0,
-                      g0, gphi):
+def plane_energy_grad(q, pieces, sig_theta, pd, gphi):
     """Exact partial derivatives of each row at the point ``pieces`` of
     :func:`plane_energy` came from (charges ``q``).
 
     Fills ``gphi`` (same shape as phi) with dE/dphi_j for the interior
     nodes 1..N-1 (ghost and Dirichlet entries are set to 0) and returns
     ``(gq, dmq)`` with ``gq`` = dE/dq excluding any cross-plane coupling
-    and ``dmq`` = dmass/dq.  Takes the arguments of ``plane_energy``
-    after the state; ``p`` is not read, since ``pieces`` holds s.
+    and ``dmq`` = dmass/dq.  ``sig_theta`` and ``pd`` are those of
+    the ``plane_energy`` call; no power is needed, since ``pieces``
+    holds s.
     """
     d, mpg, s, s0 = pieces
-    gphi[:] = (-lam * q)[:, None] * wG
-    half_dmq = mpg + q * gl2
+    lam, w0 = pd.lam, pd.w0
+    gphi[:] = (-lam * q)[:, None] * pd.wG
+    half_dmq = mpg + q * pd.gl2
     gq = q * sig_theta - lam * half_dmq
     if s is not None:
-        ws = w_in * s
+        ws = pd.w_in * s
         gphi -= ws
         gphi[:, 1] -= s0 @ w0
-        gq = gq - ws @ G - (s0 * g0) @ w0
+        gq = gq - ws @ pd.G - (s0 * pd.g0) @ w0
 
-    t = c * d
+    t = pd.grid.c_h1 * d
     t[:, 0] = 0.0  # cell 0 carries no stiffness (ghost tie)
     gphi[:, 1:] += t
     gphi[:, :-1] -= t

@@ -22,6 +22,10 @@ The central objects are
 minimized over the mass sphere |u_1|^2 + |u_2|^2 = mu, and the action
 bookkeeping built from the same norm evaluations.
 
+What they read besides the state is one cached :class:`PlaneData` per
+(grid, lam); ``mass``, ``lp_power`` and ``q_form_sigma`` keep their own
+formulas as the reference the kernels are tested against.
+
 Gradients returned by :func:`grad_f_hybrid` live in the flat
 L^2 x R metric (a profile direction per plane plus a charge scalar);
 the pairing with a tangent direction v is
@@ -32,7 +36,7 @@ the pairing with a tangent direction v is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -67,6 +71,7 @@ __all__ = [
     "boundary_residual",
     "redecompose",
     "total_field",
+    "PlaneData",
     "plane_data",
 ]
 
@@ -167,37 +172,63 @@ class HybridGradient:
 # --------------------------------------------------------------------------
 # per-(grid, lam) precomputed arrays shared by every energy evaluation
 
-_PLANE_CACHE: dict[tuple, dict] = {}
 
+@dataclass(frozen=True, eq=False)
+class PlaneData:
+    """Green profile, origin-cell rule and weights of one (grid, lam).
 
-def plane_data(grid: RadialGrid, lam: float) -> dict:
-    """Green profile, origin-cell kernel values and weights for one rate.
+    What the kernels in :mod:`hybrid_nls._kernels` and the solver read
+    besides the state; built by :func:`plane_data`, arrays read-only.
+    Node 0 is a ghost tied to node 1 and carries zero quadrature weight,
+    node N is a Dirichlet value, and the H^1 cell coefficients are
+    ``grid.c_h1`` (cell 0 is left out of the stiffness sum because of
+    the ghost tie).
 
-    Cached per (grid signature, lam).  The returned dict is read-only by
-    convention and is consumed by the kernels in :mod:`hybrid_nls._kernels`.
+    * ``theta``, ``gl2``, ``G`` — theta(lam), |G|^2 = 1/(4 pi lam) and
+      the Green profile of -Delta + lam on the nodes;
+    * ``wG``     — ``G`` times the full trapezoid weights ``grid.w_trapz``;
+    * ``w_in``   — trapezoid weights with the first cell removed (the
+      origin cell of |u|^p is handled by the log-adapted rule instead);
+    * ``w0``     — origin-cell quadrature weights ``area0 * lagw``: pi r_1^2
+      times the log-adapted rule's weights (``grid.origin_cell_rule``);
+    * ``g0``     — Green-kernel values at the origin-cell quadrature radii.
     """
+
+    grid: RadialGrid
+    lam: float
+    theta: float
+    gl2: float
+    G: np.ndarray = field(repr=False)
+    wG: np.ndarray = field(repr=False)
+    w_in: np.ndarray = field(repr=False)
+    g0: np.ndarray = field(repr=False)
+    lagw: np.ndarray = field(repr=False)
+    area0: float
+    w0: np.ndarray = field(repr=False)
+
+
+_PLANE_CACHE: dict[tuple, PlaneData] = {}
+
+
+def plane_data(grid: RadialGrid, lam: float) -> PlaneData:
+    """The :class:`PlaneData` of ``grid`` at decomposition rate ``lam``,
+    cached: the same grid and lam get the same object back."""
     key = (grid.signature(), float(lam))
     hit = _PLANE_CACHE.get(key)
-    if hit is not None and hit["grid"] is grid:
+    if hit is not None and hit.grid is grid:
         return hit
     G = green_profile(lam, grid.r)
     z, lagw, area0 = origin_cell_rule(grid)
     radii0 = grid.r[1] * np.exp(-z / 2.0)
-    g0 = green_profile(lam, radii0)
     w_in = grid.w_trapz.copy()
     w_in[1] -= np.pi * grid.r[1] * grid.h[0]  # first cell handled by log rule
     w_in[0] = 0.0
-    data = {
-        "grid": grid,
-        "lam": float(lam),
-        "theta": theta(lam),
-        "G": G,
-        "g0": g0,
-        "lagw": lagw,
-        "area0": area0,
-        "w_in": w_in,
-        "gl2": green_l2_norm_sq(lam),
-    }
+    data = PlaneData(grid=grid, lam=float(lam), theta=theta(lam),
+                     gl2=green_l2_norm_sq(lam), G=G, wG=grid.w_trapz * G,
+                     w_in=w_in, g0=green_profile(lam, radii0), lagw=lagw,
+                     area0=area0, w0=area0 * lagw)
+    for arr in (data.G, data.wG, data.w_in, data.g0, data.w0):
+        arr.flags.writeable = False
     if len(_PLANE_CACHE) > 64:
         _PLANE_CACHE.clear()
     _PLANE_CACHE[key] = data
@@ -214,18 +245,18 @@ def mass(u: ChargedField) -> float:
     phi = u.phi.values
     w = u.grid.w_trapz
     mpp = float(w @ (phi * phi))
-    mpg = float(w @ (phi * pd["G"]))
-    return mpp + 2.0 * u.q * mpg + u.q * u.q * pd["gl2"]
+    mpg = float(w @ (phi * pd.G))
+    return mpp + 2.0 * u.q * mpg + u.q * u.q * pd.gl2
 
 
 def lp_power(u: ChargedField, p: float) -> float:
     """|u|_p^p of the total field, origin cell by the log-adapted rule."""
     pd = plane_data(u.grid, u.lam)
     phi = u.phi.values
-    total = phi + u.q * pd["G"]
-    val = float(pd["w_in"] @ np.abs(total) ** p)
-    u0 = phi[1] + u.q * pd["g0"]
-    return val + pd["area0"] * float(pd["lagw"] @ np.abs(u0) ** p)
+    total = phi + u.q * pd.G
+    val = float(pd.w_in @ np.abs(total) ** p)
+    u0 = phi[1] + u.q * pd.g0
+    return val + pd.area0 * float(pd.lagw @ np.abs(u0) ** p)
 
 
 def q_form_sigma(u: ChargedField, sigma: float) -> float:
@@ -240,10 +271,10 @@ def q_form_sigma(u: ChargedField, sigma: float) -> float:
     d = np.diff(phi)
     kin = float(grid.c_h1 @ (d * d))
     w = grid.w_trapz
-    mpg = float(w @ (phi * pd["G"]))
+    mpg = float(w @ (phi * pd.G))
     # lam |phi|^2 - lam mass(u) collapses to the cross and charge terms
-    return (kin - 2.0 * u.lam * u.q * mpg - u.lam * u.q * u.q * pd["gl2"]
-            + u.q * u.q * (sigma + pd["theta"]))
+    return (kin - 2.0 * u.lam * u.q * mpg - u.lam * u.q * u.q * pd.gl2
+            + u.q * u.q * (sigma + pd.theta))
 
 
 def f_single(u: ChargedField, p: float, sigma: float) -> float:
@@ -271,12 +302,10 @@ def grad_f_hybrid(U: HybridState, P: HybridParams) -> HybridGradient:
     for u, sigma, p in ((U.u1, P.sigma1, P.p1), (U.u2, P.sigma2, P.p2)):
         pd = plane_data(grid, u.lam)
         q = np.array([u.q])
-        args = (pd["G"], p, u.lam, sigma + pd["theta"], pd["gl2"],
-                grid.w_trapz * pd["G"], pd["w_in"], grid.c_h1,
-                pd["area0"] * pd["lagw"], pd["g0"])
-        pieces = _kernels.plane_energy(u.phi.values[None], q, *args)[3]
+        sig_theta = sigma + pd.theta
+        pieces = _kernels.plane_energy(u.phi.values[None], q, p, sig_theta, pd)[3]
         gphi = np.empty((1, grid.n_nodes))  # the plane as a one-row stack
-        gq = float(_kernels.plane_energy_grad(q, pieces, *args, gphi)[0][0])
+        gq = float(_kernels.plane_energy_grad(q, pieces, sig_theta, pd, gphi)[0][0])
         d = np.zeros(grid.n_nodes)
         d[1:-1] = gphi[0, 1:-1] / grid.w_trapz[1:-1]
         d[0] = d[1]
@@ -346,10 +375,10 @@ def el_residual(U: HybridState, P: HybridParams, omega: float) -> float:
         pd = plane_data(u.grid, u.lam)
         phi = u.phi.values
         lap = radial_laplacian(u.phi).values
-        total = phi + u.q * pd["G"]
+        total = phi + u.q * pd.G
         s = np.abs(total) ** (p - 2.0) * total
         term_a = -lap + omega * phi
-        term_b = (omega - u.lam) * u.q * pd["G"]
+        term_b = (omega - u.lam) * u.q * pd.G
         resid = term_a + term_b - s
         norm = math.sqrt(float(w[sel] @ (resid[sel] * resid[sel])))
         scale = sum(
@@ -396,4 +425,4 @@ def redecompose(u: ChargedField, lam_new: float) -> ChargedField:
 def total_field(u: ChargedField) -> RadialField:
     """phi + q G sampled on the nodes (origin entry is a placeholder)."""
     pd = plane_data(u.grid, u.lam)
-    return RadialField(u.grid, u.phi.values + u.q * pd["G"])
+    return RadialField(u.grid, u.phi.values + u.q * pd.G)

@@ -38,7 +38,7 @@ __all__ = [
     "RadialField",
     "make_grid",
     "first_cell",
-    "check_first_cell",
+    "check_mesh",
     "eval_at_origin",
     "radial_laplacian",
     "origin_cell_rule",
@@ -102,9 +102,16 @@ def first_cell(R: float, n: int, g: float) -> float:
     return R / span
 
 
-def check_first_cell(R: float, n: int, g: float) -> None:
-    """Raise ValueError when make_grid(R, n, g)'s first cell squares
-    below the smallest normal double."""
+def check_mesh(R: float, n: int, g: float) -> None:
+    """Raise ValueError unless make_grid(R, n, g) can be built: R finite
+    and > 0, at least 64 cells, g in [1, 2), and a first cell whose
+    square is a normal double."""
+    if not 0.0 < R < math.inf:
+        raise ValueError(f"R must be finite and > 0, got {R}")
+    if n < 64:
+        raise ValueError(f"need at least 64 cells, got {n}")
+    if not 1.0 <= g < 2.0:
+        raise ValueError(f"grading ratio must be in [1, 2), got {g}")
     h0 = first_cell(R, n, g)
     if not h0 * h0 >= sys.float_info.min:
         raise ValueError(
@@ -133,13 +140,7 @@ def make_grid(R: float, n: int, grading: float = 1.01) -> RadialGrid:
     R = float(R)
     n = int(n)
     grading = float(grading)
-    if not 0.0 < R < math.inf:
-        raise ValueError(f"R must be finite and > 0, got {R}")
-    if n < 64:
-        raise ValueError(f"need at least 64 cells, got {n}")
-    if not 1.0 <= grading < 2.0:
-        raise ValueError(f"grading ratio must be in [1, 2), got {grading}")
-    check_first_cell(R, n, grading)
+    check_mesh(R, n, grading)
 
     m = n // 2
     if grading == 1.0:

@@ -80,6 +80,7 @@ from .energy import (
     ChargedField,
     HybridParams,
     HybridState,
+    PlaneData,
     _state_pieces,
     boundary_residual,
     el_residual,
@@ -90,7 +91,7 @@ from .energy import (
 from .grid import (
     RadialField,
     RadialGrid,
-    check_first_cell,
+    check_mesh,
     first_cell,
     make_grid,
 )
@@ -166,13 +167,7 @@ class SolverConfig:
     starts: tuple[float, ...] = (0.1, 0.5, 0.9)
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.R < math.inf:
-            raise ValueError(f"R must be finite and > 0, got {self.R}")
-        if self.N < 64:
-            raise ValueError(f"N must be at least 64, got {self.N}")
-        if not 1.0 <= self.grading < 2.0:
-            raise ValueError(f"grading must lie in [1, 2), got {self.grading}")
-        check_first_cell(self.R, self.N, self.grading)
+        check_mesh(self.R, self.N, self.grading)
         if not self.grad_tol > 0:
             raise ValueError(f"grad_tol must be > 0, got {self.grad_tol}")
         if self.max_iters < 1:
@@ -287,11 +282,10 @@ def _grid_for(lam: float, cfg: SolverConfig) -> RadialGrid:
     return make_grid(cfg.R, cfg.N, _auto_grading(cfg.R, cfg.N, cfg.grading, lam))
 
 
-def _setup(rate: float, cfg: SolverConfig) -> tuple[RadialGrid, float, dict]:
-    """Grid, decomposition rate and plane data for the linear level ``rate``."""
+def _setup(rate: float, cfg: SolverConfig) -> PlaneData:
+    """Plane data (grid and decomposition rate) for the linear level ``rate``."""
     lam = max(_RATE_MARGIN * rate, (16.0 / cfg.R) ** 2)
-    grid = _grid_for(lam, cfg)
-    return grid, lam, plane_data(grid, lam)
+    return plane_data(_grid_for(lam, cfg), lam)
 
 
 # ----------------------------------------------------------------------
@@ -383,7 +377,7 @@ def _linear_solver(
     return solve
 
 
-def _newton_solver(grid, pd, phi, q, p, omega, sigmas, beta):
+def _newton_solver(pd, phi, q, p, omega, sigmas, beta):
     """Factor the Hessian of E + (omega/2)*mass at the state (phi, q).
 
     The descent's Newton step.  Same unknowns, layout and call as
@@ -409,7 +403,7 @@ def _newton_solver(grid, pd, phi, q, p, omega, sigmas, beta):
     """
     k, n = phi.shape
     nin = n - 2
-    w, cu, G, lam = grid.w_trapz, grid.c_h1, pd["G"], pd["lam"]
+    w, cu, G, lam = pd.grid.w_trapz, pd.grid.c_h1, pd.G, pd.lam
     charged = sigmas is not None
     stride = nin + (1 if charged else 0)
     live = (phi[:, 1:-1] != 0.0).any(axis=0)
@@ -419,19 +413,19 @@ def _newton_solver(grid, pd, phi, q, p, omega, sigmas, beta):
     last = min(int(nz[-1]) + 1 if nz.size else 0, nin - 1)
     m = nin
     if omega > 0.0 and last < nin - 1:
-        nats = np.cumsum(2.0 * np.arcsinh(0.5 * math.sqrt(omega) * grid.h[last + 1:-1]))
+        nats = np.cumsum(2.0 * np.arcsinh(0.5 * math.sqrt(omega) * pd.grid.h[last + 1:-1]))
         m = min(nin, last + 2 + int(np.searchsorted(nats, _CUT_NATS)))
 
     # curvature of the |u|^p term, weights included: (p-1)|u|^(p-2) w
-    g0 = pd["g0"]
+    g0 = pd.g0
     u = phi + q[:, None] * G
     u0 = phi[:, 1:2] + q[:, None] * g0
     if p is None:
         a, a0 = np.zeros_like(u), np.zeros_like(u0)
     else:
         pm = _exponent(p)
-        a = (pm - 1.0) * np.abs(u) ** (pm - 2.0) * pd["w_in"]
-        a0 = (pm - 1.0) * np.abs(u0) ** (pm - 2.0) * (pd["area0"] * pd["lagw"])
+        a = (pm - 1.0) * np.abs(u) ** (pm - 2.0) * pd.w_in
+        a0 = (pm - 1.0) * np.abs(u0) ** (pm - 2.0) * pd.w0
     sl = slice(1, m + 1)
     diag = omega * w[sl] + cu[1:m + 1] - a[:, sl]
     diag[:, 1:] += cu[1:m]
@@ -449,11 +443,11 @@ def _newton_solver(grid, pd, phi, q, p, omega, sigmas, beta):
         return x.T.reshape(r, k, m)
 
     if charged:
-        border = (omega - lam) * (w * G)[sl] - a[:, sl] * G[sl]
+        border = (omega - lam) * pd.wG[sl] - a[:, sl] * G[sl]
         border[:, 0] -= (a0 * g0).sum(axis=1)
         cblock = -beta * (1.0 - np.eye(k))
         cblock[np.diag_indices(k)] = (
-            pd["theta"] + np.asarray(sigmas) + (omega - lam) * pd["gl2"]
+            pd.theta + np.asarray(sigmas) + (omega - lam) * pd.gl2
             - (a * G * G).sum(axis=1) - (a0 * g0 * g0).sum(axis=1))
         ycol = tri_solve(np.eye(k)[:, :, None] * border)  # A^-1 of each border
         try:
@@ -506,11 +500,10 @@ def omega_star_grid(P: HybridParams, cfg: SolverConfig | None = None) -> float:
     descent stops unconverged.
     """
     cfg = cfg if cfg is not None else SolverConfig()
-    grid, lam, pd = _setup(omega_star(P), cfg)
+    pd = _setup(omega_star(P), cfg)
     sigmas = (P.sigma1, P.sigma2)
-    phi, q = _initial_guess(grid, pd, sigmas, P.beta, 1.0, 0.5,
-                            lam / _RATE_MARGIN)
-    run = _descend(grid, lam, pd, None, sigmas, P.beta, 1.0, cfg, phi, q)
+    phi, q = _initial_guess(pd, sigmas, P.beta, 1.0, 0.5)
+    run = _descend(pd, None, sigmas, P.beta, 1.0, cfg, phi, q)
     if not run["converged"]:
         raise RuntimeError(
             f"linear descent stopped unconverged ({run['stop']}) after "
@@ -523,19 +516,19 @@ def omega_star_grid(P: HybridParams, cfg: SolverConfig | None = None) -> float:
 # descent engine
 
 
-def _initial_guess(grid, pd, sigmas, beta, mu, start, omega_ref):
+def _initial_guess(pd, sigmas, beta, mu, start):
     """Gaussian profiles with matched charges, one row per plane.
 
     Each profile carries its plane's share of the mass; ``_descend``
     rescales the start onto the sphere.  ``sigmas`` None is the
     chargeless planar problem.
     """
+    grid = pd.grid
     w = grid.w_trapz
     charged = sigmas is not None
     k = len(sigmas) if charged else 1
-    width0 = 1.0
-    if charged and omega_ref > 0.0:
-        width0 = min(1.0, 2.5 / math.sqrt(omega_ref))
+    # a charged start fits the linear level lam / _RATE_MARGIN of _setup
+    width0 = min(1.0, 2.5 / math.sqrt(pd.lam / _RATE_MARGIN)) if charged else 1.0
     if k == 1:
         widths = np.array([width0 * (0.5 + start)])
         masses = np.array([mu])
@@ -552,7 +545,7 @@ def _initial_guess(grid, pd, sigmas, beta, mu, start, omega_ref):
 
     q = np.zeros(k)
     if charged:
-        th = pd["theta"]
+        th = pd.theta
         if k == 1:
             denom = sigmas[0] + th
             sol = np.array([peaks[0] / denom if denom > 1e-12 else -1.0])
@@ -566,9 +559,10 @@ def _initial_guess(grid, pd, sigmas, beta, mu, start, omega_ref):
     return phi, q
 
 
-def _mass(phi, q, w, wG, gl2):
+def _mass(phi, q, pd):
     """Mass of the plane-batched state (phi, q), summed over the planes."""
-    return float(phi.ravel() @ (phi * w).ravel() + q @ (2.0 * (phi @ wG) + gl2 * q))
+    return float(phi.ravel() @ (phi * pd.grid.w_trapz).ravel()
+                 + q @ (2.0 * (phi @ pd.wG) + pd.gl2 * q))
 
 
 def _tangent_direction(solve, flat):
@@ -586,8 +580,7 @@ def _tangent_direction(solve, flat):
     return (pvec, slope) if slope > 0.0 and np.isfinite(slope) else None
 
 
-def _descend(grid, lam, pd, p, sigmas, beta, mu, cfg, phi, q,
-             screen=False, paused=None):
+def _descend(pd, p, sigmas, beta, mu, cfg, phi, q, screen=False, paused=None):
     """Projected descent from one start, with a Newton endgame; returns a
     run dict.
 
@@ -639,25 +632,22 @@ def _descend(grid, lam, pd, p, sigmas, beta, mu, cfg, phi, q,
     """
     k, n = phi.shape
     nin = n - 2
+    grid, th = pd.grid, pd.theta
     w = grid.w_trapz
-    G, gl2, th = pd["G"], pd["gl2"], pd["theta"]
     charged = sigmas is not None
     stride = nin + (1 if charged else 0)
     sig_theta = th + (np.array(sigmas) if charged else 0.0)
-    wG = w * G
-    args = (G, p, lam, sig_theta, gl2, wG, pd["w_in"], grid.c_h1,
-            pd["area0"] * pd["lagw"], pd["g0"])
     # W metric of the flat (plane, node-or-charge) layout; the gradient
     # covectors are paired in its inverse
     winv = np.tile(np.append(1.0 / w[1:-1], np.ones(stride - nin)), k)
-    w2, Gin = 2.0 * w[1:-1], G[1:-1]
+    w2, Gin = 2.0 * w[1:-1], pd.G[1:-1]
 
     def coupling(q_):
         return beta * q_[0] * q_[1] if k == 2 else 0.0
 
     def evaluate(phi_, q_):
         # energy, Q, |u|^p integral and gradient pieces of one point
-        e, qf, pt, pieces_ = plane_energy(phi_, q_, *args)
+        e, qf, pt, pieces_ = plane_energy(phi_, q_, p, sig_theta, pd)
         return float(e.sum()) - coupling(q_), qf, pt, pieces_
 
     def retract(phi_, q_):
@@ -665,7 +655,7 @@ def _descend(grid, lam, pd, p, sigmas, beta, mu, cfg, phi, q,
         phi_[:, 0] = phi_[:, 1]
         phi_[:, -1] = 0.0
         q_ = np.maximum(q_, 0.0)
-        mt = _mass(phi_, q_, w, wG, gl2)
+        mt = _mass(phi_, q_, pd)
         if not mt > 1e-300:
             return None
         c = math.sqrt(mu / mt)
@@ -677,7 +667,7 @@ def _descend(grid, lam, pd, p, sigmas, beta, mu, cfg, phi, q,
             raise ValueError(
                 f"cannot scale the start onto the sphere of mass {mu!r}")
         phi, q = start
-        shift, step, stall, since_factor, first = lam, _STEP_SIZE, 0, 0, 1
+        shift, step, stall, since_factor, first = pd.lam, _STEP_SIZE, 0, 0, 1
         recent, newton, newton_iters = (), False, 0
     else:
         (shift, step, stall, since_factor, first,
@@ -694,7 +684,7 @@ def _descend(grid, lam, pd, p, sigmas, beta, mu, cfg, phi, q,
     pg_norm = math.inf
 
     for iterations in range(first, cfg.max_iters + 1):
-        gq, dmq = plane_energy_grad(q, pieces, *args, gphi)
+        gq, dmq = plane_energy_grad(q, pieces, sig_theta, pd, gphi)
         # drop the pieces here: only the line search's latest trial keeps any
         pieces = point = None
         rhs[0, :, :nin] = gphi[:, 1:-1]
@@ -740,7 +730,7 @@ def _descend(grid, lam, pd, p, sigmas, beta, mu, cfg, phi, q,
         if newton:
             try:
                 found = _tangent_direction(_newton_solver(
-                    grid, pd, phi, q, p, omega_hat, sigmas, beta), flat)
+                    pd, phi, q, p, omega_hat, sigmas, beta), flat)
             except ArithmeticError:
                 pass
         s_try = 1.0 if found else step * _STEP_GROW
@@ -805,7 +795,7 @@ def _lowest(runs: list[dict]) -> dict:
     return next((r for r in runs if r["energy"] - e <= _TIE * abs(e)), best)
 
 
-def _solve_on_grid(grid, lam, pd, p, sigmas, beta, mu, cfg):
+def _solve_on_grid(pd, p, sigmas, beta, mu, cfg):
     """Screened multistart over ``cfg.starts``; returns the ``_lowest``
     of the finished runs.
 
@@ -823,16 +813,13 @@ def _solve_on_grid(grid, lam, pd, p, sigmas, beta, mu, cfg):
     wrong state of (2.87, 2.919, 1.784, 1.116, 0.547, 0.556) once the
     screen is 1e5.
     """
-    w = grid.w_trapz
-    wG, gl2 = w * pd["G"], pd["gl2"]
-    runs = [_descend(grid, lam, pd, p, sigmas, beta, mu, cfg,
-                     *_initial_guess(grid, pd, sigmas, beta, mu, s,
-                                     lam / _RATE_MARGIN), screen=True)
+    runs = [_descend(pd, p, sigmas, beta, mu, cfg,
+                     *_initial_guess(pd, sigmas, beta, mu, s), screen=True)
             for s in cfg.starts]
     finished = []
 
     def near(run, done):
-        dm = _mass(run["phi"] - done["phi"], run["q"] - done["q"], w, wG, gl2)
+        dm = _mass(run["phi"] - done["phi"], run["q"] - done["q"], pd)
         return math.sqrt(max(dm, 0.0) / mu) <= _DUPLICATE
 
     for i in sorted((i for i, r in enumerate(runs) if r["stop"] == "screened"),
@@ -840,8 +827,8 @@ def _solve_on_grid(grid, lam, pd, p, sigmas, beta, mu, cfg):
         run = runs[i]
         if any(near(run, done) for done in finished):
             continue
-        runs[i] = _descend(grid, lam, pd, p, sigmas, beta, mu, cfg,
-                           run["phi"], run["q"], paused=run["paused"])
+        runs[i] = _descend(pd, p, sigmas, beta, mu, cfg, run["phi"], run["q"],
+                           paused=run["paused"])
         finished.append(runs[i])
     return _lowest([r for r in runs if r["stop"] != "screened"])
 
@@ -864,9 +851,10 @@ def _sample_profiles(grid, u1, u2) -> dict[str, list[float]]:
     }
 
 
-def _build_report(grid, lam, run, P, plane=None, *, vertex=True):
+def _build_report(pd, run, P, plane=None, *, vertex=True):
     """Report of a descent run.  A one-plane run fills ``plane`` and
     leaves the other plane exactly empty."""
+    grid, lam = pd.grid, pd.lam
     fields = [ChargedField(RadialField(grid, f), q, lam)
               for f, q in zip(run["phi"], run["q"])]
     if plane is not None:
@@ -905,11 +893,9 @@ def solve_planar(p: float, mu: float, cfg: SolverConfig | None = None) -> Ground
     """
     cfg = cfg if cfg is not None else SolverConfig()
     P = HybridParams(p, p, 0.0, 0.0, 0.0, mu)
-    lam = 1.0
-    grid = _grid_for(lam, cfg)
-    pd = plane_data(grid, lam)
-    run = _solve_on_grid(grid, lam, pd, p, None, 0.0, mu, cfg)
-    return _build_report(grid, lam, run, P, 0, vertex=False)
+    pd = plane_data(_grid_for(1.0, cfg), 1.0)
+    run = _solve_on_grid(pd, p, None, 0.0, mu, cfg)
+    return _build_report(pd, run, P, 0, vertex=False)
 
 
 def solve_single(p: float, sigma: float, mu: float,
@@ -919,19 +905,18 @@ def solve_single(p: float, sigma: float, mu: float,
     if not math.isfinite(sigma):
         raise ValueError("sigma must be finite")
     P = HybridParams(p, p, sigma, 0.0, 0.0, mu)
-    grid, lam, pd = _setup(lambda_for_theta(-sigma), cfg)
-    run = _solve_on_grid(grid, lam, pd, p, (sigma,), 0.0, mu, cfg)
-    return _build_report(grid, lam, run, P, 0)
+    pd = _setup(lambda_for_theta(-sigma), cfg)
+    run = _solve_on_grid(pd, p, (sigma,), 0.0, mu, cfg)
+    return _build_report(pd, run, P, 0)
 
 
 def _solve_two_plane(P: HybridParams, cfg: SolverConfig) -> GroundStateReport:
     """Multi-start over the configured mass splits; the lowest run wins."""
-    grid, lam, pd = _setup(omega_star(P), cfg)
+    pd = _setup(omega_star(P), cfg)
     # equal powers stay one scalar, which keeps the kernels' fast paths
     p = P.p1 if P.p1 == P.p2 else np.array([P.p1, P.p2])
-    best = _solve_on_grid(grid, lam, pd, p, (P.sigma1, P.sigma2), P.beta,
-                          P.mu, cfg)
-    return _build_report(grid, lam, best, P)
+    best = _solve_on_grid(pd, p, (P.sigma1, P.sigma2), P.beta, P.mu, cfg)
+    return _build_report(pd, best, P)
 
 
 def solve_hybrid(P: HybridParams, cfg: SolverConfig | None = None) -> GroundStateReport:
@@ -955,13 +940,13 @@ def solve_hybrid(P: HybridParams, cfg: SolverConfig | None = None) -> GroundStat
     cfg = cfg if cfg is not None else SolverConfig()
     if P.beta != 0.0:
         return _solve_two_plane(P, cfg)
-    grid, lam, pd = _setup(omega_star(P), cfg)
-    singles = [_solve_on_grid(grid, lam, pd, pi, (si,), 0.0, P.mu, cfg)
+    pd = _setup(omega_star(P), cfg)
+    singles = [_solve_on_grid(pd, pi, (si,), 0.0, P.mu, cfg)
                for pi, si in ((P.p1, P.sigma1), (P.p2, P.sigma2))]
     i = 0 if _lowest(singles) is singles[0] else 1
     e1, e2 = singles[0]["energy"], singles[1]["energy"]
     if abs(e1 - e2) > 1e-6 * max(1.0, abs(e1)):
-        return _build_report(grid, lam, singles[i], P, i)
-    branches = tuple(_build_report(grid, lam, run, P, j)
+        return _build_report(pd, singles[i], P, i)
+    branches = tuple(_build_report(pd, run, P, j)
                      for j, run in enumerate(singles))
     return dataclasses.replace(branches[i], branches=branches)

@@ -7,6 +7,7 @@ ghost tied to node 1 and the far-end node is pinned to zero, so test
 directions satisfy v[0] = v[1], v[-1] = 0.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -331,18 +332,11 @@ class TestResiduals:
         assert np.isfinite(el_residual(U, P, 1.0))
 
 
-def kernel_args(grid, lam, p, sig_theta):
-    """The kernels' arguments after the state (phi, q)."""
-    pd = plane_data(grid, lam)
-    return (pd["G"], p, lam, sig_theta, pd["gl2"], grid.w_trapz * pd["G"],
-            pd["w_in"], grid.c_h1, pd["area0"] * pd["lagw"], pd["g0"])
-
-
-def kernel_pair(phi, q, args):
+def kernel_pair(phi, q, p, sig_theta, pd):
     """Energy pieces of each row and the gradient built from them."""
-    energy, qform, pterm, pieces = _kernels.plane_energy(phi, q, *args)
+    energy, qform, pterm, pieces = _kernels.plane_energy(phi, q, p, sig_theta, pd)
     gphi = np.empty_like(phi)
-    gq = _kernels.plane_energy_grad(q, pieces, *args, gphi)[0]
+    gq = _kernels.plane_energy_grad(q, pieces, sig_theta, pd, gphi)[0]
     return energy, qform, pterm, gphi, gq
 
 
@@ -370,10 +364,9 @@ class TestKernelBackends:
     def test_rows_match_f_single(self, small_grid, ps, sigmas, beta):
         k = len(ps)
         phi, q, fields = self.stack(small_grid, k, 12)
-        th = plane_data(small_grid, self.LAM)["theta"]
-        args = kernel_args(small_grid, self.LAM, np.array(ps),
-                           np.array(sigmas) + th)
-        energy, qform, pterm, gphi, gq = kernel_pair(phi, q, args)
+        pd = plane_data(small_grid, self.LAM)
+        energy, qform, pterm, gphi, gq = kernel_pair(
+            phi, q, np.array(ps), np.array(sigmas) + pd.theta, pd)
         for i, u in enumerate(fields):
             # f_single, q_form_sigma and lp_power do not call the kernels
             assert energy[i] == pytest.approx(f_single(u, ps[i], sigmas[i]),
@@ -401,9 +394,9 @@ class TestKernelBackends:
     def test_nonlinear_term_off(self, small_grid):
         phi, q, fields = self.stack(small_grid, 2, 13)
         sigmas = np.array([0.3, -0.2])
-        th = plane_data(small_grid, self.LAM)["theta"]
-        args = kernel_args(small_grid, self.LAM, None, sigmas + th)
-        energy, qform, pterm, gphi, gq = kernel_pair(phi, q, args)
+        pd = plane_data(small_grid, self.LAM)
+        sig_theta = sigmas + pd.theta
+        energy, qform, pterm, gphi, gq = kernel_pair(phi, q, None, sig_theta, pd)
         for i, u in enumerate(fields):
             assert energy[i] == pytest.approx(
                 0.5 * q_form_sigma(u, sigmas[i]), rel=1e-12)
@@ -416,10 +409,31 @@ class TestKernelBackends:
                       for _ in range(2)])
         vq = rng.standard_normal(2)
         h = 1e-3
-        plus = _kernels.plane_energy(phi + h * v, q + h * vq, *args)[0]
-        minus = _kernels.plane_energy(phi - h * v, q - h * vq, *args)[0]
+        plus = _kernels.plane_energy(phi + h * v, q + h * vq, None, sig_theta, pd)[0]
+        minus = _kernels.plane_energy(phi - h * v, q - h * vq, None, sig_theta, pd)[0]
         slope = (gphi * v).sum(axis=1) + gq * vq
         np.testing.assert_allclose((plus - minus) / (2 * h), slope, rtol=1e-8)
+
+
+class TestPlaneData:
+    def test_same_object_per_grid_and_rate(self, small_grid):
+        pd = plane_data(small_grid, 2.0)
+        assert plane_data(small_grid, 2.0) is pd
+        assert plane_data(small_grid, 3.0) is not pd
+
+    def test_read_only(self, small_grid):
+        # the cache hands one object to every caller
+        pd = plane_data(small_grid, 2.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            pd.G = np.zeros_like(pd.G)
+        for name in ("G", "wG", "w_in", "g0", "lagw", "w0"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(pd, name)[1] = 0.0
+
+    def test_folded_weights_are_the_products(self, small_grid):
+        pd = plane_data(small_grid, 2.0)
+        np.testing.assert_array_equal(pd.wG, small_grid.w_trapz * pd.G)
+        np.testing.assert_array_equal(pd.w0, pd.area0 * pd.lagw)
 
 
 class TestTotalField:
@@ -428,5 +442,5 @@ class TestTotalField:
         U = random_state(small_grid, rng)
         tf = total_field(U.u1)
         pd = plane_data(small_grid, U.u1.lam)
-        expected = U.u1.phi.values + U.u1.q * pd["G"]
+        expected = U.u1.phi.values + U.u1.q * pd.G
         np.testing.assert_allclose(tf.values, expected, rtol=1e-14)

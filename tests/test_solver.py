@@ -52,7 +52,7 @@ from hybrid_nls.solver import (
     solve_single,
 )
 
-from test_energy import kernel_args, random_state
+from test_energy import random_state
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -533,24 +533,22 @@ class TestDescentHandoff:
             self, p, sigmas, beta):
         cfg = SolverConfig(N=512)
         s1, s2 = (sigmas * 2)[:2]
-        grid, lam, pd = solver._setup(
+        pd = solver._setup(
             omega_star(HybridParams(3.0, 3.0, s1, s2, beta, 1.0)), cfg)
-        start = solver._initial_guess(grid, pd, sigmas, beta, 1.0, 0.5,
-                                      lam / _RATE_MARGIN)
-        run = solver._descend(grid, lam, pd, p, sigmas, beta, 1.0, cfg, *start)
+        start = solver._initial_guess(pd, sigmas, beta, 1.0, 0.5)
+        run = solver._descend(pd, p, sigmas, beta, 1.0, cfg, *start)
         assert run["converged"] and run["iterations"] > 2
         phi, q = run["phi"], run["q"]
-        args = kernel_args(grid, lam, p, pd["theta"] + np.array(sigmas))
-        energy = _kernels.plane_energy(phi, q, *args)[0]
+        energy = _kernels.plane_energy(
+            phi, q, p, pd.theta + np.array(sigmas), pd)[0]
         coupling = beta * q[0] * q[1] if len(q) == 2 else 0.0
         assert float(energy.sum()) - coupling == run["energy"]
 
 
 
-def _state_distance(grid, pd, mu, a, b):
+def _state_distance(pd, mu, a, b):
     """sqrt(mass(U_a - U_b) / mu) of two runs' plane-batched states."""
-    w = grid.w_trapz
-    dm = solver._mass(a["phi"] - b["phi"], a["q"] - b["q"], w, w * pd["G"], pd["gl2"])
+    dm = solver._mass(a["phi"] - b["phi"], a["q"] - b["q"], pd)
     return math.sqrt(max(dm, 0.0) / mu)
 
 
@@ -574,16 +572,13 @@ class TestScreenedMultistart:
     def test_resume_continues_the_run_exactly(self, p, sigmas, beta, mu, start):
         cfg = SolverConfig(N=512)
         if sigmas is None:
-            lam = 1.0
-            grid = _grid_for(lam, cfg)
-            pd = plane_data(grid, lam)
+            pd = plane_data(_grid_for(1.0, cfg), 1.0)
         else:
             s1, s2 = (sigmas * 2)[:2]
-            grid, lam, pd = solver._setup(
+            pd = solver._setup(
                 omega_star(HybridParams(3.0, 3.0, s1, s2, beta, mu)), cfg)
-        guess = solver._initial_guess(grid, pd, sigmas, beta, mu, start,
-                                      lam / _RATE_MARGIN)
-        args = (grid, lam, pd, p, sigmas, beta, mu, cfg)
+        guess = solver._initial_guess(pd, sigmas, beta, mu, start)
+        args = (pd, p, sigmas, beta, mu, cfg)
         whole = solver._descend(*args, *guess)
         paused = solver._descend(*args, *guess, screen=True)
         assert paused["stop"] == "screened" and not paused["converged"]
@@ -624,8 +619,8 @@ class TestScreenedMultistart:
                        run(3, base, -0.5, stop="stalled")])
         finished = []
 
-        def fake(grid_, lam_, pd_, p_, sigmas_, beta_, mu_, cfg_, phi, q,
-                 screen=False, paused=None):
+        def fake(pd_, p_, sigmas_, beta_, mu_, cfg_, phi, q, screen=False,
+                 paused=None):
             if paused is None:
                 assert screen
                 return next(starts)
@@ -635,7 +630,7 @@ class TestScreenedMultistart:
                     "paused": None}
 
         monkeypatch.setattr(solver, "_descend", fake)
-        best = solver._solve_on_grid(grid, 1.0, pd, 3.0, None, 0.0, 1.0, cfg)
+        best = solver._solve_on_grid(pd, 3.0, None, 0.0, 1.0, cfg)
         assert finished == [0, 2]  # lowest first; 1 joins 0, 3 was final
         assert best["energy"] == -4.0
 
@@ -667,17 +662,16 @@ class TestScreenedMultistart:
         assert [c[2]["stop"] for c in firsts] == ["screened"] * 3
         assert [c[2]["stop"] for c in resumes] == ["converged"] * 2
         ends = [c[2] for c in resumes]
-        grid, pd = firsts[0][0][0], firsts[0][0][2]
-        assert _state_distance(grid, pd, P.mu, *ends) > 1.0
-        plane2 = [solver._mass(e["phi"][1:], e["q"][1:], grid.w_trapz,
-                               grid.w_trapz * pd["G"], pd["gl2"]) / P.mu for e in ends]
+        pd = firsts[0][0][0]
+        assert _state_distance(pd, P.mu, *ends) > 1.0
+        plane2 = [solver._mass(e["phi"][1:], e["q"][1:], pd) / P.mu for e in ends]
         assert sorted(f > 0.9 for f in plane2) == [False, True]
         resumed = {id(c[1]["paused"]) for c in resumes}
         (skipped,) = [c for c in firsts if id(c[2]["paused"]) not in resumed]
         whole = descend(*skipped[0])
         assert whole["converged"]
-        joined = min(ends, key=lambda e: _state_distance(grid, pd, P.mu, whole, e))
-        assert _state_distance(grid, pd, P.mu, whole, joined) < 1e-6
+        joined = min(ends, key=lambda e: _state_distance(pd, P.mu, whole, e))
+        assert _state_distance(pd, P.mu, whole, joined) < 1e-6
         assert rel(whole["energy"], joined["energy"]) < 1e-12
         assert r.energy == min(e["energy"] for e in ends)
 
@@ -713,22 +707,18 @@ class TestNewtonStep:
         charged = sigmas is not None
         if charged:
             s1, s2 = (sigmas * 2)[:2]
-            grid, lam, pd = solver._setup(
+            pd = solver._setup(
                 omega_star(HybridParams(3.0, 3.0, s1, s2, beta, 1.0)), cfg)
         else:
-            lam = 1.0
-            grid = _grid_for(lam, cfg)
-            pd = plane_data(grid, lam)
-        start = solver._initial_guess(grid, pd, sigmas, beta, 1.0, 0.5,
-                                      lam / _RATE_MARGIN)
-        run = solver._descend(grid, lam, pd, p, sigmas, beta, 1.0, cfg, *start)
+            pd = plane_data(_grid_for(1.0, cfg), 1.0)
+        start = solver._initial_guess(pd, sigmas, beta, 1.0, 0.5)
+        run = solver._descend(pd, p, sigmas, beta, 1.0, cfg, *start)
         phi, q = run["phi"], run["q"]
         k, n = phi.shape
         nin = n - 2
         stride = nin + charged
-        args = kernel_args(grid, lam, p,
-                           pd["theta"] + (np.array(sigmas) if charged else 0.0))
-        w, G = grid.w_trapz[1:-1], pd["G"][1:-1]
+        sig_theta = pd.theta + (np.array(sigmas) if charged else 0.0)
+        w, G = pd.grid.w_trapz[1:-1], pd.G[1:-1]
 
         def covectors(x):
             """Energy and mass gradients at the flat unknowns x, and omega."""
@@ -737,9 +727,9 @@ class TestNewtonStep:
             ph[:, 1:-1] = x[:, :nin]
             ph[:, 0] = ph[:, 1]
             qq = x[:, nin].copy() if charged else np.zeros(k)
-            _, qform, pterm, pieces = _kernels.plane_energy(ph, qq, *args)
+            _, qform, pterm, pieces = _kernels.plane_energy(ph, qq, p, sig_theta, pd)
             gphi = np.empty((k, n))
-            gq, dmq = _kernels.plane_energy_grad(qq, pieces, *args, gphi)
+            gq, dmq = _kernels.plane_energy_grad(qq, pieces, sig_theta, pd, gphi)
             g, a = np.zeros((k, stride)), np.zeros((k, stride))
             g[:, :nin] = gphi[:, 1:-1]
             a[:, :nin] = 2.0 * w * (ph[:, 1:-1] + qq[:, None] * G)
@@ -770,7 +760,7 @@ class TestNewtonStep:
         kkt = np.block([[H, a[:, None]], [a[None, :], np.zeros((1, 1))]])
         dense = np.linalg.solve(kkt, np.append(g, 0.0))[:-1]
 
-        newton = solver._newton_solver(grid, pd, phi, q, p, omega, sigmas, beta)
+        newton = solver._newton_solver(pd, phi, q, p, omega, sigmas, beta)
         pvec, slope = solver._tangent_direction(newton, np.stack([g, a]))
         assert slope > 0.0
         # measured: 3e-11 (one plane), 5e-10 (two planes), 1e-12 (planar)
@@ -847,16 +837,16 @@ def dense_linear_matrix(grid, shift, th, sigmas, beta=0.0):
     return A
 
 
-def dense_mass_matrix(grid, pd):
+def dense_mass_matrix(pd):
     """Dense two-plane mass form in the layout of dense_linear_matrix:
     diag w on the interior nodes, w*G between them and the plane's
     charge, and the analytic |G|^2 on the charge."""
-    w = grid.w_trapz[1:-1]
+    w = pd.grid.w_trapz[1:-1]
     nin = w.size
     block = np.zeros((nin + 1, nin + 1))
     block[:nin, :nin] = np.diag(w)
-    block[:nin, nin] = block[nin, :nin] = w * pd["G"][1:-1]
-    block[nin, nin] = pd["gl2"]
+    block[:nin, nin] = block[nin, :nin] = w * pd.G[1:-1]
+    block[nin, nin] = pd.gl2
     return np.kron(np.eye(2), block)
 
 
@@ -875,8 +865,8 @@ class TestOmegaStarGridOracle:
         pd = plane_data(grid, lam)
         # (kinetic + lam*mass + charge block) - lam*mass is the form Q,
         # so the bottom of the pencil (A, M) is lam - omega_star_grid
-        A = dense_linear_matrix(grid, lam, pd["theta"], (s1, s2), beta)
-        M = dense_mass_matrix(grid, pd)
+        A = dense_linear_matrix(grid, lam, pd.theta, (s1, s2), beta)
+        M = dense_mass_matrix(pd)
         low = eigh(A, M, eigvals_only=True, subset_by_index=[0, 0])[0]
         assert rel(omega_star_grid(P, cfg), lam - low) < 1e-10
 
@@ -905,7 +895,7 @@ class TestLinearSolver:
         (None, 0.0), ((1.0,), 0.0), ((0.5, 1.5), 0.0), ((0.5, 1.5), 0.4)])
     def test_matches_dense_solve(self, n, sigmas, beta):
         grid = make_grid(40.0, n, 1.01)
-        th = plane_data(grid, self.LAM)["theta"]
+        th = plane_data(grid, self.LAM).theta
         shift = 0.3 * self.LAM  # the descent refactors away from lam
         A = dense_linear_matrix(grid, shift, th, sigmas, beta)
         rhs = np.random.default_rng(n).standard_normal((2, A.shape[0]))

@@ -20,7 +20,11 @@ converged final states.
 
 The starts are seen by wrapping ``solver._solve_on_grid`` and
 ``solver._descend``: the calls without ``paused`` are the starts, in
-order, and a call with it continues the start that returned it.  Run
+order, and a call with it continues the start that returned it.  The
+distances are the tree's own batched mass, ``solver._mass``.  Both
+wrappers and that call use the signatures in which the solver's
+internals take one ``PlaneData`` in place of the grid, the rate and the
+plane arrays, so the census measures trees from that change on.  Run
 the census once per tree, one process each:
 
     OPENBLAS_NUM_THREADS=1 python tools/iteration_census.py --label change
@@ -82,16 +86,13 @@ def _commit(src: Path) -> str | None:
     return head + ("-dirty" if dirty else "")
 
 
-def _distance(grid, pd, mu, a, b) -> float:
+def _distance(solver, pd, mu, a, b) -> float:
     """sqrt(mass(U_a - U_b) / mu) of two runs' plane-batched states."""
-    dphi, dq = a["phi"] - b["phi"], a["q"] - b["q"]
-    w = grid.w_trapz
-    dm = float(dphi.ravel() @ (dphi * w).ravel()
-               + dq @ (2.0 * (dphi @ (w * pd["G"])) + pd["gl2"] * dq))
+    dm = solver._mass(a["phi"] - b["phi"], a["q"] - b["q"], pd)
     return float(f"{math.sqrt(max(dm, 0.0) / mu):.4g}")
 
 
-def _starts(calls, grid, pd, mu) -> tuple[list[dict], float | None]:
+def _starts(calls, solver, pd, mu) -> tuple[list[dict], float | None]:
     """Per-start records of one multistart from its ``_descend`` calls,
     and the smallest distance between two of its converged final states."""
     firsts = [run for paused, run in calls if paused is None]
@@ -99,7 +100,7 @@ def _starts(calls, grid, pd, mu) -> tuple[list[dict], float | None]:
     finals = [resumed.get(id(run.get("paused")), run) for run in firsts]
 
     def dist(a, b):
-        return _distance(grid, pd, mu, a, b)
+        return _distance(solver, pd, mu, a, b)
 
     records = []
     for run, final in zip(firsts, finals):
@@ -128,10 +129,10 @@ def census(ops, hybrid_nls, solver) -> dict:
         calls.append((kwargs.get("paused"), run))
         return run
 
-    def multistart(grid, lam, pd, p, sigmas, beta, mu, cfg):
+    def multistart(pd, p, sigmas, beta, mu, cfg):
         calls.clear()
-        best = on_grid(grid, lam, pd, p, sigmas, beta, mu, cfg)
-        records, separation = _starts(calls, grid, pd, mu)
+        best = on_grid(pd, p, sigmas, beta, mu, cfg)
+        records, separation = _starts(calls, solver, pd, mu)
         starts.extend(records)
         separations.append(separation)
         return best
