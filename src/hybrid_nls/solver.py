@@ -44,10 +44,11 @@ iteration's gradient, multiplier estimate and convergence test, and are
 dropped once that gradient is assembled.
 
 Convergence is declared on the W-metric projected-gradient norm, scaled
-by max(1, |omega_hat| * sqrt(mu)) so that deep, tightly bound states are
-held to the same *relative* stationarity as shallow ones.  Every run
-records why it stopped (``stop``; the winner's is the report's
-``stop_reason``).
+by sqrt(mu) * max(1, |omega_hat|): the gradient grows with the state, as
+sqrt(mu), and with omega_hat, so small masses and deep, tightly bound
+states are held to the same *relative* stationarity as shallow ones at
+mass 1.  Every run records why it stopped (``stop``; the winner's is the
+report's ``stop_reason``).
 
 Each solve is a multistart over mass splits, and the starts mostly
 reach one state: on the benchmark's 640-solve warm pool only 12,560 of
@@ -588,7 +589,10 @@ def _descend(pd, p, sigmas, beta, mu, cfg, phi, q, screen=False, paused=None):
     (k, n), and ``q`` their charges, shape (k,).  ``sigmas`` is None for
     the chargeless planar problem, whose charge stays zero.  ``p`` is
     the power, one scalar or one per row; None switches the |u|^p term
-    off, and the descent then minimizes the linear energy Q/2.
+    off, and the descent then minimizes the linear energy Q/2.  The
+    start's tolerance is ``cfg.grad_tol`` on the projected-gradient norm
+    scaled by sqrt(mu) * max(1, |omega_hat|), the running multiplier
+    estimate; the rules below read that scaled norm.
 
     Each step starts as a preconditioned step: the linear-part solve is
     refactored with a mass shift that tracks the running multiplier
@@ -696,7 +700,7 @@ def _descend(pd, p, sigmas, beta, mu, cfg, phi, q, screen=False, paused=None):
         (gg, gm), (_, mm) = (flat * winv) @ flat.T  # Gram matrix in W^-1
         pg_norm = math.sqrt(max(gg - gm * gm / mm, 0.0)) if mm > 0 else math.sqrt(gg)
         omega_hat = (float((pt - qform).sum()) + 2.0 * coupling(q)) / mu
-        scale = max(1.0, abs(omega_hat) * math.sqrt(mu))
+        scale = math.sqrt(mu) * max(1.0, abs(omega_hat))
         if pg_norm <= cfg.grad_tol * scale:
             stop = "converged"
             break

@@ -691,6 +691,31 @@ class TestEntryValidation:
             solve_planar(3.0, 1e-310, SolverConfig(N=256))
 
 
+class TestSmallMass:
+    """The convergence test scales with sqrt(mu), as the projected
+    gradient does, so a small mass is held to the same relative
+    stationarity as mass 1.  Scaled by max(1, |omega| sqrt(mu)), these
+    solves stopped as converged after 1, 4 and 1 iterations."""
+
+    @pytest.mark.parametrize("solve", [
+        lambda: solve_single(3.0, 0.0, 1e-12),  # el_residual was 0.284
+        lambda: solve_hybrid(HybridParams(3.0, 3.0, 0.0, 1.0, 1.0, 1e-16)),  # 0.012
+    ], ids=["single", "hybrid"])
+    def test_converges_to_a_stationary_state(self, solve):
+        r = solve()
+        assert r.converged
+        assert r.iterations > 5
+        assert r.el_residual <= 1e-2
+
+    def test_tiny_mass_sits_at_the_linear_threshold(self):
+        # at mass 1e-30 the |u|^p term is negligible: omega is the linear
+        # level omega* = 361,578 (it was 216,868)
+        P = HybridParams(3.0, 3.0, 0.0, 0.0, 1.0, 1e-30)
+        r = solve_hybrid(P)
+        assert r.converged and r.iterations > 5
+        assert rel(r.omega, omega_star(P)) < 1e-3
+
+
 class TestNewtonStep:
     """The endgame's Newton direction against a dense KKT solve whose
     Hessian is central differences of the kernel gradient."""
