@@ -22,10 +22,6 @@ The central objects are
 minimized over the mass sphere |u_1|^2 + |u_2|^2 = mu, and the action
 bookkeeping built from the same norm evaluations.
 
-What they read besides the state is one cached :class:`PlaneData` per
-(grid, lam); ``mass``, ``lp_power`` and ``q_form_sigma`` keep their own
-formulas as the reference the kernels are tested against.
-
 Gradients returned by :func:`grad_f_hybrid` live in the flat
 L^2 x R metric (a profile direction per plane plus a charge scalar);
 the pairing with a tangent direction v is
@@ -126,8 +122,8 @@ class HybridParams:
             raise ValueError("interaction strengths must be finite")
         if not 0.0 <= self.beta < math.inf:
             raise ValueError(f"coupling must be finite and >= 0, got {self.beta}")
-        if not 0.0 < self.mu < math.inf:
-            raise ValueError(f"target mass must be finite and > 0, got {self.mu}")
+        if not np.finfo(float).tiny <= self.mu < math.inf:  # no subnormal mass
+            raise ValueError(f"target mass must be a finite normal double, got {self.mu}")
 
 
 @dataclass
@@ -179,6 +175,8 @@ class PlaneData:
 
     What the kernels in :mod:`hybrid_nls._kernels` and the solver read
     besides the state; built by :func:`plane_data`, arrays read-only.
+    ``mass``, ``lp_power`` and ``q_form_sigma`` read it too, but keep
+    their own formulas: they are the reference the kernels are tested on.
     Node 0 is a ghost tied to node 1 and carries zero quadrature weight,
     node N is a Dirichlet value, and the H^1 cell coefficients are
     ``grid.c_h1`` (cell 0 is left out of the stiffness sum because of
@@ -219,14 +217,13 @@ def plane_data(grid: RadialGrid, lam: float) -> PlaneData:
         return hit
     G = green_profile(lam, grid.r)
     z, lagw, area0 = origin_cell_rule(grid)
-    radii0 = grid.r[1] * np.exp(-z / 2.0)
     w_in = grid.w_trapz.copy()
     w_in[1] -= np.pi * grid.r[1] * grid.h[0]  # first cell handled by log rule
     w_in[0] = 0.0
+    g0 = green_profile(lam, grid.r[1] * np.exp(-z / 2.0))  # origin-cell radii
     data = PlaneData(grid=grid, lam=float(lam), theta=theta(lam),
                      gl2=green_l2_norm_sq(lam), G=G, wG=grid.w_trapz * G,
-                     w_in=w_in, g0=green_profile(lam, radii0), lagw=lagw,
-                     area0=area0, w0=area0 * lagw)
+                     w_in=w_in, g0=g0, lagw=lagw, area0=area0, w0=area0 * lagw)
     for arr in (data.G, data.wG, data.w_in, data.g0, data.w0):
         arr.flags.writeable = False
     if len(_PLANE_CACHE) > 64:
@@ -424,5 +421,4 @@ def redecompose(u: ChargedField, lam_new: float) -> ChargedField:
 
 def total_field(u: ChargedField) -> RadialField:
     """phi + q G sampled on the nodes (origin entry is a placeholder)."""
-    pd = plane_data(u.grid, u.lam)
-    return RadialField(u.grid, u.phi.values + u.q * pd.G)
+    return RadialField(u.grid, u.phi.values + u.q * plane_data(u.grid, u.lam).G)

@@ -137,9 +137,7 @@ def make_grid(R: float, n: int, grading: float = 1.01) -> RadialGrid:
     -------
     RadialGrid
     """
-    R = float(R)
-    n = int(n)
-    grading = float(grading)
+    R, n, grading = float(R), int(n), float(grading)
     check_mesh(R, n, grading)
 
     m = n // 2

@@ -524,8 +524,7 @@ def _initial_guess(pd, sigmas, beta, mu, start):
     rescales the start onto the sphere.  ``sigmas`` None is the
     chargeless planar problem.
     """
-    grid = pd.grid
-    w = grid.w_trapz
+    w = pd.grid.w_trapz
     charged = sigmas is not None
     k = len(sigmas) if charged else 1
     # a charged start fits the linear level lam / _RATE_MARGIN of _setup
@@ -538,7 +537,7 @@ def _initial_guess(pd, sigmas, beta, mu, start):
         widths = np.array([width0, width0])
         masses = np.array([s * mu, (1.0 - s) * mu])
 
-    prof = np.exp(-(grid.r**2) / (2.0 * widths[:, None] * widths[:, None]))
+    prof = np.exp(-(pd.grid.r**2) / (2.0 * widths[:, None] * widths[:, None]))
     prof[:, 0] = prof[:, 1]
     prof[:, -1] = 0.0
     peaks = np.sqrt(masses / ((prof * prof) @ w))
@@ -636,11 +635,10 @@ def _descend(pd, p, sigmas, beta, mu, cfg, phi, q, screen=False, paused=None):
     """
     k, n = phi.shape
     nin = n - 2
-    grid, th = pd.grid, pd.theta
-    w = grid.w_trapz
+    w = pd.grid.w_trapz
     charged = sigmas is not None
     stride = nin + (1 if charged else 0)
-    sig_theta = th + (np.array(sigmas) if charged else 0.0)
+    sig_theta = pd.theta + (np.array(sigmas) if charged else 0.0)
     # W metric of the flat (plane, node-or-charge) layout; the gradient
     # covectors are paired in its inverse
     winv = np.tile(np.append(1.0 / w[1:-1], np.ones(stride - nin)), k)
@@ -660,7 +658,7 @@ def _descend(pd, p, sigmas, beta, mu, cfg, phi, q, screen=False, paused=None):
         phi_[:, -1] = 0.0
         q_ = np.maximum(q_, 0.0)
         mt = _mass(phi_, q_, pd)
-        if not mt > 1e-300:
+        if not mt > 1e-300 * mu:
             return None
         c = math.sqrt(mu / mt)
         return c * phi_, c * q_
@@ -678,7 +676,7 @@ def _descend(pd, p, sigmas, beta, mu, cfg, phi, q, screen=False, paused=None):
          recent, newton, newton_iters) = paused
     # (scaled norm, omega_hat) of the last _WINDOW + 1 iterations
     recent = collections.deque(recent, maxlen=_WINDOW + 1)
-    lin_solve = _linear_solver(grid, shift, th, sigmas, beta)
+    lin_solve = _linear_solver(pd.grid, shift, pd.theta, sigmas, beta)
     energy, qform, pt, pieces = evaluate(phi, q)
     gphi = np.empty((k, n))
     # gradient and mass-gradient covectors, per plane and flat
@@ -727,7 +725,7 @@ def _descend(pd, p, sigmas, beta, mu, cfg, phi, q, screen=False, paused=None):
         if (since_factor >= 10 and math.isfinite(target)
                 and not (shift / 3.0 <= target <= shift * 3.0)):
             shift = max(target, 1e-10)
-            lin_solve = _linear_solver(grid, shift, th, sigmas, beta)
+            lin_solve = _linear_solver(pd.grid, shift, pd.theta, sigmas, beta)
             since_factor = 0
 
         found = None

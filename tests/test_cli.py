@@ -96,6 +96,12 @@ class TestSolve:
         err = capsys.readouterr().err
         assert "finite" in err and "Traceback" not in err
 
+    def test_subnormal_mass_exits_2(self, tmp_path, capsys):
+        # a usage error, not the solver's "cannot scale the start" (exit 1)
+        code = main(["solve", "--mu", "1e-310", "--out", str(tmp_path)])
+        assert code == 2
+        assert "normal double" in capsys.readouterr().err
+
     def test_nonconvergence_exits_1_with_partial_report(self, tmp_path):
         code = main(["solve", "--max-iters", "10", "--out", str(tmp_path),
                      *FAST])

@@ -82,8 +82,9 @@ class TestTypes:
             HybridParams(3.0, 3.0, 0.0, 0.0, 1.0, 0.0)
         with pytest.raises(ValueError):
             HybridParams(3.0, 3.0, float("inf"), 0.0, 1.0, 1.0)
+        # 1e-310 is subnormal: no start of that mass can be scaled
         for beta, mu in ((float("inf"), 1.0), (1.0, float("inf")),
-                         (float("nan"), 1.0), (1.0, float("nan"))):
+                         (float("nan"), 1.0), (1.0, float("nan")), (1.0, 1e-310)):
             with pytest.raises(ValueError, match="finite"):
                 HybridParams(3.0, 3.0, 0.0, 0.0, beta, mu)
 

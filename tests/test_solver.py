@@ -18,6 +18,7 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -686,9 +687,12 @@ class TestEntryValidation:
             solve_hybrid(HybridParams(3.0, 3.0, 0.0, 0.0, float("inf"), 1.0))
 
     def test_unscalable_start_names_the_mass(self):
-        # a subnormal mass passes validation; the start's mass underflows
-        with pytest.raises(ValueError, match="mass 1e-310"):
-            solve_planar(3.0, 1e-310, SolverConfig(N=256))
+        # a start of zero mass has no scale onto the sphere
+        cfg = SolverConfig(N=256)
+        pd = plane_data(_grid_for(1.0, cfg), 1.0)
+        zero = np.zeros((1, pd.grid.n_nodes))
+        with pytest.raises(ValueError, match="mass 0.5"):
+            solver._descend(pd, 3.0, None, 0.0, 0.5, cfg, zero, np.zeros(1))
 
 
 class TestSmallMass:
@@ -706,6 +710,17 @@ class TestSmallMass:
         assert r.converged
         assert r.iterations > 5
         assert r.el_residual <= 1e-2
+
+    def test_smallest_normal_mass_reaches_a_report(self):
+        # the retraction's guard is relative to mu: an absolute 1e-300
+        # refused the start of every solve at this mass
+        mu = 2.3e-308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            reports = [solve_planar(3.0, mu), solve_single(3.0, 0.0, mu),
+                       solve_hybrid(HybridParams(3.0, 3.0, 0.0, 1.0, 1.0, mu))]
+        for r in reports:
+            assert rel(r.mass1 + r.mass2, mu) <= 1e-10
 
     def test_tiny_mass_sits_at_the_linear_threshold(self):
         # at mass 1e-30 the |u|^p term is negligible: omega is the linear
