@@ -1,8 +1,9 @@
 """Tiny dependency-free SVG line plots.
 
-Just enough for the command-line reports: polylines on linear or log
-axes, ticks, labels, and a legend.  Output is deterministic text (no
-ids, no timestamps) so emitted files are reproducible byte for byte.
+Just enough for the command-line reports: polylines on a linear x axis
+and a linear or log y axis, ticks, labels, and a legend.  Output is
+deterministic text (no ids, no timestamps) so emitted files are
+reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ _ML, _MR, _MT, _MB = 72, 24, 40, 56  # margins: left, right, top, bottom
 def _nice_step(span: float, target: int = 5) -> float:
     raw = span / max(target, 1)
     mag = 10.0 ** math.floor(math.log10(raw))
-    for m in (1.0, 2.0, 5.0, 10.0):
+    for m in (1.0, 2.0, 5.0):
         if m * mag >= raw:
             return m * mag
     return 10.0 * mag
@@ -60,19 +61,17 @@ def _fmt_coord(v: float) -> str:
 
 
 def render_lines(series, *, title: str = "", xlabel: str = "",
-                 ylabel: str = "", xlog: bool = False,
-                 ylog: bool = False) -> str:
+                 ylabel: str = "", ylog: bool = False) -> str:
     """Render labelled (x, y) polylines to an SVG document string.
 
-    ``series`` is an iterable of ``(label, xs, ys)``.  On a log axis,
-    points with nonpositive coordinates on that axis are dropped (the
+    ``series`` is an iterable of ``(label, xs, ys)``; the x axis is
+    linear.  On a log y axis, points with nonpositive y are dropped (the
     far tail of an exponentially decaying profile underflows to zero).
     """
     pts_by_series: list[tuple[str, list[tuple[float, float]]]] = []
     for label, xs, ys in series:
         pts = [(float(x), float(y)) for x, y in zip(xs, ys)
-               if (not xlog or x > 0.0) and (not ylog or y > 0.0)
-               and math.isfinite(x) and math.isfinite(y)]
+               if (not ylog or y > 0.0) and math.isfinite(x) and math.isfinite(y)]
         pts_by_series.append((str(label), pts))
 
     all_pts = [p for _, pts in pts_by_series for p in pts]
@@ -92,7 +91,7 @@ def render_lines(series, *, title: str = "", xlabel: str = "",
             lo, hi = lo - pad, hi + pad
         return lo, hi
 
-    x_lo, x_hi = span([p[0] for p in all_pts], xlog)
+    x_lo, x_hi = span([p[0] for p in all_pts], False)
     y_lo, y_hi = span([p[1] for p in all_pts], ylog)
 
     def to_px(v, lo, hi, log, a, b):
@@ -103,7 +102,7 @@ def render_lines(series, *, title: str = "", xlabel: str = "",
         return a + t * (b - a)
 
     def px(x):
-        return to_px(x, x_lo, x_hi, xlog, _ML, _W - _MR)
+        return to_px(x, x_lo, x_hi, False, _ML, _W - _MR)
 
     def py(y):
         return to_px(y, y_lo, y_hi, ylog, _H - _MB, _MT)
@@ -122,7 +121,7 @@ def render_lines(series, *, title: str = "", xlabel: str = "",
                f'height="{_H - _MT - _MB}" fill="none" stroke="#333" '
                f'stroke-width="1"/>')
 
-    x_ticks = _log_ticks(x_lo, x_hi) if xlog else _linear_ticks(x_lo, x_hi)
+    x_ticks = _linear_ticks(x_lo, x_hi)
     y_ticks = _log_ticks(y_lo, y_hi) if ylog else _linear_ticks(y_lo, y_hi)
     for t in x_ticks:
         X = px(t)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,7 +79,7 @@ class SweepTable:
     references: dict[str, float]
     errors: tuple[dict, ...] = ()
 
-    COLUMNS = ("value", "energy", "mass1", "mass2", "q1", "q2", "omega", "converged")
+    COLUMNS = tuple(f.name for f in dataclasses.fields(SweepRow))
 
     def __post_init__(self) -> None:
         vals = [row.value for row in self.rows]
@@ -148,16 +147,8 @@ class RhoDetail:
 
 
 def _row_from_report(value: float, r: GroundStateReport) -> SweepRow:
-    return SweepRow(
-        value=float(value),
-        energy=r.energy,
-        mass1=r.mass1,
-        mass2=r.mass2,
-        q1=r.q1,
-        q2=r.q2,
-        omega=r.omega,
-        converged=r.converged,
-    )
+    return SweepRow(float(value),
+                    **{c: getattr(r, c) for c in SweepTable.COLUMNS[1:]})
 
 
 @functools.lru_cache(maxsize=128)
@@ -355,36 +346,21 @@ def rearrange_decreasing(f: RadialField) -> RadialField:
     w = grid.w_trapz
     order = np.argsort(-v, kind="stable")
     sv = v[order]
-    src_hi = np.cumsum(w[order])
-    n_src = len(sv)
-
+    src_hi = np.cumsum(w[order])  # sorted-block ends on the measure axis
+    dst_hi = np.cumsum(w)  # node-slab ends
+    # cut the axis at every end of either kind; each piece lies in one
+    # block and one slab (a slab index past the last node is dropped)
+    cuts = np.sort(np.concatenate((src_hi, dst_hi)))
+    n = len(v)
+    block = np.minimum(np.searchsorted(src_hi, cuts), n - 1)
+    piece = np.diff(cuts, prepend=0.0) * sv[block] ** 2
+    acc = np.bincount(np.searchsorted(dst_hi, cuts), piece, minlength=n + 1)[:n]
     out = np.empty_like(v)
-    k = 0  # source block under the cursor
-    pos = 0.0  # cumulative measure consumed so far
-    for j in range(len(v)):
-        wj = w[j]
-        while k < n_src - 1 and src_hi[k] <= pos:
-            k += 1
-        if wj <= 0.0:
-            out[j] = sv[k]
-            continue
-        target = pos + wj
-        acc = 0.0
-        while pos < target and k < n_src:
-            hi = src_hi[k]
-            if hi <= target:
-                acc += (hi - pos) * sv[k] ** 2
-                pos = hi
-                k += 1
-            else:
-                acc += (target - pos) * sv[k] ** 2
-                pos = target
-        if pos < target:  # rounding shortfall past the last block
-            acc += (target - pos) * sv[-1] ** 2
-            pos = target
-        if k >= n_src:
-            k = n_src - 1
-        out[j] = math.sqrt(acc / wj)
+    has_w = w > 0.0
+    out[has_w] = np.sqrt(acc[has_w] / w[has_w])
+    # a zero-measure node takes the block value at its edge
+    edge = np.searchsorted(src_hi, dst_hi[~has_w], side="right")
+    out[~has_w] = sv[np.minimum(edge, n - 1)]
     # the slab means are nonincreasing exactly; clamp the at-most-one-ulp
     # rounding inversions so the result is a true fixed point of a second
     # pass

@@ -76,24 +76,23 @@ class RunConfig:
 # configuration assembly
 
 
-def _parse_floats(text, what: str) -> tuple[float, ...]:
+def _split_list(text) -> list:
+    """The items of a JSON list, or of a comma-separated string."""
     if isinstance(text, (list, tuple)):
-        items = list(text)
-    else:
-        items = [s for s in str(text).split(",") if s.strip()]
+        return list(text)
+    return [s for s in str(text).split(",") if s.strip()]
+
+
+def _parse_floats(text, what: str) -> tuple[float, ...]:
     try:
-        return tuple(float(x) for x in items)
+        return tuple(float(x) for x in _split_list(text))
     except (TypeError, ValueError) as exc:
         raise UsageError(f"could not parse {what}: {exc}") from None
 
 
 def _parse_pairs(text) -> tuple[tuple[float, float], ...]:
-    if isinstance(text, (list, tuple)):
-        chunks = [str(c) for c in text]
-    else:
-        chunks = [c for c in str(text).split(",") if c.strip()]
     pairs = []
-    for chunk in chunks:
+    for chunk in map(str, _split_list(text)):
         halves = chunk.split(":")
         if len(halves) != 2:
             raise UsageError(f"pair {chunk!r} is not of the form p1:p2")

@@ -65,7 +65,6 @@ __all__ = [
     "action_functionals",
     "el_residual",
     "boundary_residual",
-    "redecompose",
     "total_field",
     "PlaneData",
     "plane_data",
@@ -399,24 +398,6 @@ def boundary_residual(U: HybridState, P: HybridParams) -> tuple[float, float]:
     r2 = eval_at_origin(U.u2.phi) - ((P.sigma2 + th2) * U.u2.q
                                      - P.beta * U.u1.q)
     return float(r1), float(r2)
-
-
-def redecompose(u: ChargedField, lam_new: float) -> ChargedField:
-    """Re-express the same total field at another decomposition rate.
-
-    phi' = phi + q (G_lam - G_lam'); the charge is unchanged.  At the
-    origin node the kernel difference extends continuously to
-    theta(lam') - theta(lam).
-    """
-    if not lam_new > 0.0:
-        raise ValueError("lam_new must be > 0")
-    grid = u.grid
-    G_old = green_profile(u.lam, grid.r)
-    G_new = green_profile(lam_new, grid.r)
-    diff = G_old - G_new
-    diff[0] = theta(lam_new) - theta(u.lam)
-    phi_new = u.phi.values + u.q * diff
-    return ChargedField(RadialField(grid, phi_new), u.q, lam_new)
 
 
 def total_field(u: ChargedField) -> RadialField:

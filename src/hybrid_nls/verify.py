@@ -540,17 +540,13 @@ def run_suite(fast: bool = False,
         except Exception as exc:  # a crashed check is a failed check
             out = (False, f"raised {type(exc).__name__}: {exc}")
         seconds = time.perf_counter() - t0
-        if len(out) == 2:
-            ok, details = out
-            notes: tuple[str, ...] = ()
-        else:
-            ok, details, notes = out
-            notes = tuple(notes)
+        # a criterion returns (ok, details) or (ok, details, notes)
+        ok, details, *notes = out
         # runtime budgets are part of the stated checks
         if number == 1 and seconds > 120.0:
             ok, details = False, details + f"; runtime {seconds:.0f}s over 120s budget"
         if number == 8 and seconds > 600.0:
             ok, details = False, details + f"; runtime {seconds:.0f}s over 600s budget"
         results.append(CriterionResult(number, name, bool(ok), details,
-                                       seconds, notes))
+                                       seconds, tuple(*notes)))
     return VerifyReport(results=tuple(results), fast=fast)

@@ -30,7 +30,6 @@ from hybrid_nls.energy import (
     mass,
     plane_data,
     q_form_sigma,
-    redecompose,
     total_field,
 )
 from hybrid_nls.grid import RadialField, make_grid
@@ -54,6 +53,16 @@ def tied(grid, values):
     v[0] = v[1]
     v[-1] = 0.0
     return v
+
+
+def redecompose(u, lam_new):
+    """The same total field split at rate lam_new: phi' = phi + q (G_lam -
+    G_lam'), the charge unchanged; at the origin node the kernel
+    difference extends continuously to theta(lam') - theta(lam)."""
+    grid = u.grid
+    diff = sf.green_profile(u.lam, grid.r) - sf.green_profile(lam_new, grid.r)
+    diff[0] = sf.theta(lam_new) - sf.theta(u.lam)
+    return ChargedField(RadialField(grid, u.phi.values + u.q * diff), u.q, lam_new)
 
 
 def gaussian_field(grid, amp=1.0, width=1.0):

@@ -722,6 +722,25 @@ class TestSmallMass:
         for r in reports:
             assert rel(r.mass1 + r.mass2, mu) <= 1e-10
 
+    @pytest.mark.parametrize("solve", [
+        lambda mu: solve_single(3.0, 0.0, mu),
+        lambda mu: solve_hybrid(HybridParams(3.0, 3.0, 0.0, 1.0, 1.0, mu)),
+    ], ids=["single", "hybrid"])
+    def test_where_the_descent_gives_out(self, solve):
+        # down to mass 1e-150 the solves converge in 17 iterations; at
+        # 1e-200 they stopped unconverged (line_search for the single
+        # plane, no_progress for the hybrid), which the report must say
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            r = solve(1e-150)
+            assert r.converged and r.el_residual <= 1e-2
+            r = solve(1e-200)
+        if r.converged:
+            assert r.el_residual <= 1e-2
+        else:
+            assert r.stop_reason != "converged"
+            assert rel(r.mass1 + r.mass2, 1e-200) <= 1e-10
+
     def test_tiny_mass_sits_at_the_linear_threshold(self):
         # at mass 1e-30 the |u|^p term is negligible: omega is the linear
         # level omega* = 361,578 (it was 216,868)
