@@ -45,9 +45,7 @@ _READS["sweep"] = _READS["solve"] + ("mode", "values")
 _DEFAULTS = {
     "p1": 3.0, "p2": 3.0, "sigma1": 0.0, "sigma2": 0.0,
     "beta": 1.0, "mu": 1.0,
-    "formats": "json,csv", "fast": False,
-    "mode": "sigma2", "mu_relative": None, "values": None,
-    "p": None, "mustar": None,
+    "formats": "json,csv", "fast": False, "mode": "sigma2",
 }
 
 
@@ -178,6 +176,8 @@ def _resolve(merged: dict) -> RunConfig:
                               merged["sigma2"], merged["beta"], merged["mu"])
     except (ValueError, TypeError) as exc:
         raise UsageError(str(exc)) from None
+    if not isinstance(merged["fast"], bool):
+        raise UsageError(f"--fast must be true or false, got {merged['fast']!r}")
 
     fmts = merged["formats"]
     fmts = tuple(f for f in (fmts if isinstance(fmts, (list, tuple))
@@ -188,7 +188,12 @@ def _resolve(merged: dict) -> RunConfig:
                          f"choose from {','.join(_FORMATS)}")
 
     out_dir = merged.get("out") or os.environ.get("HYBRID_NLS_OUT") or "."
+    if not isinstance(out_dir, str):
+        raise UsageError(f"--out must be a directory name, got {out_dir!r}")
 
+    mu_relative = None
+    if merged.get("mu_relative") is not None:
+        (mu_relative,) = _parse_floats((merged["mu_relative"],), "--mu-relative")
     values = None
     if merged.get("values") is not None:
         values = _parse_floats(merged["values"], "--values")
@@ -201,9 +206,9 @@ def _resolve(merged: dict) -> RunConfig:
 
     return RunConfig(
         command=merged["command"], params=params, solver=solver,
-        out_dir=out_dir, formats=fmts, fast=bool(merged["fast"]),
+        out_dir=out_dir, formats=fmts, fast=merged["fast"],
         mode=merged["mode"], values=values,
-        mu_relative=merged.get("mu_relative"), p_list=p_list,
+        mu_relative=mu_relative, p_list=p_list,
         mustar_pairs=pairs)
 
 
@@ -232,16 +237,6 @@ def _write_csv(rc: RunConfig, name: str, header: list[str],
 def _write_svg(rc: RunConfig, name: str, svg_text: str) -> None:
     with open(os.path.join(rc.out_dir, name), "w", encoding="utf-8") as fh:
         fh.write(svg_text)
-
-
-def _params_dict(P: HybridParams) -> dict:
-    return dataclasses.asdict(P)
-
-
-def _solver_dict(cfg: SolverConfig) -> dict:
-    d = dataclasses.asdict(cfg)
-    d["starts"] = list(d["starts"])
-    return d
 
 
 def _mass_carrier(r: GroundStateReport, mu: float) -> str:
@@ -281,8 +276,8 @@ def cmd_solve(rc: RunConfig) -> int:
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "solve",
-        "params": _params_dict(rc.params),
-        "solver": _solver_dict(rc.solver),
+        "params": dataclasses.asdict(rc.params),
+        "solver": dataclasses.asdict(rc.solver),
         "mass_carrier": _mass_carrier(report, rc.params.mu),
         **report.as_dict(),
     }
@@ -337,8 +332,8 @@ def cmd_sweep(rc: RunConfig) -> int:
             "schema_version": SCHEMA_VERSION,
             "command": "sweep",
             "mode": rc.mode,
-            "params": _params_dict(rc.params),
-            "solver": _solver_dict(rc.solver),
+            "params": dataclasses.asdict(rc.params),
+            "solver": dataclasses.asdict(rc.solver),
             "values": list(values),
             "rows": rows,
             "references": table.references,
@@ -377,7 +372,7 @@ def cmd_baseline(rc: RunConfig) -> int:
     payload: dict = {
         "schema_version": SCHEMA_VERSION,
         "command": "baseline",
-        "solver": _solver_dict(rc.solver),
+        "solver": dataclasses.asdict(rc.solver),
         "rho": {},
         "reference_mass": {},
         "scaling": {},

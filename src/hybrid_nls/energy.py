@@ -359,10 +359,8 @@ def el_residual(U: HybridState, P: HybridParams, omega: float) -> float:
     Planes carrying less than 1e-12 of the total mass are skipped.
     Returns the worse of the two planes.
     """
-    grid = U.grid
-    w = grid.w_trapz
-    sel = np.zeros(grid.n_nodes, dtype=bool)
-    sel[3:-1] = True  # nodes strictly inside, first two cells excluded
+    sel = slice(3, -1)  # nodes strictly inside, first two cells excluded
+    w = U.grid.w_trapz[sel]
     m_total = mass(U.u1) + mass(U.u2)
     worst = 0.0
     for u, sigma, p in ((U.u1, P.sigma1, P.p1), (U.u2, P.sigma2, P.p2)):
@@ -376,9 +374,9 @@ def el_residual(U: HybridState, P: HybridParams, omega: float) -> float:
         term_a = -lap + omega * phi
         term_b = (omega - u.lam) * u.q * pd.G
         resid = term_a + term_b - s
-        norm = math.sqrt(float(w[sel] @ (resid[sel] * resid[sel])))
+        norm = math.sqrt(float(w @ (resid[sel] * resid[sel])))
         scale = sum(
-            math.sqrt(float(w[sel] @ (t[sel] * t[sel])))
+            math.sqrt(float(w @ (t[sel] * t[sel])))
             for t in (term_a, term_b, s))
         if scale > 0.0:
             worst = max(worst, norm / scale)

@@ -203,20 +203,8 @@ class GroundStateReport:
     state: HybridState | None = None
 
     def as_dict(self) -> dict:
-        d = {
-            "energy": self.energy,
-            "mass1": self.mass1,
-            "mass2": self.mass2,
-            "q1": self.q1,
-            "q2": self.q2,
-            "omega": self.omega,
-            "el_residual": self.el_residual,
-            "boundary_residuals": list(self.boundary_residuals),
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "stop_reason": self.stop_reason,
-            "profile_samples": self.profile_samples,
-        }
+        d = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)
+             if f.name not in ("branches", "state")}
         if self.branches is not None:
             d["branches"] = [b.as_dict() for b in self.branches]
         return d
@@ -670,11 +658,11 @@ def _descend(pd, p, sigmas, beta, mu, cfg, phi, q, screen=False, paused=None):
                 f"cannot scale the start onto the sphere of mass {mu!r}")
         phi, q = start
         shift, step, stall, since_factor, first = pd.lam, _STEP_SIZE, 0, 0, 1
-        recent, newton, newton_iters = (), False, 0
+        recent, newton = (), False
     else:
-        (shift, step, stall, since_factor, first,
-         recent, newton, newton_iters) = paused
-    # (scaled norm, omega_hat) of the last _WINDOW + 1 iterations
+        shift, step, stall, since_factor, first, recent, newton = paused
+    # (scaled norm, omega_hat) of the last _WINDOW + 1 iterations, since
+    # the Newton gate in Newton mode
     recent = collections.deque(recent, maxlen=_WINDOW + 1)
     lin_solve = _linear_solver(pd.grid, shift, pd.theta, sigmas, beta)
     energy, qform, pt, pieces = evaluate(phi, q)
@@ -708,8 +696,7 @@ def _descend(pd, p, sigmas, beta, mu, cfg, phi, q, screen=False, paused=None):
 
         recent.append((pg_norm / scale, omega_hat))
         if newton:
-            newton_iters += 1
-            if (newton_iters >= _WINDOW
+            if (len(recent) > _WINDOW
                     and recent[-1][0] > _PROGRESS * recent[0][0]):
                 stop = "no_progress"
                 break
@@ -718,7 +705,9 @@ def _descend(pd, p, sigmas, beta, mu, cfg, phi, q, screen=False, paused=None):
               and recent[-1][0] > _CRAWL ** _WINDOW * recent[0][0]
               and all(abs(o - omega_hat) <= _OMEGA_DRIFT * abs(omega_hat)
                       for _, o in recent)):
+            # the Newton-mode window starts at this iteration
             newton = True
+            recent = collections.deque((recent[-1],), maxlen=_WINDOW + 1)
 
         since_factor += 1
         target = abs(omega_hat)
@@ -778,7 +767,7 @@ def _descend(pd, p, sigmas, beta, mu, cfg, phi, q, screen=False, paused=None):
         "grad_norm": pg_norm,
         # what a later call needs, with phi and q, to continue the run
         "paused": ((shift, step, stall, since_factor, iterations,
-                    tuple(recent), newton, newton_iters)
+                    tuple(recent), newton)
                    if stop == "screened" else None),
     }
 

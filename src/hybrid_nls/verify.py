@@ -110,31 +110,13 @@ class _Context:
     def tol(self, slow: float, fast: float) -> float:
         return fast if self.fast else slow
 
-    def _cached(self, solve, *args, cfg: SolverConfig | None = None):
+    def solve(self, solver, *args, cfg: SolverConfig | None = None):
+        """``solver(*args, cfg)``, run once per suite for each argument set."""
         cfg = cfg or self.cfg
-        key = (solve, *args, cfg)
+        key = (solver, *args, cfg)
         if key not in self._solves:
-            self._solves[key] = solve(*args, cfg)
+            self._solves[key] = solver(*args, cfg)
         return self._solves[key]
-
-    def hybrid(self, P: HybridParams, cfg: SolverConfig | None = None):
-        return self._cached(solve_hybrid, P, cfg=cfg)
-
-    def two_plane(self, P: HybridParams):
-        """The two-plane multistart, which solve_hybrid skips at beta = 0."""
-        return self._cached(_solve_two_plane, P)
-
-    def single(self, p: float, sigma: float, mu: float,
-               cfg: SolverConfig | None = None):
-        return self._cached(solve_single, p, sigma, mu, cfg=cfg)
-
-    def planar(self, p: float, mu: float, cfg: SolverConfig | None = None):
-        return self._cached(solve_planar, p, mu, cfg=cfg)
-
-    def deep_cfg(self) -> SolverConfig:
-        """Resolution for the steepest linear-level check (always full)."""
-        base = SolverConfig()
-        return dataclasses.replace(base, N=max(base.N, 4096))
 
 
 def _rel(a: float, b: float) -> float:
@@ -147,7 +129,7 @@ def _rel(a: float, b: float) -> float:
 
 def _c1_scaling_law(ctx: _Context):
     mus = (0.5, 1.0, 2.0, 4.0)
-    energies = [ctx.planar(3.0, mu).energy for mu in mus]
+    energies = [ctx.solve(solve_planar, 3.0, mu).energy for mu in mus]
     slope = float(np.polyfit(np.log(mus), np.log(np.abs(energies)), 1)[0])
     ok = abs(slope - 2.0) <= 0.02 * 2.0
     return ok, f"fitted mass exponent {slope:.5f} (target 2 +/- 2%)"
@@ -180,9 +162,10 @@ def _c3_decoupling(ctx: _Context):
     worst_rel, worst_leak = 0.0, 0.0
     for P, (pa, sa), (pb, sb) in cases:
         # an independent two-plane descent: no split may beat the endpoints
-        r = ctx.two_plane(P)
-        best = min(ctx.single(pa, sa, P.mu).energy,
-                   ctx.single(pb, sb, P.mu).energy)
+        # (solve_hybrid skips this descent at beta = 0)
+        r = ctx.solve(_solve_two_plane, P)
+        best = min(ctx.solve(solve_single, pa, sa, P.mu).energy,
+                   ctx.solve(solve_single, pb, sb, P.mu).energy)
         worst_rel = max(worst_rel, _rel(r.energy, best))
         worst_leak = max(worst_leak, min(r.mass1, r.mass2) / P.mu)
     ok = worst_rel <= 1e-4 and worst_leak <= 1e-6
@@ -191,10 +174,10 @@ def _c3_decoupling(ctx: _Context):
 
 
 def _c4_coupling_gap(ctx: _Context):
-    e_ref = ctx.single(3.0, 0.0, 1.0).energy
+    e_ref = ctx.solve(solve_single, 3.0, 0.0, 1.0).energy
     gaps = []
     for b in (0.5, 1.0, 2.0):
-        r = ctx.hybrid(HybridParams(3.0, 3.0, 0.0, 0.0, b, 1.0))
+        r = ctx.solve(solve_hybrid, HybridParams(3.0, 3.0, 0.0, 0.0, b, 1.0))
         gaps.append(e_ref - r.energy)
     ok = all(g > 0.0 for g in gaps) and gaps[0] < gaps[1] < gaps[2]
     return ok, ("gaps " + ", ".join(f"{g:.3e}" for g in gaps)
@@ -202,9 +185,11 @@ def _c4_coupling_gap(ctx: _Context):
 
 
 def _structure_states(ctx: _Context):
-    yield "coupled", ctx.hybrid(HybridParams(3.0, 3.0, 0.0, 0.0, 1.0, 1.0))
-    yield "ordered", ctx.hybrid(HybridParams(3.0, 3.0, 0.0, 1.0, 1.0, 1.0))
-    yield "planar", ctx.planar(3.0, 1.0)
+    yield "coupled", ctx.solve(solve_hybrid,
+                               HybridParams(3.0, 3.0, 0.0, 0.0, 1.0, 1.0))
+    yield "ordered", ctx.solve(solve_hybrid,
+                               HybridParams(3.0, 3.0, 0.0, 1.0, 1.0, 1.0))
+    yield "planar", ctx.solve(solve_planar, 3.0, 1.0)
 
 
 def _c5_profile_structure(ctx: _Context):
@@ -222,11 +207,7 @@ def _c5_profile_structure(ctx: _Context):
             # zero; a genuine negative value anywhere is a failure
             inner = tot[1:-1]
             nonpos = inner <= 0.0
-            if nonpos.any():
-                k0 = int(np.argmax(nonpos))
-                if not (np.all(inner[:k0] > 0.0) and np.all(inner[k0:] == 0.0)):
-                    bad_pos += 1
-            elif not np.all(inner > 0.0):
+            if nonpos.any() and not np.all(inner[np.argmax(nonpos):] == 0.0):
                 bad_pos += 1
             ok, viol = analysis.monotone_radial_check(tot[1:])
             bad_mono += viol
@@ -243,7 +224,7 @@ def _c5_profile_structure(ctx: _Context):
 def _c6_charge_ordering(ctx: _Context):
     pairs = []
     for s2 in (0.5, 1.0, 2.0):
-        r = ctx.hybrid(HybridParams(3.0, 3.0, 0.0, s2, 1.0, 1.0))
+        r = ctx.solve(solve_hybrid, HybridParams(3.0, 3.0, 0.0, s2, 1.0, 1.0))
         if not r.converged:
             return False, f"solve at sigma2={s2} did not converge"
         pairs.append((r.q1, r.q2))
@@ -277,7 +258,7 @@ def _c8_critical_mass_dichotomy(ctx: _Context):
     parts = [f"mu*={mustar:.3f}"]
     ok = True
     for mu, plane, p in ((mustar / 2, 1, 2.5), (2 * mustar, 2, 3.5)):
-        r = ctx.hybrid(HybridParams(2.5, 3.5, 6.0, 6.0, 1.0, mu))
+        r = ctx.solve(solve_hybrid, HybridParams(2.5, 3.5, 6.0, 6.0, 1.0, mu))
         conc = (r.mass1 if plane == 1 else r.mass2) / mu
         e_free = -analysis.rho(p, ctx.cfg) * mu ** (2.0 / (4.0 - p))
         defect = abs(r.energy - e_free) / abs(e_free)
@@ -325,8 +306,8 @@ def _c10_stationarity_certificates(ctx: _Context):
                      "grid; refinement halving checked only on full grids")
     else:
         P = HybridParams(3.0, 3.0, 0.0, 0.0, 1.0, 1.0)
-        coarse = ctx.hybrid(P)
-        fine = ctx.hybrid(P, refine_config(ctx.cfg))
+        coarse = ctx.solve(solve_hybrid, P)
+        fine = ctx.solve(solve_hybrid, P, cfg=refine_config(ctx.cfg))
         el_ratio = fine.el_residual / coarse.el_residual
         b_coarse = max(abs(x) for x in coarse.boundary_residuals)
         b_fine = max(abs(x) for x in fine.boundary_residuals)
@@ -418,12 +399,9 @@ def _c12_action_identities(ctx: _Context):
         ):
             worst_id = max(worst_id, abs(acts.s_omega - combo) / scale)
     worst_nehari = 0.0
-    for P2, r in (
-        (HybridParams(3.0, 3.0, 0.0, 0.0, 1.0, 1.0),
-         ctx.hybrid(HybridParams(3.0, 3.0, 0.0, 0.0, 1.0, 1.0))),
-        (HybridParams(3.0, 3.0, 0.0, 1.0, 0.0, 1.0),
-         ctx.hybrid(HybridParams(3.0, 3.0, 0.0, 1.0, 0.0, 1.0))),
-    ):
+    for P2 in (HybridParams(3.0, 3.0, 0.0, 0.0, 1.0, 1.0),
+               HybridParams(3.0, 3.0, 0.0, 1.0, 0.0, 1.0)):
+        r = ctx.solve(solve_hybrid, P2)
         omega = extract_omega(r.state, P2)
         acts = action_functionals(r.state, P2, omega)
         worst_nehari = max(worst_nehari, abs(acts.i_omega) / abs(acts.s_omega))
@@ -441,10 +419,10 @@ def _c13_linear_level(ctx: _Context):
     for s1, s2, beta in triples:
         P = HybridParams(3.0, 3.0, s1, s2, beta, 1.0)
         steep = (s1, s2, beta) == (-1.0, 1.0, 2.0)
-        cfg = ctx.deep_cfg() if steep else ctx.cfg
+        cfg = SolverConfig(N=4096) if steep else ctx.cfg
         wg = omega_star_grid(P, cfg)
         worst = max(worst, _rel(wg, omega_star(P)))
-        r = ctx.hybrid(P, cfg)
+        r = ctx.solve(solve_hybrid, P, cfg=cfg)
         # The strict inequality is only meaningful against the level computed
         # on the same grid: the discretization shift of the linear level can
         # exceed the nonlinear gap itself at strong coupling, so comparing

@@ -179,6 +179,35 @@ class TestConfigPlumbing:
         assert main(["--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert "--mu" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry,named", [
+        ({"command": "solve", "mu_relative": "half"}, "--mu-relative"),
+        ({"command": "solve", "mu_relative": [0.5]}, "--mu-relative"),
+        ({"command": "solve", "out": 3}, "--out"),
+        ({"command": "verify", "fast": "false"}, "--fast"),
+    ], ids=["mu-relative-word", "mu-relative-list", "out-number",
+            "fast-string"])
+    def test_mistyped_config_value_exits_2_naming_it(self, tmp_path, capsys,
+                                                      monkeypatch, entry,
+                                                      named):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(entry))
+        monkeypatch.chdir(tmp_path)
+        assert main(["--config", str(cfg)]) == 2
+        assert named in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
+
+    def test_mu_relative_string_reads_as_number(self, tmp_path):
+        # a JSON string is read as the flag's text would be
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "command": "solve", "p1": 2.5, "p2": 3.5, "sigma1": 6.0,
+            "sigma2": 6.0, "mu_relative": "0.5", "N": 512,
+            "out": str(tmp_path), "formats": "json"}))
+        assert main(["--config", str(cfg)]) == 0
+        d = read_json(tmp_path / "report.json")
+        mustar = critical_mass(2.5, 3.5, SolverConfig(N=512))
+        assert d["params"]["mu"] == pytest.approx(0.5 * mustar, rel=1e-12)
+
     def test_env_var_sets_default_out_dir(self, tmp_path, monkeypatch):
         envdir = tmp_path / "from_env"
         monkeypatch.setenv("HYBRID_NLS_OUT", str(envdir))
