@@ -31,13 +31,16 @@ SCHEMA_VERSION = 4
 
 _COMMANDS = ("solve", "sweep", "baseline", "verify")
 _FORMATS = ("json", "csv", "svg")
+#: options that set HybridParams fields of the same name
+_PARAM_KEYS = ("p1", "p2", "sigma1", "sigma2", "beta", "mu")
 #: options that set SolverConfig fields of the same name
 _SOLVER_KEYS = ("R", "N", "grading", "grad_tol", "max_iters", "starts")
+#: the numeric options whose flags read their text as an integer
+_INT_KEYS = ("N", "max_iters")
 #: the options each command reads; setting any other one is an error
 _READS = {
     "verify": ("fast", "formats", "out"),
-    "solve": ("p1", "p2", "sigma1", "sigma2", "beta", "mu", "mu_relative",
-              "formats", "out") + _SOLVER_KEYS,
+    "solve": _PARAM_KEYS + ("mu_relative", "formats", "out") + _SOLVER_KEYS,
     "baseline": ("p", "mustar") + _SOLVER_KEYS + ("formats", "out"),
 }
 _READS["sweep"] = _READS["solve"] + ("mode", "values")
@@ -88,6 +91,21 @@ def _parse_floats(text, what: str) -> tuple[float, ...]:
         raise UsageError(f"could not parse {what}: {exc}") from None
 
 
+def _number(key: str, value) -> float | int:
+    """An option's value read as its flag's text is: int for _INT_KEYS,
+    float otherwise.  A non-integral number for an int option is refused."""
+    kind = int if key in _INT_KEYS else float
+    try:
+        x = None if isinstance(value, bool) else kind(value)
+    except (TypeError, ValueError, OverflowError):
+        x = None
+    if x is None or (kind is int and not isinstance(value, str) and x != value):
+        raise UsageError(f"--{key.replace('_', '-')} must be "
+                         f"{'an integer' if kind is int else 'a number'}, "
+                         f"got {value!r}")
+    return x
+
+
 def _parse_pairs(text) -> tuple[tuple[float, float], ...]:
     pairs = []
     for chunk in map(str, _split_list(text)):
@@ -110,8 +128,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="solve | sweep | baseline | verify "
                          "(may also come from --config)")
     ap.add_argument("--config", help="flat JSON configuration file")
-    for name in ("p1", "p2", "sigma1", "sigma2", "beta", "mu",
-                 "R", "grading", "grad-tol", "mu-relative"):
+    for name in (*_PARAM_KEYS, "R", "grading", "grad-tol", "mu-relative"):
         ap.add_argument(f"--{name}", type=float, default=None)
     for name in ("N", "max-iters"):
         ap.add_argument(f"--{name}", type=int, default=None)
@@ -166,14 +183,13 @@ def _merged_options(args: argparse.Namespace) -> dict:
 
 
 def _resolve(merged: dict) -> RunConfig:
-    overrides = {key: merged[key] for key in _SOLVER_KEYS
-                 if merged.get(key) is not None}
-    if "starts" in overrides:
-        overrides["starts"] = _parse_floats(merged["starts"], "--starts")
     try:
+        overrides = {key: _number(key, merged[key]) for key in _SOLVER_KEYS
+                     if key != "starts" and merged.get(key) is not None}
+        if merged.get("starts") is not None:
+            overrides["starts"] = _parse_floats(merged["starts"], "--starts")
         solver = dataclasses.replace(SolverConfig(), **overrides)
-        params = HybridParams(merged["p1"], merged["p2"], merged["sigma1"],
-                              merged["sigma2"], merged["beta"], merged["mu"])
+        params = HybridParams(*(_number(key, merged[key]) for key in _PARAM_KEYS))
     except (ValueError, TypeError) as exc:
         raise UsageError(str(exc)) from None
     if not isinstance(merged["fast"], bool):

@@ -51,15 +51,14 @@ mass 1.  Every run records why it stopped (``stop``; the winner's is the
 report's ``stop_reason``).
 
 Each solve is a multistart over mass splits, and the starts mostly
-reach one state: on the benchmark's 640-solve warm pool only 12,560 of
-50,909 iterations were the winning starts'.  So the multistart is
-screened (_solve_on_grid): every start pauses at _SCREEN = 1e4 times
-its tolerance, the lowest paused start is finished, and a later one is
-finished only when it lies more than _DUPLICATE = 0.1 from every state
-already finished.  A paused state lay at most 0.34 from its own final
-state and two distinct converged states at least 0.80 apart, and the
-pool took 33,196 iterations.  A paused run keeps only its state and
-scalars; resumed, it continues bit for bit as if it had not paused.
+reach one state.  So the starts run one after another
+(_solve_on_grid), and a start stops, stop ``duplicate``, once it lies
+within _DUPLICATE = 0.1 of a converged state an earlier start finished
+without lying below it in energy.  Run alone, such a start ends within
+6.1e-5 of the state it joined on the benchmark's 647 solves; two
+distinct converged states lie at least 0.80 apart.  The warm pool
+took 27,614 iterations over all starts, against 50,743 when every start
+ran to its end.
 
 At beta = 0 only the two single-plane problems are solved: the ground
 state then sits on one plane (the argument is in solve_hybrid).
@@ -143,10 +142,8 @@ _NOISE_BAND = 10.0
 _PROGRESS = 0.5
 #: starts whose energies agree to this relative gap reached the same state
 _TIE = 1e-12
-#: the multistart pauses every start at this many times its tolerance ...
-_SCREEN = 1e4
-#: ... and skips a paused start that lies within this distance
-#: sqrt(mass(U - U_f) / mu) of a state U_f it has already finished
+#: a start stops once it lies within this distance sqrt(mass(U - U_f) / mu)
+#: of a converged state U_f that an earlier start finished
 _DUPLICATE = 0.1
 #: the preconditioner solve stops this many nats of multiplier decay past
 #: the last nonzero right-hand-side node ...
@@ -568,7 +565,7 @@ def _tangent_direction(solve, flat):
     return (pvec, slope) if slope > 0.0 and np.isfinite(slope) else None
 
 
-def _descend(pd, p, sigmas, beta, mu, cfg, phi, q, screen=False, paused=None):
+def _descend(pd, p, sigmas, beta, mu, cfg, phi, q, near=()):
     """Projected descent from one start, with a Newton endgame; returns a
     run dict.
 
@@ -608,18 +605,15 @@ def _descend(pd, p, sigmas, beta, mu, cfg, phi, q, screen=False, paused=None):
     not descend; the N=8192, grading 1.01 hybrid of the module docstring
     stops so after 12 iterations).
 
-    With ``screen`` the descent also pauses, stop ``screened``, at the
-    first iteration whose scaled projected-gradient norm is within
-    _SCREEN times its tolerance.  The run's ``paused`` then holds the
-    scalars that with ``phi`` and ``q`` make up the run: the shift, the
-    step, the stall and refactor counters, the iteration, the ``recent``
-    window and the Newton mode.  Passing ``phi``, ``q`` and ``paused``
-    back continues the run: the preconditioner is refactored at the
-    same shift and the point re-evaluated, so it ends after the same
-    iterations, with the same stop and the bit-identical state and
-    energy of a run that never paused.  Nothing else is kept while
-    paused: no factor and no buffers.  Raises ValueError when the start
-    cannot be scaled onto the sphere of mass ``mu``.
+    ``near`` holds the converged runs of earlier starts.  From its first
+    iteration, after the convergence test, the descent also stops, stop
+    ``duplicate``, when it lies within _DUPLICATE, in the distance
+    sqrt(mass(U - U_f) / mu), of one of their states U_f and its energy
+    is not below that run's (within _TIE relative): it is on its way to
+    U_f.  So a start that meets its tolerance is ``converged``, never
+    ``duplicate``, and with no ``near`` runs the check never fires.
+    Raises ValueError when the start cannot be scaled onto the sphere
+    of mass ``mu``.
     """
     k, n = phi.shape
     nin = n - 2
@@ -651,19 +645,22 @@ def _descend(pd, p, sigmas, beta, mu, cfg, phi, q, screen=False, paused=None):
         c = math.sqrt(mu / mt)
         return c * phi_, c * q_
 
-    if paused is None:
-        start = retract(phi.copy(), q)
-        if start is None:
-            raise ValueError(
-                f"cannot scale the start onto the sphere of mass {mu!r}")
-        phi, q = start
-        shift, step, stall, since_factor, first = pd.lam, _STEP_SIZE, 0, 0, 1
-        recent, newton = (), False
-    else:
-        shift, step, stall, since_factor, first, recent, newton = paused
+    def joins(f):
+        # this iterate is on its way to the state of the converged run f
+        if energy - f["energy"] < -_TIE * abs(f["energy"]):
+            return False
+        dm = _mass(phi - f["phi"], q - f["q"], pd)
+        return math.sqrt(max(dm, 0.0) / mu) <= _DUPLICATE
+
+    start = retract(phi.copy(), q)
+    if start is None:
+        raise ValueError(
+            f"cannot scale the start onto the sphere of mass {mu!r}")
+    phi, q = start
+    shift, step, stall, since_factor, newton = pd.lam, _STEP_SIZE, 0, 0, False
     # (scaled norm, omega_hat) of the last _WINDOW + 1 iterations, since
     # the Newton gate in Newton mode
-    recent = collections.deque(recent, maxlen=_WINDOW + 1)
+    recent = collections.deque(maxlen=_WINDOW + 1)
     lin_solve = _linear_solver(pd.grid, shift, pd.theta, sigmas, beta)
     energy, qform, pt, pieces = evaluate(phi, q)
     gphi = np.empty((k, n))
@@ -673,7 +670,7 @@ def _descend(pd, p, sigmas, beta, mu, cfg, phi, q, screen=False, paused=None):
     stop = "max_iters"
     pg_norm = math.inf
 
-    for iterations in range(first, cfg.max_iters + 1):
+    for iterations in range(1, cfg.max_iters + 1):
         gq, dmq = plane_energy_grad(q, pieces, sig_theta, pd, gphi)
         # drop the pieces here: only the line search's latest trial keeps any
         pieces = point = None
@@ -690,8 +687,8 @@ def _descend(pd, p, sigmas, beta, mu, cfg, phi, q, screen=False, paused=None):
         if pg_norm <= cfg.grad_tol * scale:
             stop = "converged"
             break
-        if screen and pg_norm <= _SCREEN * cfg.grad_tol * scale:
-            stop = "screened"
+        if any(joins(f) for f in near):
+            stop = "duplicate"
             break
 
         recent.append((pg_norm / scale, omega_hat))
@@ -765,10 +762,6 @@ def _descend(pd, p, sigmas, beta, mu, cfg, phi, q, screen=False, paused=None):
         "converged": stop == "converged",
         "stop": stop,
         "grad_norm": pg_norm,
-        # what a later call needs, with phi and q, to continue the run
-        "paused": ((shift, step, stall, since_factor, iterations,
-                    tuple(recent), newton)
-                   if stop == "screened" else None),
     }
 
 
@@ -787,41 +780,29 @@ def _lowest(runs: list[dict]) -> dict:
 
 
 def _solve_on_grid(pd, p, sigmas, beta, mu, cfg):
-    """Screened multistart over ``cfg.starts``; returns the ``_lowest``
+    """Sequential multistart over ``cfg.starts``; returns the ``_lowest``
     of the finished runs.
 
-    Every start descends to its screen, _SCREEN times its tolerance, or
-    to an earlier stop, which is final.  The screened starts are then
-    taken in order of energy: the lowest is finished, and each later one
-    is finished unless it lies within _DUPLICATE, in the distance
-    sqrt(mass(U - U_f) / mu), of a state U_f finished before it.  A start
-    so skipped was on its way to that state.  Measured over the
-    benchmark's 640 warm-pool and 7 fine_hard solves: a finished start's
-    screened state lies at most 0.34 from its final state (median
-    2.3e-3), a skipped one at most 0.09994 from the state it joined, and
-    the closest two distinct converged states are 0.80 apart.  Without the
-    distance test, finishing only the lowest screened start picks the
-    wrong state of (2.87, 2.919, 1.784, 1.116, 0.547, 0.556) once the
-    screen is 1e5.
+    The starts run in order, each given the converged runs finished
+    before it as ``_descend``'s ``near``.  A start that joins one of
+    those states (stop ``duplicate``) is dropped; every other run is
+    finished, and only the finished runs go into ``_lowest``, so the
+    winner never is a joined start.  Only converged runs are joined:
+    joining unconverged ones as well flipped one draw of the 300-draw
+    census from ``converged`` to ``no_progress`` and left 12 deep
+    ``no_progress`` draws 2-86% higher in energy.  Measured over the
+    benchmark's 640 warm-pool and 7 fine_hard solves: a joined start,
+    run alone, ends at most 6.1e-5 from the state it joined, and the
+    closest two distinct converged states are 0.80 apart.
     """
-    runs = [_descend(pd, p, sigmas, beta, mu, cfg,
-                     *_initial_guess(pd, sigmas, beta, mu, s), screen=True)
-            for s in cfg.starts]
-    finished = []
-
-    def near(run, done):
-        dm = _mass(run["phi"] - done["phi"], run["q"] - done["q"], pd)
-        return math.sqrt(max(dm, 0.0) / mu) <= _DUPLICATE
-
-    for i in sorted((i for i, r in enumerate(runs) if r["stop"] == "screened"),
-                    key=lambda i: runs[i]["energy"]):
-        run = runs[i]
-        if any(near(run, done) for done in finished):
-            continue
-        runs[i] = _descend(pd, p, sigmas, beta, mu, cfg, run["phi"], run["q"],
-                           paused=run["paused"])
-        finished.append(runs[i])
-    return _lowest([r for r in runs if r["stop"] != "screened"])
+    runs = []
+    for s in cfg.starts:
+        run = _descend(pd, p, sigmas, beta, mu, cfg,
+                       *_initial_guess(pd, sigmas, beta, mu, s),
+                       near=[r for r in runs if r["converged"]])
+        if run["stop"] != "duplicate":
+            runs.append(run)
+    return _lowest(runs)
 
 
 # ----------------------------------------------------------------------

@@ -196,6 +196,40 @@ class TestConfigPlumbing:
         assert named in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
 
+    @pytest.mark.parametrize("entry,named", [
+        ({"N": "abc"}, "--N"),
+        ({"N": 256.5}, "--N"),
+        ({"N": "256.5"}, "--N"),
+        ({"max_iters": True}, "--max-iters"),
+        ({"grad_tol": "tiny"}, "--grad-tol"),
+        ({"R": [40]}, "--R"),
+        ({"p1": "abc"}, "--p1"),
+    ], ids=["N-word", "N-fraction", "N-fraction-text", "max-iters-bool",
+            "grad-tol-word", "R-list", "p1-word"])
+    def test_mistyped_number_exits_2_naming_it(self, tmp_path, capsys,
+                                               monkeypatch, entry, named):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"command": "solve", **entry}))
+        monkeypatch.chdir(tmp_path)
+        assert main(["--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert named in err and "not supported" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
+
+    def test_number_strings_read_as_the_flags_text(self, tmp_path):
+        # a JSON string is read as the flag's text would be: int for N and
+        # max_iters, float for the rest
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "command": "solve", "N": "256", "max_iters": "500", "R": "40",
+            "grading": "1.01", "grad_tol": "1e-7", "p1": "3", "mu": 1,
+            "out": str(tmp_path), "formats": "json"}))
+        assert main(["--config", str(cfg)]) == 0
+        d = read_json(tmp_path / "report.json")
+        assert d["solver"]["N"] == 256 and d["solver"]["max_iters"] == 500
+        assert d["solver"]["grad_tol"] == 1e-7 and d["solver"]["R"] == 40.0
+        assert d["params"]["p1"] == 3.0 and d["params"]["mu"] == 1.0
+
     def test_mu_relative_string_reads_as_number(self, tmp_path):
         # a JSON string is read as the flag's text would be
         cfg = tmp_path / "run.json"

@@ -553,24 +553,31 @@ def _state_distance(pd, mu, a, b):
     return math.sqrt(max(dm, 0.0) / mu)
 
 
-class TestScreenedMultistart:
-    """Each start pauses at _SCREEN times its tolerance; the multistart
-    finishes the lowest paused start and every other one that is not
-    within _DUPLICATE of a state it finished."""
+def _start_energy(pd, p, sigmas, beta, mu, phi, q):
+    """Energy of a start scaled onto the sphere of mass mu, as the
+    descent evaluates its first point."""
+    c = math.sqrt(mu / solver._mass(phi, q, pd))
+    sig_theta = pd.theta + (np.array(sigmas) if sigmas is not None else 0.0)
+    e = _kernels.plane_energy(c * phi, c * q, p, sig_theta, pd)[0]
+    return float(e.sum()) - (beta * c * c * q[0] * q[1] if len(q) == 2 else 0.0)
+
+
+class TestSequentialStarts:
+    """The starts run in order; a start stops as ``duplicate`` once it
+    lies within _DUPLICATE of a converged state an earlier start
+    finished, with an energy not below that state's."""
 
     CASES = {
         "one-plane": (3.0, (0.5,), 0.0, 1.0),
         "two-planes": (np.array([2.5, 3.5]), (0.3, -0.2), 0.8, 1.0),
         "linear": (None, (0.0, 1.0), 0.5, 1.0),
         "planar": (3.0, None, 0.0, 1.0),
-        # criterion 8's 2 mu* hybrid: start 0.1 pauses in the crawl, a few
-        # iterations before the Newton gate opens
+        # criterion 8's 2 mu* hybrid, whose starts crawl into the Newton gate
         "crawling": (np.array([2.5, 3.5]), (6.0, 6.0), 1.0, 44.85319),
     }
 
-    @pytest.mark.parametrize("start", [0.1, 0.9])
-    @pytest.mark.parametrize("p,sigmas,beta,mu", CASES.values(), ids=CASES)
-    def test_resume_continues_the_run_exactly(self, p, sigmas, beta, mu, start):
+    @staticmethod
+    def _problem(p, sigmas, beta, mu, start):
         cfg = SolverConfig(N=512)
         if sigmas is None:
             pd = plane_data(_grid_for(1.0, cfg), 1.0)
@@ -579,74 +586,87 @@ class TestScreenedMultistart:
             pd = solver._setup(
                 omega_star(HybridParams(3.0, 3.0, s1, s2, beta, mu)), cfg)
         guess = solver._initial_guess(pd, sigmas, beta, mu, start)
-        args = (pd, p, sigmas, beta, mu, cfg)
+        return (pd, p, sigmas, beta, mu, cfg), guess
+
+    @staticmethod
+    def _same_run(a, b):
+        assert a["stop"] == b["stop"] == "converged"
+        assert a["iterations"] == b["iterations"]
+        assert a["energy"] == b["energy"]
+        assert np.array_equal(a["phi"], b["phi"])
+        assert np.array_equal(a["q"], b["q"])
+
+    @pytest.mark.parametrize("start", [0.1, 0.9])
+    @pytest.mark.parametrize("p,sigmas,beta,mu", CASES.values(), ids=CASES)
+    def test_far_state_leaves_the_run_unchanged(self, p, sigmas, beta, mu,
+                                                start):
+        # a converged state far out in the box, below every energy: only
+        # the distance keeps the start from joining it
+        args, guess = self._problem(p, sigmas, beta, mu, start)
+        pd = args[0]
+        bump = np.exp(-(pd.grid.r - 30.0) ** 2)
+        phi = np.tile(bump, (len(guess[1]), 1))
+        q = np.zeros(len(guess[1]))
+        far = {"phi": phi * math.sqrt(mu / solver._mass(phi, q, pd)), "q": q,
+               "energy": -1e300, "converged": True}
         whole = solver._descend(*args, *guess)
-        paused = solver._descend(*args, *guess, screen=True)
-        assert paused["stop"] == "screened" and not paused["converged"]
-        assert 1 <= paused["iterations"] < whole["iterations"]
-        # the paused run keeps the state and scalars only
-        assert all(not isinstance(x, np.ndarray) for x in paused["paused"])
-        done = solver._descend(*args, paused["phi"], paused["q"],
-                               paused=paused["paused"])
-        assert done["stop"] == whole["stop"] == "converged"
-        assert done["iterations"] == whole["iterations"]
-        assert done["energy"] == whole["energy"]
-        assert np.array_equal(done["phi"], whole["phi"])
-        assert np.array_equal(done["q"], whole["q"])
-        assert done["paused"] is None
+        assert _state_distance(pd, mu, whole, far) >= 1.0
+        self._same_run(solver._descend(*args, *guess, near=[far]), whole)
 
-    def test_duplicate_rule_on_synthetic_runs(self, monkeypatch):
-        # four starts of a planar problem at mass 1: start 0 is the lowest
-        # paused one, start 1 lies 0.09 from it and start 2 0.11, start 3
-        # stopped before its screen
+    @pytest.mark.parametrize("start", [0.1, 0.9])
+    @pytest.mark.parametrize("p,sigmas,beta,mu", CASES.values(), ids=CASES)
+    def test_state_above_the_run_is_never_joined(self, p, sigmas, beta, mu,
+                                                 start):
+        # the run's own final state, its energy raised above the start's
+        # (the descent only goes down): only the energy keeps it apart
+        args, guess = self._problem(p, sigmas, beta, mu, start)
+        whole = solver._descend(*args, *guess)
+        e0 = _start_energy(*args[:5], *guess)
+        assert e0 > whole["energy"]
+        own = {**whole, "energy": e0 + 1e-9 * abs(e0)}
+        self._same_run(solver._descend(*args, *guess, near=[own]), whole)
+
+    def test_start_that_meets_its_tolerance_is_converged(self):
+        # at a loose tolerance the start converges at once, on the very
+        # state it is given: the convergence test comes first
+        args, guess = self._problem(3.0, (0.5,), 0.0, 1.0, 0.5)
+        args = (*args[:5], SolverConfig(N=512, grad_tol=1e3))
+        whole = solver._descend(*args, *guess)
+        assert whole["iterations"] == 1
+        self._same_run(solver._descend(*args, *guess, near=[whole]), whole)
+
+    def test_join_rule_on_synthetic_runs(self, monkeypatch):
+        # start 0 stalls, start 1 converges, start 2 joins it, start 3
+        # converges elsewhere; a joined run's energy never counts
         cfg = SolverConfig(N=256, starts=(0.1, 0.3, 0.5, 0.9))
-        grid = _grid_for(1.0, cfg)
-        pd = plane_data(grid, 1.0)
-        w = grid.w_trapz
+        pd = plane_data(_grid_for(1.0, cfg), 1.0)
+        ends = iter([("stalled", -3.0), ("converged", -1.0),
+                     ("duplicate", -10.0), ("converged", -2.0)])
+        given = []
 
-        def unit(f):  # one plane of mass 1
-            return f[None, :] / math.sqrt(f @ (f * w))
-
-        base = unit(np.exp(-grid.r ** 2))
-        bump = unit(np.exp(-(grid.r - 3.0) ** 2))
-
-        def run(i, phi, energy, stop="screened"):
-            return {"phi": phi, "q": np.zeros(1), "energy": energy,
-                    "iterations": 5, "converged": False, "stop": stop,
-                    "paused": (i,) if stop == "screened" else None}
-
-        starts = iter([run(0, base, -1.0), run(1, base + 0.09 * bump, -0.9),
-                       run(2, base + 0.11 * bump, -0.8),
-                       run(3, base, -0.5, stop="stalled")])
-        finished = []
-
-        def fake(pd_, p_, sigmas_, beta_, mu_, cfg_, phi, q, screen=False,
-                 paused=None):
-            if paused is None:
-                assert screen
-                return next(starts)
-            finished.append(paused[0])
-            return {"phi": phi, "q": q, "energy": -2.0 - paused[0],
-                    "iterations": 9, "converged": True, "stop": "converged",
-                    "paused": None}
+        def fake(pd_, p_, sigmas_, beta_, mu_, cfg_, phi, q, near=()):
+            given.append([r["energy"] for r in near])
+            stop, energy = next(ends)
+            return {"phi": phi, "q": q, "energy": energy, "iterations": 5,
+                    "converged": stop == "converged", "stop": stop}
 
         monkeypatch.setattr(solver, "_descend", fake)
         best = solver._solve_on_grid(pd, 3.0, None, 0.0, 1.0, cfg)
-        assert finished == [0, 2]  # lowest first; 1 joins 0, 3 was final
-        assert best["energy"] == -4.0
+        # the stalled run is finished but never held; the joined one neither
+        assert given == [[], [], [-1.0], [-1.0]]
+        assert best["energy"] == -3.0 and best["stop"] == "stalled"
 
-    def test_loose_screen_still_finds_the_ground_state(self, monkeypatch):
-        # at a screen of 1e5 the lowest paused start ends at -0.0075398;
-        # only a start more than _DUPLICATE from it reaches the ground state
-        monkeypatch.setattr(solver, "_SCREEN", 1e5)
+    def test_finds_the_lower_of_two_states(self):
+        # start 0.1 ends on a state at -0.0075398 and 0.5 joins it; only
+        # 0.9, finished on its own, reaches the ground state
         r = solve_hybrid(HybridParams(2.87, 2.919, 1.784, 1.116, 0.547, 0.556))
         assert r.converged
         assert rel(r.energy, -0.007976890972858195) < 1e-6
 
     def test_sigma6_hybrid_finishes_both_regimes(self, monkeypatch):
-        # criterion 8's 2 mu* hybrid (N=512): starts 0.1 and 0.5 reach the
-        # plane-2 state and 0.9 the plane-1 one; the skipped start, run
-        # uninterrupted, ends on the state it was skipped for
+        # criterion 8's 2 mu* hybrid (N=512): start 0.1 ends on the plane-2
+        # state, 0.5 joins it, 0.9 ends on the plane-1 state; the joined
+        # start, run alone, ends on the state it joined
         cfg = SolverConfig(N=512)
         P = HybridParams(2.5, 3.5, 6.0, 6.0, 1.0, 44.85319)
         calls = []
@@ -658,22 +678,21 @@ class TestScreenedMultistart:
 
         monkeypatch.setattr(solver, "_descend", counted)
         r = solve_hybrid(P, cfg)
-        firsts = [c for c in calls if c[1].get("paused") is None]
-        resumes = [c for c in calls if c[1].get("paused") is not None]
-        assert [c[2]["stop"] for c in firsts] == ["screened"] * 3
-        assert [c[2]["stop"] for c in resumes] == ["converged"] * 2
-        ends = [c[2] for c in resumes]
-        pd = firsts[0][0][0]
+        assert [c[2]["stop"] for c in calls] == ["converged", "duplicate",
+                                                 "converged"]
+        ends = [c[2] for c in calls if c[2]["stop"] == "converged"]
+        pd = calls[0][0][0]
         assert _state_distance(pd, P.mu, *ends) > 1.0
         plane2 = [solver._mass(e["phi"][1:], e["q"][1:], pd) / P.mu for e in ends]
         assert sorted(f > 0.9 for f in plane2) == [False, True]
-        resumed = {id(c[1]["paused"]) for c in resumes}
-        (skipped,) = [c for c in firsts if id(c[2]["paused"]) not in resumed]
-        whole = descend(*skipped[0])
+        args, kwargs, run = calls[1]
+        (held,) = kwargs["near"]
+        assert held is ends[0]
+        assert _state_distance(pd, P.mu, run, held) <= solver._DUPLICATE
+        whole = descend(*args)
         assert whole["converged"]
-        joined = min(ends, key=lambda e: _state_distance(pd, P.mu, whole, e))
-        assert _state_distance(pd, P.mu, whole, joined) < 1e-6
-        assert rel(whole["energy"], joined["energy"]) < 1e-12
+        assert _state_distance(pd, P.mu, whole, held) < 1e-6
+        assert rel(whole["energy"], held["energy"]) < 1e-12
         assert r.energy == min(e["energy"] for e in ends)
 
 

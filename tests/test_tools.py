@@ -1,0 +1,46 @@
+"""Tests of the measurement scripts under tools/."""
+
+import importlib.util
+from pathlib import Path
+
+import hybrid_nls
+from hybrid_nls import solver
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_iteration_census_adds_up():
+    census = _load("iteration_census")
+    from perfbench import workloads as wl
+
+    (rotation,) = wl.warm_pool(N=512)[:1]
+    descend = solver._descend
+    s = census.census(rotation, hybrid_nls, solver)
+    assert solver._descend is descend  # the wrappers are taken off again
+    ops = s["ops"]
+    assert [r["key"] for r in ops] == [op.key for op in rotation]
+    every = [st for r in ops for st in r["starts"]]
+    # three starts per multistart; the uncoupled hybrid runs one per plane
+    kinds = [op.kind for op in rotation]
+    assert len(every) == s["starts"] == 3 * (len(kinds) + kinds.count("hybrid_beta0"))
+    assert s["total_iters"] == sum(r["total_iters"] for r in ops)
+    assert s["winner_iters"] == sum(r["winner_iters"] for r in ops)
+    for r in ops:
+        assert r["total_iters"] == sum(st["iterations"] for st in r["starts"])
+        assert r["winner_iters"] <= r["total_iters"]
+        assert any(st["outcome"] == "finished" for st in r["starts"])
+    joined = [st for st in every if st["outcome"] == "joined"]
+    assert {st["outcome"] for st in every} <= {"finished", "joined"}
+    assert s["joined"] == len(joined) > 0
+    assert s["joined_iters"] == sum(st["iterations"] for st in joined)
+    assert all(st["distance"] <= solver._DUPLICATE for st in joined)
+    assert s["max_rerun_distance"] == max(st["rerun_distance"] for st in joined)
+    assert s["max_rerun_distance"] <= 1e-3
+    assert s["unconverged"] == sum(not r["converged"] for r in ops) == 0

@@ -7,34 +7,40 @@ the energy and the ``converged`` flag, and per set the wall time.  The
 operations come from ``perfbench/workloads.py``, which this script only
 reads.
 
-Each start of a multistart gets one record: the iteration at which the
-screen paused it (null when it stopped earlier, or on a tree without
-the screen) and its outcome.  A ``finished`` start carries its stop
-reason and its iterations in total, and, when it was paused, ``drift``,
-the distance sqrt(mass(U_s - U_f) / mu) from its paused state to its
-final one.  A ``duplicate`` start was skipped at its screen; it carries
-the iterations it took and ``distance``, that distance to the nearest
-state the multistart finished.  Each operation also records
+Each start of a multistart gets one record, with its outcome.  A
+``finished`` start carries its stop reason and its iterations.  A
+``joined`` start was dropped because it had reached a state the
+multistart had finished: it carries the iterations it took,
+``distance``, its distance sqrt(mass(U_s - U_f) / mu) then to the
+nearest such state U_f, and ``rerun_distance``, the distance to U_f of
+the same start run alone, uninterrupted.  Each operation also records
 ``separation``, the smallest distance between two of its multistart's
 converged final states.
 
 The starts are seen by wrapping ``solver._solve_on_grid`` and
-``solver._descend``: the calls without ``paused`` are the starts, in
-order, and a call with it continues the start that returned it.  The
-distances are the tree's own batched mass, ``solver._mass``.  Both
-wrappers and that call use the signatures in which the solver's
-internals take one ``PlaneData`` in place of the grid, the rate and the
-plane arrays, so the census measures trees from that change on.  Run
-the census once per tree, one process each:
+``solver._descend``.  Two designs are read.  With sequential starts each
+call is one start, and a start given the earlier converged runs as
+``near`` joins one of them with stop ``duplicate``.  With the screened
+multistart the calls without ``paused`` are the starts, in order, a
+call with it continues the start that returned it, and a start never
+continued was skipped at its screen, next to the states that were.
+Either way a start run alone is a ``_descend`` call with the same
+positional arguments and no keywords.  The distances are the tree's own
+batched mass, ``solver._mass``, and the wrappers use the signatures in
+which the solver's internals take one ``PlaneData``, so the census
+measures trees from that change on.  Run the census once per tree, one
+process each:
 
     OPENBLAS_NUM_THREADS=1 python tools/iteration_census.py --label change
     OPENBLAS_NUM_THREADS=1 python tools/iteration_census.py --label parent \\
         --src /path/to/parent/src
     python tools/iteration_census.py --compare parent change
 
-Each run replaces its label's entry in ``BENCH_screened_multistart.json``
-at the repo root and keeps the others; ``--compare`` prints the
-``converged`` flags and the energies that differ between two entries.
+Each run replaces its label's entry in ``BENCH_sequential_starts.json``
+at the repo root and keeps the others.  ``--compare`` prints the
+``converged`` flags and the energies that differ between two entries,
+and exits 1 when a ``converged`` flag differs.  The reruns of joined
+starts are not counted in ``wall_s``.
 """
 
 from __future__ import annotations
@@ -53,7 +59,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-OUT = ROOT / "BENCH_screened_multistart.json"
+OUT = ROOT / "BENCH_sequential_starts.json"
 SETS = ("warm_pool", "fine_hard")
 
 
@@ -92,29 +98,32 @@ def _distance(solver, pd, mu, a, b) -> float:
     return float(f"{math.sqrt(max(dm, 0.0) / mu):.4g}")
 
 
-def _starts(calls, solver, pd, mu) -> tuple[list[dict], float | None]:
-    """Per-start records of one multistart from its ``_descend`` calls,
-    and the smallest distance between two of its converged final states."""
-    firsts = [run for paused, run in calls if paused is None]
-    resumed = {id(paused): run for paused, run in calls if paused is not None}
-    finals = [resumed.get(id(run.get("paused")), run) for run in firsts]
+def _starts(calls, solver, pd, mu, rerun) -> tuple[list[dict], float | None]:
+    """Per-start records of one multistart from its ``_descend`` calls
+    (positional arguments, keywords, run), and the smallest distance
+    between two of its converged final states.  ``rerun(args)`` runs a
+    start alone."""
+    firsts = [(args, kw, run) for args, kw, run in calls if kw.get("paused") is None]
+    resumed = {id(kw["paused"]): run for _, kw, run in calls
+               if kw.get("paused") is not None}
 
     def dist(a, b):
         return _distance(solver, pd, mu, a, b)
 
-    records = []
-    for run, final in zip(firsts, finals):
-        rec = {"screen": run["iterations"] if run.get("stop") == "screened" else None}
-        if final.get("stop") == "screened":
-            rec.update(outcome="duplicate", iterations=run["iterations"],
-                       distance=min(dist(run, f) for f in resumed.values()))
-        else:
-            rec.update(outcome="finished", stop=final.get("stop"),
-                       iterations=final["iterations"])
-            if final is not run:
-                rec["drift"] = dist(run, final)
-        records.append(rec)
-    done = [f for f in finals if f.get("converged")]
+    records, finals = [], []
+    for args, kw, run in firsts:
+        final = resumed.get(id(run.get("paused")), run)
+        if final["stop"] not in ("duplicate", "screened"):
+            records.append({"outcome": "finished", "stop": final["stop"],
+                            "iterations": final["iterations"]})
+            finals.append(final)
+            continue
+        held = kw["near"] if "near" in kw else list(resumed.values())
+        joined = min(held, key=lambda f: dist(run, f))
+        records.append({"outcome": "joined", "iterations": run["iterations"],
+                        "distance": dist(run, joined),
+                        "rerun_distance": dist(rerun(args), joined)})
+    done = [f for f in finals if f["converged"]]
     pairs = [dist(a, b) for i, a in enumerate(done) for b in done[i + 1:]]
     return records, min(pairs, default=None)
 
@@ -123,16 +132,24 @@ def census(ops, hybrid_nls, solver) -> dict:
     """Run ``ops`` in order; per op its iterations, starts and answer."""
     calls, starts, separations = [], [], []
     descend, on_grid = solver._descend, solver._solve_on_grid
+    rerun_s = 0.0
 
     def counted(*args, **kwargs):
         run = descend(*args, **kwargs)
-        calls.append((kwargs.get("paused"), run))
+        calls.append((args, kwargs, run))
+        return run
+
+    def rerun(args):
+        nonlocal rerun_s
+        t = time.perf_counter()
+        run = descend(*args)
+        rerun_s += time.perf_counter() - t
         return run
 
     def multistart(pd, p, sigmas, beta, mu, cfg):
         calls.clear()
         best = on_grid(pd, p, sigmas, beta, mu, cfg)
-        records, separation = _starts(calls, solver, pd, mu)
+        records, separation = _starts(calls, solver, pd, mu, rerun)
         starts.extend(records)
         separations.append(separation)
         return best
@@ -157,14 +174,14 @@ def census(ops, hybrid_nls, solver) -> dict:
                 "starts": list(starts),
                 "separation": min(seps, default=None),
                 "converged": report.converged,
+                "stop_reason": report.stop_reason,
                 "energy": report.energy,
             })
     finally:
         solver._descend, solver._solve_on_grid = descend, on_grid
-    wall = time.perf_counter() - t0
+    wall = time.perf_counter() - t0 - rerun_s
     every = [s for r in records for s in r["starts"]]
-    dups = [s["distance"] for s in every if s["outcome"] == "duplicate"]
-    drifts = [s["drift"] for s in every if "drift" in s]
+    joined = [s for s in every if s["outcome"] == "joined"]
     seps = [r["separation"] for r in records if r["separation"] is not None]
     return {
         "wall_s": round(wall, 3),
@@ -172,16 +189,19 @@ def census(ops, hybrid_nls, solver) -> dict:
         "total_iters": sum(r["total_iters"] for r in records),
         "unconverged": sum(not r["converged"] for r in records),
         "starts": len(every),
-        "duplicates": len(dups),
-        "max_duplicate_distance": max(dups, default=None),
-        "max_drift": max(drifts, default=None),
+        "joined": len(joined),
+        "joined_iters": sum(s["iterations"] for s in joined),
+        "max_join_distance": max((s["distance"] for s in joined), default=None),
+        "max_rerun_distance": max((s["rerun_distance"] for s in joined), default=None),
         "min_separation_over_0.1": min((x for x in seps if x > 0.1), default=None),
         "ops": records,
     }
 
 
-def compare(data: dict, old: str, new: str) -> None:
-    """Print the ops whose ``converged`` flag or energy differs."""
+def compare(data: dict, old: str, new: str) -> int:
+    """Print the ops whose ``converged`` flag, stop reason or energy
+    differs; the number of flipped ``converged`` flags."""
+    flips = 0
     for name in SETS:
         a = {r["key"]: r for r in data[old][name]["ops"]}
         moved = 0
@@ -189,12 +209,23 @@ def compare(data: dict, old: str, new: str) -> None:
             o = a[r["key"]]
             rel = abs(r["energy"] - o["energy"]) / abs(o["energy"])
             if r["converged"] != o["converged"]:
+                flips += 1
                 print(f"{name} {r['key']}: converged {o['converged']} -> {r['converged']}")
+            if r.get("stop_reason", o.get("stop_reason")) != o.get("stop_reason"):
+                print(f"{name} {r['key']}: stop {o.get('stop_reason')} -> {r['stop_reason']}")
             if rel > 1e-10:
                 moved += 1
                 print(f"{name} {r['key']}: energy {o['energy']!r} -> {r['energy']!r} "
                       f"({rel:.2e} relative)")
         print(f"{name}: {moved} of {len(a)} energies moved by more than 1e-10 relative")
+        for label in (old, new):
+            s = data[label][name]
+            print(f"{name} {label}: total iterations {s['total_iters']}, winner "
+                  f"{s['winner_iters']}, joined {s['joined']} of {s['starts']} starts "
+                  f"({s['joined_iters']} iterations), max rerun distance "
+                  f"{s['max_rerun_distance']}")
+    print(f"{flips} converged flags differ")
+    return flips
 
 
 def _dumps(data: dict) -> str:
@@ -222,8 +253,7 @@ def main(argv=None) -> int:
                     help="print what differs between two recorded entries")
     args = ap.parse_args(argv)
     if args.compare:
-        compare(json.loads(OUT.read_text()), *args.compare)
-        return 0
+        return 1 if compare(json.loads(OUT.read_text()), *args.compare) else 0
     if not args.label:
         ap.error("--label is required unless --compare is given")
     src = Path(args.src).resolve()
@@ -250,7 +280,7 @@ def main(argv=None) -> int:
         s = entry[name]
         print(f"{args.label} {name}: {len(s['ops'])} ops, winner iterations "
               f"{s['winner_iters']}, total {s['total_iters']}, unconverged "
-              f"{s['unconverged']}, duplicates {s['duplicates']} of "
+              f"{s['unconverged']}, joined {s['joined']} of "
               f"{s['starts']} starts, {s['wall_s']} s")
     return 0
 
