@@ -562,10 +562,11 @@ def _start_energy(pd, p, sigmas, beta, mu, phi, q):
     return float(e.sum()) - (beta * c * c * q[0] * q[1] if len(q) == 2 else 0.0)
 
 
-class TestSequentialStarts:
-    """The starts run in order; a start stops as ``duplicate`` once it
-    lies within _DUPLICATE of a converged state an earlier start
-    finished, with an energy not below that state's."""
+class TestScreenedMultistart:
+    """The starts run in order, each screened against the converged
+    states of the starts before it: a start stops as ``duplicate`` once
+    it lies within _DUPLICATE of one of them, with an energy not below
+    that state's."""
 
     CASES = {
         "one-plane": (3.0, (0.5,), 0.0, 1.0),
@@ -635,7 +636,7 @@ class TestSequentialStarts:
         assert whole["iterations"] == 1
         self._same_run(solver._descend(*args, *guess, near=[whole]), whole)
 
-    def test_join_rule_on_synthetic_runs(self, monkeypatch):
+    def test_duplicate_rule_on_synthetic_runs(self, monkeypatch):
         # start 0 stalls, start 1 converges, start 2 joins it, start 3
         # converges elsewhere; a joined run's energy never counts
         cfg = SolverConfig(N=256, starts=(0.1, 0.3, 0.5, 0.9))
@@ -662,6 +663,27 @@ class TestSequentialStarts:
         r = solve_hybrid(HybridParams(2.87, 2.919, 1.784, 1.116, 0.547, 0.556))
         assert r.converged
         assert rel(r.energy, -0.007976890972858195) < 1e-6
+
+    def test_loose_screen_still_finds_the_ground_state(self, monkeypatch):
+        # at five times the join distance start 0.5 joins 0.1's state
+        # sooner (after 9 iterations at the default), and 0.9 still
+        # finishes, on the ground state
+        monkeypatch.setattr(solver, "_DUPLICATE", 0.5)
+        runs = []
+        descend = solver._descend
+
+        def counted(*args, **kwargs):
+            runs.append(descend(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(solver, "_descend", counted)
+        r = solve_hybrid(HybridParams(2.87, 2.919, 1.784, 1.116, 0.547, 0.556))
+        assert [x["stop"] for x in runs] == ["converged", "duplicate",
+                                             "converged"]
+        assert runs[1]["iterations"] < 9
+        assert r.converged
+        assert rel(r.energy, -0.007976890972858195) < 1e-6
+        assert rel(runs[0]["energy"], -0.0075398) < 1e-4
 
     def test_sigma6_hybrid_finishes_both_regimes(self, monkeypatch):
         # criterion 8's 2 mu* hybrid (N=512): start 0.1 ends on the plane-2
