@@ -54,11 +54,14 @@ Each solve is a multistart over mass splits, and the starts mostly
 reach one state.  So the starts run one after another
 (_solve_on_grid), and a start stops, stop ``duplicate``, once it lies
 within _DUPLICATE = 0.1 of a converged state an earlier start finished
-without lying below it in energy.  Run alone, such a start ends within
-6.1e-5 of the state it joined on the benchmark's 647 solves; two
-distinct converged states lie at least 0.80 apart.  The warm pool
-took 27,614 iterations over all starts, against 50,743 when every start
-ran to its end.
+without lying below it in energy.  A later start's preconditioner begins
+at the multiplier the last converged start found, not at the linear
+level, 10x or more off for 458 of the warm pool's 1,596 joined starts.
+Run alone, a joined start ends within 4.5e-5 of the state it joined on
+the benchmark's 647 solves; two distinct converged states lie at least
+0.80 apart.  The warm pool took 22,422 iterations over all starts (its
+joined starts 5,420, against 10,617 from the linear level), and 50,743
+when every start ran to its end.
 
 At beta = 0 only the two single-plane problems are solved: the ground
 state then sits on one plane (the argument is in solve_hybrid).
@@ -565,7 +568,7 @@ def _tangent_direction(solve, flat):
     return (pvec, slope) if slope > 0.0 and np.isfinite(slope) else None
 
 
-def _descend(pd, p, sigmas, beta, mu, cfg, phi, q, near=()):
+def _descend(pd, p, sigmas, beta, mu, cfg, phi, q, near=(), shift=None):
     """Projected descent from one start, with a Newton endgame; returns a
     run dict.
 
@@ -612,6 +615,8 @@ def _descend(pd, p, sigmas, beta, mu, cfg, phi, q, near=()):
     is not below that run's (within _TIE relative): it is on its way to
     U_f.  So a start that meets its tolerance is ``converged``, never
     ``duplicate``, and with no ``near`` runs the check never fires.
+    ``shift`` is the first factor's mass shift, pd.lam by default; the
+    run dict's ``omega_hat`` is the final multiplier estimate.
     Raises ValueError when the start cannot be scaled onto the sphere
     of mass ``mu``.
     """
@@ -657,7 +662,8 @@ def _descend(pd, p, sigmas, beta, mu, cfg, phi, q, near=()):
         raise ValueError(
             f"cannot scale the start onto the sphere of mass {mu!r}")
     phi, q = start
-    shift, step, stall, since_factor, newton = pd.lam, _STEP_SIZE, 0, 0, False
+    shift = pd.lam if shift is None else shift
+    step, stall, since_factor, newton = _STEP_SIZE, 0, 0, False
     # (scaled norm, omega_hat) of the last _WINDOW + 1 iterations, since
     # the Newton gate in Newton mode
     recent = collections.deque(maxlen=_WINDOW + 1)
@@ -762,6 +768,7 @@ def _descend(pd, p, sigmas, beta, mu, cfg, phi, q, near=()):
         "converged": stop == "converged",
         "stop": stop,
         "grad_norm": pg_norm,
+        "omega_hat": omega_hat,
     }
 
 
@@ -790,16 +797,21 @@ def _solve_on_grid(pd, p, sigmas, beta, mu, cfg):
     winner never is a joined start.  Only converged runs are joined:
     joining unconverged ones as well flipped one draw of the 300-draw
     census from ``converged`` to ``no_progress`` and left 12 deep
-    ``no_progress`` draws 2-86% higher in energy.  Measured over the
-    benchmark's 640 warm-pool and 7 fine_hard solves: a joined start,
-    run alone, ends at most 6.1e-5 from the state it joined, and the
-    closest two distinct converged states are 0.80 apart.
+    ``no_progress`` draws 2-86% higher in energy.  A start after a
+    converged run begins at shift max(|omega_hat|, 1e-10) of the last
+    one (the refactor rule's floor), any other start at pd.lam.  Measured
+    over the benchmark's 640 warm-pool and 7 fine_hard solves: a joined
+    start, run alone from its shift, ends at most 4.5e-5 from the state
+    it joined, and the closest two distinct converged states are 0.80
+    apart.
     """
     runs = []
     for s in cfg.starts:
+        near = [r for r in runs if r["converged"]]
+        shift = max(abs(near[-1]["omega_hat"]), 1e-10) if near else pd.lam
         run = _descend(pd, p, sigmas, beta, mu, cfg,
                        *_initial_guess(pd, sigmas, beta, mu, s),
-                       near=[r for r in runs if r["converged"]])
+                       near=near, shift=shift)
         if run["stop"] != "duplicate":
             runs.append(run)
     return _lowest(runs)

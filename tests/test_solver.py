@@ -645,11 +645,12 @@ class TestScreenedMultistart:
                      ("duplicate", -10.0), ("converged", -2.0)])
         given = []
 
-        def fake(pd_, p_, sigmas_, beta_, mu_, cfg_, phi, q, near=()):
+        def fake(pd_, p_, sigmas_, beta_, mu_, cfg_, phi, q, near=(), shift=None):
             given.append([r["energy"] for r in near])
             stop, energy = next(ends)
             return {"phi": phi, "q": q, "energy": energy, "iterations": 5,
-                    "converged": stop == "converged", "stop": stop}
+                    "converged": stop == "converged", "stop": stop,
+                    "omega_hat": 1.0}
 
         monkeypatch.setattr(solver, "_descend", fake)
         best = solver._solve_on_grid(pd, 3.0, None, 0.0, 1.0, cfg)
@@ -718,6 +719,77 @@ class TestScreenedMultistart:
         assert r.energy == min(e["energy"] for e in ends)
 
 
+class TestInheritedShift:
+    """A later start's preconditioner begins at the multiplier estimate
+    of the last converged run before it, not at the linear level."""
+
+    @pytest.mark.parametrize("p,sigmas,beta,mu",
+                             TestScreenedMultistart.CASES.values(),
+                             ids=TestScreenedMultistart.CASES)
+    def test_linear_level_is_the_default_shift(self, p, sigmas, beta, mu):
+        args, guess = TestScreenedMultistart._problem(p, sigmas, beta, mu, 0.1)
+        whole = solver._descend(*args, *guess)
+        TestScreenedMultistart._same_run(
+            solver._descend(*args, *guess, shift=args[0].lam), whole)
+
+    def test_shift_rule_on_synthetic_runs(self, monkeypatch):
+        # start 0 stalls, 1 converges, 2 joins it, 3 converges elsewhere
+        # at a negative multiplier, 4 converges at a tiny one
+        cfg = SolverConfig(N=256, starts=(0.1, 0.3, 0.5, 0.7, 0.9))
+        pd = plane_data(_grid_for(2.0, cfg), 2.0)
+        ends = iter([("stalled", -3.0, 50.0), ("converged", -1.0, 7.0),
+                     ("duplicate", -10.0, 8.0), ("converged", -2.0, -0.25),
+                     ("converged", -2.5, 1e-30)])
+        shifts = []
+
+        def fake(pd_, p_, sigmas_, beta_, mu_, cfg_, phi, q, near=(), shift=None):
+            shifts.append(shift)
+            stop, energy, omega_hat = next(ends)
+            return {"phi": phi, "q": q, "energy": energy, "iterations": 5,
+                    "converged": stop == "converged", "stop": stop,
+                    "omega_hat": omega_hat}
+
+        monkeypatch.setattr(solver, "_descend", fake)
+        solver._solve_on_grid(pd, 3.0, None, 0.0, 1.0, cfg)
+        # an unconverged or joined run's estimate is never inherited
+        assert shifts == [2.0, 2.0, 7.0, 7.0, 0.25]
+        ends = iter([("converged", -1.0, 1e-30)] + [("converged", -1.0, 1.0)] * 4)
+        shifts.clear()
+        solver._solve_on_grid(pd, 3.0, None, 0.0, 1.0, cfg)
+        assert shifts[:2] == [2.0, 1e-10]  # the refactor rule's floor
+
+    def test_planar_start_joins_sooner_at_the_found_multiplier(self, monkeypatch):
+        # omega = 0.0071 here, 140 times below the linear level 1 that
+        # the planar starts begin at: start 0.5 at that level joins start
+        # 0.1's state only after the refactor at iteration 11
+        cfg = SolverConfig()
+        pd = plane_data(_grid_for(1.0, cfg), 1.0)
+        calls = []
+        descend = solver._descend
+
+        def counted(*args, **kwargs):
+            calls.append((args, kwargs, descend(*args, **kwargs)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(solver, "_descend", counted)
+        solver._solve_on_grid(pd, 3.31, None, 0.0, 1.526, cfg)
+        assert [c[2]["stop"] for c in calls] == ["converged", "duplicate",
+                                                 "duplicate"]
+        held = calls[0][2]
+        assert rel(held["omega_hat"], solve_planar(3.31, 1.526).omega) < 1e-6
+        args, kwargs, run = calls[1]
+        assert kwargs["shift"] == abs(held["omega_hat"]) < pd.lam / 100
+        at_lam = descend(*args, near=kwargs["near"], shift=pd.lam)
+        assert at_lam["stop"] == "duplicate"
+        assert (run["iterations"], at_lam["iterations"]) == (4, 13)
+        # run alone from either shift, the start ends on the state it joined
+        for shift in (kwargs["shift"], pd.lam):
+            whole = descend(*args, shift=shift)
+            assert whole["converged"]
+            assert _state_distance(pd, 1.526, whole, held) < 1e-4
+            assert rel(whole["energy"], held["energy"]) < 1e-10
+
+
 class TestEntryValidation:
     def test_infinite_mass_is_refused(self):
         with pytest.raises(ValueError, match="finite"):
@@ -763,24 +835,24 @@ class TestSmallMass:
         for r in reports:
             assert rel(r.mass1 + r.mass2, mu) <= 1e-10
 
-    @pytest.mark.parametrize("solve", [
-        lambda mu: solve_single(3.0, 0.0, mu),
-        lambda mu: solve_hybrid(HybridParams(3.0, 3.0, 0.0, 1.0, 1.0, mu)),
+    @pytest.mark.parametrize("solve,converged_iters,gives_out", [
+        (lambda mu: solve_single(3.0, 0.0, mu), 17, ("line_search", 9)),
+        (lambda mu: solve_hybrid(HybridParams(3.0, 3.0, 0.0, 1.0, 1.0, mu)),
+         18, ("no_progress", 13)),
     ], ids=["single", "hybrid"])
-    def test_where_the_descent_gives_out(self, solve):
-        # down to mass 1e-150 the solves converge in 17 iterations; at
-        # 1e-200 they stopped unconverged (line_search for the single
-        # plane, no_progress for the hybrid), which the report must say
+    def test_where_the_descent_gives_out(self, solve, converged_iters,
+                                         gives_out):
+        # down to mass 1e-150 the solves converge; at 1e-200 they stop
+        # unconverged, and the report says so and why, without a warning
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             r = solve(1e-150)
             assert r.converged and r.el_residual <= 1e-2
+            assert r.iterations == converged_iters
             r = solve(1e-200)
-        if r.converged:
-            assert r.el_residual <= 1e-2
-        else:
-            assert r.stop_reason != "converged"
-            assert rel(r.mass1 + r.mass2, 1e-200) <= 1e-10
+        assert not r.converged
+        assert (r.stop_reason, r.iterations) == gives_out
+        assert rel(r.mass1 + r.mass2, 1e-200) <= 1e-10
 
     def test_tiny_mass_sits_at_the_linear_threshold(self):
         # at mass 1e-30 the |u|^p term is negligible: omega is the linear

@@ -1,7 +1,10 @@
 """Tests of the measurement scripts under tools/."""
 
 import importlib.util
+import operator
 from pathlib import Path
+
+import pytest
 
 import hybrid_nls
 from hybrid_nls import solver
@@ -16,14 +19,31 @@ def _load(name):
     return module
 
 
-def test_iteration_census_adds_up():
+@pytest.fixture(scope="module")
+def census_run():
+    """The census of the first warm-pool rotation at N=512, with every
+    ``_descend`` call it makes, rerun or not, as (args, keywords, run)."""
     census = _load("iteration_census")
     from perfbench import workloads as wl
 
     (rotation,) = wl.warm_pool(N=512)[:1]
-    descend = solver._descend
-    s = census.census(rotation, hybrid_nls, solver)
-    assert solver._descend is descend  # the wrappers are taken off again
+    descend, seen = solver._descend, []
+
+    def recorded(*args, **kwargs):
+        seen.append((args, kwargs, descend(*args, **kwargs)))
+        return seen[-1][2]
+
+    solver._descend = recorded
+    try:
+        s = census.census(rotation, hybrid_nls, solver)
+        assert solver._descend is recorded  # the wrappers are taken off again
+    finally:
+        solver._descend = descend
+    return rotation, s, seen
+
+
+def test_iteration_census_adds_up(census_run):
+    rotation, s, _ = census_run
     ops = s["ops"]
     assert [r["key"] for r in ops] == [op.key for op in rotation]
     every = [st for r in ops for st in r["starts"]]
@@ -44,3 +64,16 @@ def test_iteration_census_adds_up():
     assert s["max_rerun_distance"] == max(st["rerun_distance"] for st in joined)
     assert s["max_rerun_distance"] <= 1e-3
     assert s["unconverged"] == sum(not r["converged"] for r in ops) == 0
+
+
+def test_joined_start_reruns_at_its_shift(census_run):
+    # a start run alone keeps the preconditioner shift it began at, the
+    # multiplier its multistart had found, and drops only ``near``
+    _, s, seen = census_run
+    joins = [(args, kw) for args, kw, run in seen if run["stop"] == "duplicate"]
+    reruns = [(args, kw) for args, kw, _ in seen if "near" not in kw]
+    assert len(joins) == len(reruns) == s["joined"]
+    for (args, kw), (rargs, rkw) in zip(joins, reruns):
+        assert len(rargs) == len(args) and all(map(operator.is_, rargs, args))
+        assert rkw == {"shift": kw["shift"]}
+    assert any(kw["shift"] != args[0].lam for args, kw in joins)

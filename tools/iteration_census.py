@@ -3,9 +3,10 @@
 Runs each of the 640 operations of the ``warm_solves`` pool and the 7
 ``fine_hard`` operations once, in pool order, and records per operation
 the winning start's iterations, the iterations summed over every start,
-the energy and the ``converged`` flag, and per set the wall time.  The
-operations come from ``perfbench/workloads.py``, which this script only
-reads.
+the energy, the ``converged`` flag and the stop reason.  The operations
+come from ``perfbench/workloads.py``, which this script only reads.
+Times are not recorded: they drift with the host, and ``perfbench``'s
+alternating pairs measure them.
 
 Each start of a multistart gets one record, with its outcome.  A
 ``finished`` start carries its stop reason and its iterations.  A
@@ -18,29 +19,24 @@ the same start run alone, uninterrupted.  Each operation also records
 converged final states.
 
 The starts are seen by wrapping ``solver._solve_on_grid`` and
-``solver._descend``.  Two designs are read.  With sequential starts each
-call is one start, and a start given the earlier converged runs as
-``near`` joins one of them with stop ``duplicate``.  With the screened
-multistart the calls without ``paused`` are the starts, in order, a
-call with it continues the start that returned it, and a start never
-continued was skipped at its screen, next to the states that were.
-Either way a start run alone is a ``_descend`` call with the same
-positional arguments and no keywords.  The distances are the tree's own
-batched mass, ``solver._mass``, and the wrappers use the signatures in
-which the solver's internals take one ``PlaneData``, so the census
-measures trees from that change on.  Run the census once per tree, one
-process each:
+``solver._descend``: each ``_descend`` call is one start, and a start
+given the earlier converged runs as ``near`` joins one of them with
+stop ``duplicate``.  A start run alone is a ``_descend`` call with the
+same arguments and keywords less ``near``, so it keeps the preconditioner
+shift it began at.  The distances are the tree's own batched mass,
+``solver._mass``, and the wrappers use the signatures in which the
+solver's internals take one ``PlaneData``.  Run the census once per
+tree, one process each, naming the file it writes:
 
-    OPENBLAS_NUM_THREADS=1 python tools/iteration_census.py --label change
-    OPENBLAS_NUM_THREADS=1 python tools/iteration_census.py --label parent \\
+    OPENBLAS_NUM_THREADS=1 python tools/iteration_census.py BENCH_x.json --label change
+    OPENBLAS_NUM_THREADS=1 python tools/iteration_census.py BENCH_x.json --label parent \\
         --src /path/to/parent/src
-    python tools/iteration_census.py --compare parent change
+    python tools/iteration_census.py BENCH_x.json --compare parent change
 
-Each run replaces its label's entry in ``BENCH_sequential_starts.json``
-at the repo root and keeps the others.  ``--compare`` prints the
-``converged`` flags and the energies that differ between two entries,
-and exits 1 when a ``converged`` flag differs.  The reruns of joined
-starts are not counted in ``wall_s``.
+Each run replaces its label's entry in the file (a path relative to the
+repo root) and keeps the others.  ``--compare`` prints the ``converged``
+flags and the energies that differ between two entries, and exits 1
+when a ``converged`` flag differs.
 """
 
 from __future__ import annotations
@@ -55,11 +51,9 @@ import platform
 import re
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-OUT = ROOT / "BENCH_sequential_starts.json"
 SETS = ("warm_pool", "fine_hard")
 
 
@@ -101,28 +95,22 @@ def _distance(solver, pd, mu, a, b) -> float:
 def _starts(calls, solver, pd, mu, rerun) -> tuple[list[dict], float | None]:
     """Per-start records of one multistart from its ``_descend`` calls
     (positional arguments, keywords, run), and the smallest distance
-    between two of its converged final states.  ``rerun(args)`` runs a
-    start alone."""
-    firsts = [(args, kw, run) for args, kw, run in calls if kw.get("paused") is None]
-    resumed = {id(kw["paused"]): run for _, kw, run in calls
-               if kw.get("paused") is not None}
-
+    between two of its converged final states.  ``rerun(args, kw)`` runs
+    a start alone."""
     def dist(a, b):
         return _distance(solver, pd, mu, a, b)
 
     records, finals = [], []
-    for args, kw, run in firsts:
-        final = resumed.get(id(run.get("paused")), run)
-        if final["stop"] not in ("duplicate", "screened"):
-            records.append({"outcome": "finished", "stop": final["stop"],
-                            "iterations": final["iterations"]})
-            finals.append(final)
+    for args, kw, run in calls:
+        if run["stop"] != "duplicate":
+            records.append({"outcome": "finished", "stop": run["stop"],
+                            "iterations": run["iterations"]})
+            finals.append(run)
             continue
-        held = kw["near"] if "near" in kw else list(resumed.values())
-        joined = min(held, key=lambda f: dist(run, f))
+        joined = min(kw["near"], key=lambda f: dist(run, f))
         records.append({"outcome": "joined", "iterations": run["iterations"],
                         "distance": dist(run, joined),
-                        "rerun_distance": dist(rerun(args), joined)})
+                        "rerun_distance": dist(rerun(args, kw), joined)})
     done = [f for f in finals if f["converged"]]
     pairs = [dist(a, b) for i, a in enumerate(done) for b in done[i + 1:]]
     return records, min(pairs, default=None)
@@ -132,19 +120,14 @@ def census(ops, hybrid_nls, solver) -> dict:
     """Run ``ops`` in order; per op its iterations, starts and answer."""
     calls, starts, separations = [], [], []
     descend, on_grid = solver._descend, solver._solve_on_grid
-    rerun_s = 0.0
 
     def counted(*args, **kwargs):
         run = descend(*args, **kwargs)
         calls.append((args, kwargs, run))
         return run
 
-    def rerun(args):
-        nonlocal rerun_s
-        t = time.perf_counter()
-        run = descend(*args)
-        rerun_s += time.perf_counter() - t
-        return run
+    def rerun(args, kw):
+        return descend(*args, **{k: v for k, v in kw.items() if k != "near"})
 
     def multistart(pd, p, sigmas, beta, mu, cfg):
         calls.clear()
@@ -156,7 +139,6 @@ def census(ops, hybrid_nls, solver) -> dict:
 
     solver._descend, solver._solve_on_grid = counted, multistart
     records = []
-    t0 = time.perf_counter()
     try:
         for op in ops:
             cfg = hybrid_nls.SolverConfig(N=op.N, grading=op.grading)
@@ -179,12 +161,10 @@ def census(ops, hybrid_nls, solver) -> dict:
             })
     finally:
         solver._descend, solver._solve_on_grid = descend, on_grid
-    wall = time.perf_counter() - t0 - rerun_s
     every = [s for r in records for s in r["starts"]]
     joined = [s for s in every if s["outcome"] == "joined"]
     seps = [r["separation"] for r in records if r["separation"] is not None]
     return {
-        "wall_s": round(wall, 3),
         "winner_iters": sum(r["winner_iters"] for r in records),
         "total_iters": sum(r["total_iters"] for r in records),
         "unconverged": sum(not r["converged"] for r in records),
@@ -246,14 +226,17 @@ def _dumps(data: dict) -> str:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("file", help="the BENCH_*.json to write or compare, "
+                    "relative to the repo root")
     ap.add_argument("--label", help="entry name, e.g. parent or change")
     ap.add_argument("--src", default=str(ROOT / "src"),
                     help="the src/ directory whose hybrid_nls is measured")
     ap.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
                     help="print what differs between two recorded entries")
     args = ap.parse_args(argv)
+    out = ROOT / args.file
     if args.compare:
-        return 1 if compare(json.loads(OUT.read_text()), *args.compare) else 0
+        return 1 if compare(json.loads(out.read_text()), *args.compare) else 0
     if not args.label:
         ap.error("--label is required unless --compare is given")
     src = Path(args.src).resolve()
@@ -273,15 +256,15 @@ def main(argv=None) -> int:
         "warm_pool": census(warm, hybrid_nls, solver),
         "fine_hard": census(fine, hybrid_nls, solver),
     }
-    data = json.loads(OUT.read_text()) if OUT.is_file() else {}
+    data = json.loads(out.read_text()) if out.is_file() else {}
     data[args.label] = entry
-    OUT.write_text(_dumps(data))
+    out.write_text(_dumps(data))
     for name in SETS:
         s = entry[name]
         print(f"{args.label} {name}: {len(s['ops'])} ops, winner iterations "
               f"{s['winner_iters']}, total {s['total_iters']}, unconverged "
               f"{s['unconverged']}, joined {s['joined']} of "
-              f"{s['starts']} starts, {s['wall_s']} s")
+              f"{s['starts']} starts")
     return 0
 
 
