@@ -689,7 +689,7 @@ class TestScreenedMultistart:
     def test_sigma6_hybrid_finishes_both_regimes(self, monkeypatch):
         # criterion 8's 2 mu* hybrid (N=512): start 0.1 ends on the plane-2
         # state, 0.5 joins it, 0.9 ends on the plane-1 state; the joined
-        # start, run alone, ends on the state it joined
+        # start, run alone from its shift, ends on the state it joined
         cfg = SolverConfig(N=512)
         P = HybridParams(2.5, 3.5, 6.0, 6.0, 1.0, 44.85319)
         calls = []
@@ -712,7 +712,7 @@ class TestScreenedMultistart:
         (held,) = kwargs["near"]
         assert held is ends[0]
         assert _state_distance(pd, P.mu, run, held) <= solver._DUPLICATE
-        whole = descend(*args)
+        whole = descend(*args, shift=kwargs["shift"])
         assert whole["converged"]
         assert _state_distance(pd, P.mu, whole, held) < 1e-6
         assert rel(whole["energy"], held["energy"]) < 1e-12
