@@ -1,16 +1,20 @@
 """Command-line front end: solve, sweep, baseline, and verify.
 
-Configuration comes from an optional flat JSON file (``--config``,
-with a ``"command"`` field) merged with command-line flags; flags win.
-Exit codes are uniform across commands: 0 success, 1 numeric failure
-(non-convergence, failed sweep rows, failed verification criteria),
-2 usage or configuration error.
+Each command is a subparser that holds exactly the options it reads, so
+``hybrid-nls <command> --help`` lists them and any other one is a usage
+error.  An optional flat JSON file (``--config``) is read as flags: its
+entries become ``--key=value`` tokens placed after the command and
+before the command-line flags, so one parser reads both and the flags
+win.  Exit codes are uniform across commands: 0 success, 1 numeric
+failure (non-convergence, failed sweep rows, failed verification
+criteria), 2 usage or configuration error.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -29,27 +33,15 @@ __all__ = ["RunConfig", "main", "cmd_solve", "cmd_sweep", "cmd_baseline",
 
 SCHEMA_VERSION = 4
 
-_COMMANDS = ("solve", "sweep", "baseline", "verify")
 _FORMATS = ("json", "csv", "svg")
 #: options that set HybridParams fields of the same name
 _PARAM_KEYS = ("p1", "p2", "sigma1", "sigma2", "beta", "mu")
 #: options that set SolverConfig fields of the same name
 _SOLVER_KEYS = ("R", "N", "grading", "grad_tol", "max_iters", "starts")
-#: the numeric options whose flags read their text as an integer
-_INT_KEYS = ("N", "max_iters")
-#: the options each command reads; setting any other one is an error
-_READS = {
-    "verify": ("fast", "formats", "out"),
-    "solve": _PARAM_KEYS + ("mu_relative", "formats", "out") + _SOLVER_KEYS,
-    "baseline": ("p", "mustar") + _SOLVER_KEYS + ("formats", "out"),
-}
-_READS["sweep"] = _READS["solve"] + ("mode", "values")
-
-_DEFAULTS = {
-    "p1": 3.0, "p2": 3.0, "sigma1": 0.0, "sigma2": 0.0,
-    "beta": 1.0, "mu": 1.0,
-    "formats": "json,csv", "fast": False, "mode": "sigma2",
-}
+#: config-file entries whose JSON list is read as the flag's comma text
+_LIST_KEYS = ("starts", "values", "p", "mustar", "formats")
+#: config-file entries that must hold text
+_TEXT_KEYS = ("out", "mode", "formats")
 
 
 class UsageError(ValueError):
@@ -61,12 +53,12 @@ class RunConfig:
     """Everything one command invocation needs, fully resolved."""
 
     command: str
-    params: HybridParams
+    params: HybridParams | None
     solver: SolverConfig
     out_dir: str
     formats: tuple[str, ...]
     fast: bool
-    mode: str
+    mode: str | None
     values: tuple[float, ...] | None
     mu_relative: float | None
     p_list: tuple[float, ...] | None
@@ -77,155 +69,160 @@ class RunConfig:
 # configuration assembly
 
 
-def _split_list(text) -> list:
-    """The items of a JSON list, or of a comma-separated string."""
-    if isinstance(text, (list, tuple)):
-        return list(text)
-    return [s for s in str(text).split(",") if s.strip()]
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors raise UsageError (exit code 2)."""
+
+    def error(self, message):
+        raise UsageError(f"{message} (see {self.prog} --help)")
 
 
-def _parse_floats(text, what: str) -> tuple[float, ...]:
+def _floats(text: str) -> tuple[float, ...]:
+    """Comma text as numbers: "0.1,0.5" -> (0.1, 0.5)."""
     try:
-        return tuple(float(x) for x in _split_list(text))
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"could not parse {what}: {exc}") from None
+        return tuple(float(x) for x in text.split(",") if x.strip())
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _number(key: str, value) -> float | int:
-    """An option's value read as its flag's text is: int for _INT_KEYS,
-    float otherwise.  A non-integral number for an int option is refused."""
-    kind = int if key in _INT_KEYS else float
-    try:
-        x = None if isinstance(value, bool) else kind(value)
-    except (TypeError, ValueError, OverflowError):
-        x = None
-    if x is None or (kind is int and not isinstance(value, str) and x != value):
-        raise UsageError(f"--{key.replace('_', '-')} must be "
-                         f"{'an integer' if kind is int else 'a number'}, "
-                         f"got {value!r}")
-    return x
-
-
-def _parse_pairs(text) -> tuple[tuple[float, float], ...]:
+def _pairs(text: str) -> tuple[tuple[float, float], ...]:
+    """Comma text of p1:p2 pairs: "2.5:3.5" -> ((2.5, 3.5),)."""
     pairs = []
-    for chunk in map(str, _split_list(text)):
+    for chunk in (c for c in text.split(",") if c.strip()):
         halves = chunk.split(":")
         if len(halves) != 2:
-            raise UsageError(f"pair {chunk!r} is not of the form p1:p2")
+            raise argparse.ArgumentTypeError(
+                f"pair {chunk!r} is not of the form p1:p2")
         try:
             pairs.append((float(halves[0]), float(halves[1])))
         except ValueError as exc:
-            raise UsageError(f"could not parse pair {chunk!r}: {exc}") from None
+            raise argparse.ArgumentTypeError(
+                f"could not parse pair {chunk!r}: {exc}") from None
     return tuple(pairs)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="hybrid-nls",
-        description="Ground states of two nonlinear planes coupled "
-                    "through a point interaction.")
-    ap.add_argument("command", nargs="?", choices=_COMMANDS,
-                    help="solve | sweep | baseline | verify "
-                         "(may also come from --config)")
-    ap.add_argument("--config", help="flat JSON configuration file")
-    for name in (*_PARAM_KEYS, "R", "grading", "grad-tol", "mu-relative"):
-        ap.add_argument(f"--{name}", type=float, default=None)
-    for name in ("N", "max-iters"):
-        ap.add_argument(f"--{name}", type=int, default=None)
-    ap.add_argument("--starts", default=None,
-                    help="comma-separated descent start weights")
-    ap.add_argument("--out", default=None, help="output directory")
-    ap.add_argument("--formats", default=None,
-                    help="comma-separated subset of json,csv,svg")
-    ap.add_argument("--fast", action="store_const", const=True, default=None,
-                    help="verify on a shrunken grid (documented tolerances)")
-    ap.add_argument("--mode", choices=analysis.SWEEP_MODES, default=None,
-                    help="sweep parameter")
-    ap.add_argument("--values", default=None,
-                    help="comma-separated sweep values, strictly increasing")
-    ap.add_argument("--p", default=None,
-                    help="comma-separated powers for baseline")
-    ap.add_argument("--mustar", default=None,
-                    help="comma-separated p1:p2 pairs for baseline")
-    return ap
-
-
-def _merged_options(args: argparse.Namespace) -> dict:
-    merged = dict(_DEFAULTS)
-    loaded = {}
-    if args.config is not None:
-        try:
-            with open(args.config, encoding="utf-8") as fh:
-                loaded = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"could not read config file: {exc}") from None
-        if not isinstance(loaded, dict):
-            raise UsageError("config file must hold a flat JSON object")
-        known = set(vars(args)) - {"config"}  # the parser's destinations
-        unknown = sorted(set(loaded) - known)
-        if unknown:
-            raise UsageError("unknown config file keys: " + ", ".join(unknown))
-        merged.update(loaded)
-    on_cli = {k: v for k, v in vars(args).items()
-              if v is not None and k != "config"}
-    merged.update(on_cli)
-    if not merged.get("command"):
-        raise UsageError("no command given (argument or \"command\" in the "
-                         "config file); expected one of " + ", ".join(_COMMANDS))
-    if merged["command"] not in _COMMANDS:
-        raise UsageError(f"unknown command {merged['command']!r}")
-    unread = sorted((set(loaded) | set(on_cli))
-                    - {"command", *_READS[merged["command"]]})
-    if unread:
-        flags = ", ".join("--" + k.replace("_", "-") for k in unread)
-        raise UsageError(f"{merged['command']} does not read {flags}")
-    return merged
-
-
-def _resolve(merged: dict) -> RunConfig:
-    try:
-        overrides = {key: _number(key, merged[key]) for key in _SOLVER_KEYS
-                     if key != "starts" and merged.get(key) is not None}
-        if merged.get("starts") is not None:
-            overrides["starts"] = _parse_floats(merged["starts"], "--starts")
-        solver = dataclasses.replace(SolverConfig(), **overrides)
-        params = HybridParams(*(_number(key, merged[key]) for key in _PARAM_KEYS))
-    except (ValueError, TypeError) as exc:
-        raise UsageError(str(exc)) from None
-    if not isinstance(merged["fast"], bool):
-        raise UsageError(f"--fast must be true or false, got {merged['fast']!r}")
-
-    fmts = merged["formats"]
-    fmts = tuple(f for f in (fmts if isinstance(fmts, (list, tuple))
-                             else str(fmts).split(",")) if f)
+def _formats(text: str) -> tuple[str, ...]:
+    fmts = tuple(f for f in text.split(",") if f)
     bad = set(fmts) - set(_FORMATS)
     if bad:
-        raise UsageError(f"unknown formats {sorted(bad)}; "
-                         f"choose from {','.join(_FORMATS)}")
+        raise argparse.ArgumentTypeError(
+            f"unknown formats {sorted(bad)}; choose from {','.join(_FORMATS)}")
+    return fmts
 
-    out_dir = merged.get("out") or os.environ.get("HYBRID_NLS_OUT") or "."
-    if not isinstance(out_dir, str):
-        raise UsageError(f"--out must be a directory name, got {out_dir!r}")
 
-    mu_relative = None
-    if merged.get("mu_relative") is not None:
-        (mu_relative,) = _parse_floats((merged["mu_relative"],), "--mu-relative")
-    values = None
-    if merged.get("values") is not None:
-        values = _parse_floats(merged["values"], "--values")
-    p_list = None
-    if merged.get("p") is not None:
-        p_list = _parse_floats(merged["p"], "--p")
-    pairs = None
-    if merged.get("mustar") is not None:
-        pairs = _parse_pairs(merged["mustar"])
+def _build_parsers() -> tuple[_Parser, _Parser]:
+    """The ``--config`` pre-parser and the parser of one command line."""
+    config = _Parser(prog="hybrid-nls", add_help=False, allow_abbrev=False)
+    config.add_argument("--config", help="flat JSON file of options; "
+                        "the command's flags override its entries")
+    output, solver, model = (argparse.ArgumentParser(add_help=False)
+                             for _ in range(3))
+    output.add_argument("--out", help="output directory")
+    output.add_argument("--formats", type=_formats, default="json,csv",
+                        help="comma-separated subset of json,csv,svg")
+    for name in ("R", "grading", "grad-tol"):
+        solver.add_argument(f"--{name}", type=float)
+    for name in ("N", "max-iters"):
+        solver.add_argument(f"--{name}", type=int)
+    solver.add_argument("--starts", type=_floats,
+                        help="comma-separated descent start weights")
+    solver.set_defaults(**{k: getattr(SolverConfig, k) for k in _SOLVER_KEYS})
+    for name, default in zip(_PARAM_KEYS, (3.0, 3.0, 0.0, 0.0, 1.0, 1.0)):
+        model.add_argument(f"--{name}", type=float, default=default)
+    model.add_argument("--mu-relative", type=float,
+                       help="target mass as a multiple of the critical mass")
 
+    ap = _Parser(prog="hybrid-nls", parents=[config], allow_abbrev=False,
+                 description="Ground states of two nonlinear planes coupled "
+                             "through a point interaction.")
+    commands = ap.add_subparsers(dest="command", required=True)
+    add = functools.partial(commands.add_parser, allow_abbrev=False)
+    add("solve", parents=[model, solver, output], help="one ground state")
+    sweep = add("sweep", parents=[model, solver, output],
+                help="ground states along one parameter")
+    sweep.add_argument("--mode", choices=analysis.SWEEP_MODES,
+                       default="sigma2", help="sweep parameter")
+    sweep.add_argument("--values", type=_floats,
+                       help="comma-separated sweep values, strictly increasing")
+    baseline = add("baseline", parents=[solver, output],
+                   help="free-plane coefficients and critical masses")
+    baseline.add_argument("--p", type=_floats,
+                          help="comma-separated powers")
+    baseline.add_argument("--mustar", type=_pairs,
+                          help="comma-separated p1:p2 pairs")
+    verify = add("verify", parents=[output],
+                 help="the fourteen verification criteria")
+    verify.add_argument("--fast", action=argparse.BooleanOptionalAction,
+                        default=False,
+                        help="verify on a shrunken grid (documented tolerances)")
+    return config, ap
+
+
+def _config_tokens(path: str) -> tuple[str | None, list[str]]:
+    """A config file's ``"command"`` and its other entries as flags.
+
+    A number or string becomes ``--key=value``; a list, for _LIST_KEYS
+    only, its comma text; ``fast`` true or false ``--fast`` or
+    ``--no-fast``.  _TEXT_KEYS take strings only.  Any other value is
+    refused, naming its flag.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            entries = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise UsageError(f"could not read config file: {exc}") from None
+    if not isinstance(entries, dict):
+        raise UsageError("config file must hold a flat JSON object")
+    command = entries.pop("command", None)
+    tokens = []
+    for key, value in entries.items():
+        flag = "--" + key.replace("_", "-")
+        if key == "fast" and isinstance(value, bool):
+            tokens.append(flag if value else "--no-fast")
+            continue
+        if key in _LIST_KEYS and isinstance(value, list):
+            value = ",".join(map(str, value))
+        kinds = str if key in _TEXT_KEYS else (str, int, float)
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            raise UsageError(f"config file: {flag} cannot be {value!r}")
+        tokens.append(f"{flag}={value}")
+    return command, tokens
+
+
+def _parse(argv: list[str] | None) -> argparse.Namespace:
+    """Read the command line, and the config file it names, as one."""
+    config, parser = _build_parsers()
+    known, rest = config.parse_known_args(argv)
+    first = rest[0] if rest else ""
+    if known.config is not None:
+        command, tokens = _config_tokens(known.config)
+        if first and not first.startswith("-"):
+            command, rest = first, rest[1:]
+        rest = [str(command), *tokens, *rest] if command else tokens + rest
+    elif first.startswith("-") and first not in ("-h", "--help"):
+        raise UsageError(f"{first}: options follow the command "
+                         "(see hybrid-nls --help)")
+    args, unread = parser.parse_known_args(rest)
+    if unread:
+        raise UsageError(f"unrecognized arguments: {' '.join(unread)} "
+                         f"(see hybrid-nls {args.command} --help)")
+    return args
+
+
+def _resolve(args: argparse.Namespace) -> RunConfig:
+    opts = vars(args)
+    try:
+        solver = SolverConfig(**{k: opts[k] for k in _SOLVER_KEYS if k in opts})
+        params = (HybridParams(*(opts[k] for k in _PARAM_KEYS))
+                  if "mu" in opts else None)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     return RunConfig(
-        command=merged["command"], params=params, solver=solver,
-        out_dir=out_dir, formats=fmts, fast=merged["fast"],
-        mode=merged["mode"], values=values,
-        mu_relative=mu_relative, p_list=p_list,
-        mustar_pairs=pairs)
+        command=args.command, params=params, solver=solver,
+        out_dir=args.out or os.environ.get("HYBRID_NLS_OUT") or ".",
+        formats=args.formats, fast=opts.get("fast", False),
+        mode=opts.get("mode"), values=opts.get("values"),
+        mu_relative=opts.get("mu_relative"), p_list=opts.get("p"),
+        mustar_pairs=opts.get("mustar"))
 
 
 # --------------------------------------------------------------------------
@@ -457,9 +454,8 @@ def cmd_verify(rc: RunConfig) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        rc = _resolve(_merged_options(args))
+        rc = _resolve(_parse(argv))
         os.makedirs(rc.out_dir, exist_ok=True)
         handler = {"solve": cmd_solve, "sweep": cmd_sweep,
                    "baseline": cmd_baseline, "verify": cmd_verify}[rc.command]

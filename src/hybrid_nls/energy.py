@@ -353,9 +353,12 @@ def el_residual(U: HybridState, P: HybridParams, omega: float) -> float:
     on the regular part.  The residual is measured in the quadrature
     norm over interior nodes excluding the first two cells (node-level
     second differences are rounding-limited there) and divided by the
-    sum of the norms of the three constituent terms, so the result is a
+    sum of the norms of the four terms -Delta phi, omega phi, the charge
+    term and |u|^{p-2} u, each taken alone, so the result is a
     dimensionless defect: ~1 for unrelated fields, << 1 at converged
-    states, independent of how deep (large omega) the state is.
+    states, independent of how deep (large omega) the state is.  Taken
+    together, -Delta phi + omega phi nearly cancels at a linear box mode
+    (a tiny mass) and would not scale the residual there.
     Planes carrying less than 1e-12 of the total mass are skipped.
     Returns the worse of the two planes.
     """
@@ -368,16 +371,15 @@ def el_residual(U: HybridState, P: HybridParams, omega: float) -> float:
             continue
         pd = plane_data(u.grid, u.lam)
         phi = u.phi.values
-        lap = radial_laplacian(u.phi).values
         total = phi + u.q * pd.G
         s = np.abs(total) ** (p - 2.0) * total
-        term_a = -lap + omega * phi
-        term_b = (omega - u.lam) * u.q * pd.G
-        resid = term_a + term_b - s
+        terms = (-radial_laplacian(u.phi).values, omega * phi,
+                 (omega - u.lam) * u.q * pd.G)
+        resid = terms[0] + terms[1] + terms[2] - s
         norm = math.sqrt(float(w @ (resid[sel] * resid[sel])))
         scale = sum(
             math.sqrt(float(w @ (t[sel] * t[sel])))
-            for t in (term_a, term_b, s))
+            for t in (*terms, s))
         if scale > 0.0:
             worst = max(worst, norm / scale)
     return worst

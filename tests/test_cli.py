@@ -3,10 +3,12 @@
 import csv
 import dataclasses
 import json
+import re
 import subprocess
 import sys
 import warnings
 import xml.dom.minidom
+from pathlib import Path
 
 import pytest
 
@@ -34,6 +36,21 @@ def read_csv(path):
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.reader(fh))
 
+
+
+def options_table():
+    """The options each command reads, from the table in docs/formats.md."""
+    doc = Path(__file__).resolve().parents[1] / "docs" / "formats.md"
+    section = doc.read_text(encoding="utf-8").split(
+        "## Options each command reads")[1].split("\n## ")[0]
+    return {command: set(re.findall(r"`(\w+)`", row)) for command, row
+            in re.findall(r"^\| `(\w+)` \| (.+) \|$", section, re.M)}
+
+
+READS = options_table()
+#: each (command, option) pair outside that command's row of the table
+UNREAD = [(command, key) for command, keys in READS.items()
+          for key in sorted(set().union(*READS.values()) - keys)]
 
 class TestSolve:
     def test_symmetric_solve_writes_valid_files(self, tmp_path):
@@ -241,6 +258,52 @@ class TestConfigPlumbing:
         d = read_json(tmp_path / "report.json")
         mustar = critical_mass(2.5, 3.5, SolverConfig(N=512))
         assert d["params"]["mu"] == pytest.approx(0.5 * mustar, rel=1e-12)
+
+    @pytest.mark.parametrize("command", ["solve", "sweep", "baseline",
+                                         "verify"])
+    def test_help_lists_the_commands_row(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        listed = set(re.findall(r"--([\w-]+)", capsys.readouterr().out))
+        assert listed - {"help", "no-fast"} == {
+            key.replace("_", "-") for key in READS[command]}
+
+    @pytest.mark.parametrize("command,key", UNREAD,
+                             ids=[f"{c}-{k}" for c, k in UNREAD])
+    def test_option_outside_the_commands_row_exits_2(self, tmp_path, capsys,
+                                                     command, key):
+        # a value the option accepts, so only the command refuses it
+        value = {"fast": (), "mode": ("beta",), "mustar": ("2.5:3.5",),
+                 "N": ("512",)}.get(key, ("1",))
+        flag = "--" + key.replace("_", "-")
+        assert main([command, flag, *value, "--out", str(tmp_path)]) == 2
+        assert flag in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("entry,named", [
+        ({"mu_rel": 0.5}, "--mu-rel"),
+        ({"fast": False}, "--no-fast"),
+    ], ids=["mu-rel", "fast-false"])
+    def test_config_entry_solve_does_not_read_exits_2(self, tmp_path, capsys,
+                                                       monkeypatch, entry,
+                                                       named):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"command": "solve", **entry}))
+        monkeypatch.chdir(tmp_path)
+        assert main(["--config", str(cfg)]) == 2
+        assert named in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
+
+    @pytest.mark.parametrize("argv,named", [
+        (["--p1", "3", "solve"], "--p1: options follow the command"),
+        (["solve", "--mu-rel", "0.5"], "--mu-rel"),
+    ], ids=["option-before-command", "abbreviation"])
+    def test_misplaced_or_abbreviated_option_exits_2(self, tmp_path, capsys,
+                                                     argv, named):
+        assert main([*argv, "--out", str(tmp_path)]) == 2
+        assert named in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_env_var_sets_default_out_dir(self, tmp_path, monkeypatch):
         envdir = tmp_path / "from_env"

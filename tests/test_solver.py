@@ -824,6 +824,14 @@ class TestSmallMass:
         assert r.iterations > 5
         assert r.el_residual <= 1e-2
 
+    def test_box_mode_is_certified(self):
+        # a tiny planar state is the box's linear Dirichlet mode, where
+        # -Delta phi + omega phi nearly cancels; scaled by that sum taken
+        # as one term, the certificate read 0.963
+        r = solve_planar(3.0, 1e-12)
+        assert r.converged and r.omega < 0.0
+        assert r.el_residual <= 1e-2
+
     def test_smallest_normal_mass_reaches_a_report(self):
         # the retraction's guard is relative to mu: an absolute 1e-300
         # refused the start of every solve at this mass
