@@ -7,7 +7,8 @@ entries become ``--key=value`` tokens placed after the command and
 before the command-line flags, so one parser reads both and the flags
 win.  Exit codes are uniform across commands: 0 success, 1 numeric
 failure (non-convergence, failed sweep rows, failed verification
-criteria), 2 usage or configuration error.
+criteria), 2 usage or configuration error, which includes an output
+path that cannot be made or written.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,8 +28,7 @@ from .energy import HybridParams, check_power, total_field
 from .solver import GroundStateReport, SolverConfig, solve_hybrid, solve_planar
 from .verify import run_suite
 
-__all__ = ["RunConfig", "main", "cmd_solve", "cmd_sweep", "cmd_baseline",
-           "cmd_verify"]
+__all__ = ["main", "cmd_solve", "cmd_sweep", "cmd_baseline", "cmd_verify"]
 
 SCHEMA_VERSION = 4
 
@@ -46,23 +45,6 @@ _TEXT_KEYS = ("out", "mode", "formats")
 
 class UsageError(ValueError):
     """Configuration problem: maps to exit code 2."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one command invocation needs, fully resolved."""
-
-    command: str
-    params: HybridParams | None
-    solver: SolverConfig
-    out_dir: str
-    formats: tuple[str, ...]
-    fast: bool
-    mode: str | None
-    values: tuple[float, ...] | None
-    mu_relative: float | None
-    p_list: tuple[float, ...] | None
-    mustar_pairs: tuple[tuple[float, float], ...] | None
 
 
 # --------------------------------------------------------------------------
@@ -208,48 +190,53 @@ def _parse(argv: list[str] | None) -> argparse.Namespace:
     return args
 
 
-def _resolve(args: argparse.Namespace) -> RunConfig:
+def _resolve(args: argparse.Namespace) -> argparse.Namespace:
+    """Add the library's objects to the parsed options and make ``out``.
+
+    ``args.solver`` is a SolverConfig, ``args.params`` (for commands
+    with ``--mu``) a HybridParams, and ``args.out`` the directory from
+    ``--out``, then ``HYBRID_NLS_OUT``, then ``.``.
+    """
     opts = vars(args)
     try:
-        solver = SolverConfig(**{k: opts[k] for k in _SOLVER_KEYS if k in opts})
-        params = (HybridParams(*(opts[k] for k in _PARAM_KEYS))
-                  if "mu" in opts else None)
+        args.solver = SolverConfig(**{k: opts[k] for k in _SOLVER_KEYS
+                                      if k in opts})
+        if "mu" in opts:
+            args.params = HybridParams(*(opts[k] for k in _PARAM_KEYS))
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    return RunConfig(
-        command=args.command, params=params, solver=solver,
-        out_dir=args.out or os.environ.get("HYBRID_NLS_OUT") or ".",
-        formats=args.formats, fast=opts.get("fast", False),
-        mode=opts.get("mode"), values=opts.get("values"),
-        mu_relative=opts.get("mu_relative"), p_list=opts.get("p"),
-        mustar_pairs=opts.get("mustar"))
+    args.out = args.out or os.environ.get("HYBRID_NLS_OUT") or "."
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot make output directory {args.out!r}: "
+                         f"{exc.strerror}") from None
+    return args
 
 
 # --------------------------------------------------------------------------
 # output helpers
 
 
-def _write_json(rc: RunConfig, name: str, payload: dict) -> None:
-    path = os.path.join(rc.out_dir, name)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+def _write(out: str, name: str, text: str, newline: str | None = None) -> None:
+    path = os.path.join(out, name)
+    try:
+        with open(path, "w", encoding="utf-8", newline=newline) as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path!r}: {exc.strerror}") from None
 
 
-def _write_csv(rc: RunConfig, name: str, header: list[str],
-               rows: list[list]) -> None:
-    path = os.path.join(rc.out_dir, name)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(
-                f"{v:.17g}" if isinstance(v, float) else str(v)
-                for v in row) + "\n")
+def _write_json(out: str, name: str, payload: dict) -> None:
+    _write(out, name, json.dumps(payload, indent=2, sort_keys=True,
+                                 allow_nan=False) + "\n")
 
 
-def _write_svg(rc: RunConfig, name: str, svg_text: str) -> None:
-    with open(os.path.join(rc.out_dir, name), "w", encoding="utf-8") as fh:
-        fh.write(svg_text)
+def _write_csv(out: str, name: str, header: list[str], rows: list[list]) -> None:
+    lines = [",".join(header)] + [
+        ",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row)
+        for row in rows]
+    _write(out, name, "".join(line + "\n" for line in lines), newline="")
 
 
 def _mass_carrier(r: GroundStateReport, mu: float) -> str:
@@ -264,107 +251,108 @@ def _mass_carrier(r: GroundStateReport, mu: float) -> str:
 # commands
 
 
-def _apply_mu_relative(rc: RunConfig) -> RunConfig:
-    """Rescale the target mass to a multiple of the critical mass."""
-    if rc.mu_relative is None:
-        return rc
-    if not 0.0 < rc.mu_relative < math.inf:
-        raise UsageError(f"--mu-relative must be finite and > 0, got {rc.mu_relative}")
-    if rc.command == "sweep" and rc.mode == "mu":
+def _apply_mu_relative(args: argparse.Namespace) -> HybridParams:
+    """The model with its mass rescaled to ``--mu-relative`` times the
+    critical mass, or as given without that flag."""
+    P, rel = args.params, args.mu_relative
+    if rel is None:
+        return P
+    if not 0.0 < rel < math.inf:
+        raise UsageError(f"--mu-relative must be finite and > 0, got {rel}")
+    if args.command == "sweep" and args.mode == "mu":
         raise UsageError("--mu-relative cannot combine with a mass sweep; "
                          "give absolute --values instead")
-    P = rc.params
     try:
         analysis.check_critical_pair(P.p1, P.p2)
     except ValueError as exc:
         raise UsageError(f"--mu-relative: {exc}") from None
-    mustar = analysis.critical_mass(P.p1, P.p2, rc.solver)
-    return dataclasses.replace(
-        rc, params=dataclasses.replace(P, mu=rc.mu_relative * mustar))
+    mustar = analysis.critical_mass(P.p1, P.p2, args.solver)
+    return dataclasses.replace(P, mu=rel * mustar)
 
 
-def cmd_solve(rc: RunConfig) -> int:
-    rc = _apply_mu_relative(rc)
-    report = solve_hybrid(rc.params, rc.solver)
+def cmd_solve(args: argparse.Namespace) -> int:
+    P = _apply_mu_relative(args)
+    report = solve_hybrid(P, args.solver)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "solve",
-        "params": dataclasses.asdict(rc.params),
-        "solver": dataclasses.asdict(rc.solver),
-        "mass_carrier": _mass_carrier(report, rc.params.mu),
+        "params": dataclasses.asdict(P),
+        "solver": dataclasses.asdict(args.solver),
+        "mass_carrier": _mass_carrier(report, P.mu),
         **report.as_dict(),
     }
-    if "json" in rc.formats:
-        _write_json(rc, "report.json", payload)
+    if "json" in args.formats:
+        _write_json(args.out, "report.json", payload)
     U = report.state
     grid = U.grid
     t1 = total_field(U.u1).values
     t2 = total_field(U.u2).values
     inner = slice(1, grid.n_nodes - 1)  # origin kernel value is singular
-    if "csv" in rc.formats:
+    if "csv" in args.formats:
         rows = [[float(r), float(a), float(b), float(c), float(d)]
                 for r, a, b, c, d in zip(
                     grid.r[inner], t1[inner], t2[inner],
                     U.u1.phi.values[inner], U.u2.phi.values[inner])]
-        _write_csv(rc, "profiles.csv", ["r", "u1", "u2", "phi1", "phi2"], rows)
-    if "svg" in rc.formats:
+        _write_csv(args.out, "profiles.csv",
+                   ["r", "u1", "u2", "phi1", "phi2"], rows)
+    if "svg" in args.formats:
         svg = _svgplot.render_lines(
             [("plane 1", grid.r[inner], t1[inner]),
              ("plane 2", grid.r[inner], t2[inner])],
-            title=(f"ground-state profiles  p=({rc.params.p1:g},{rc.params.p2:g})"
-                   f"  sigma=({rc.params.sigma1:g},{rc.params.sigma2:g})"
-                   f"  beta={rc.params.beta:g}  mu={rc.params.mu:g}"),
+            title=(f"ground-state profiles  p=({P.p1:g},{P.p2:g})"
+                   f"  sigma=({P.sigma1:g},{P.sigma2:g})"
+                   f"  beta={P.beta:g}  mu={P.mu:g}"),
             xlabel="r", ylabel="u(r)", ylog=True)
-        _write_svg(rc, "profiles.svg", svg)
+        _write(args.out, "profiles.svg", svg)
     print(f"energy {report.energy:.12g}  mass ({report.mass1:.6g}, "
           f"{report.mass2:.6g})  charges ({report.q1:.6g}, {report.q2:.6g})  "
           f"omega {report.omega:.6g}  converged {report.converged}")
     return 0 if report.converged else 1
 
 
-def cmd_sweep(rc: RunConfig) -> int:
+def cmd_sweep(args: argparse.Namespace) -> int:
     try:
         # every row is checked at the given mass, which --mu-relative
         # only rescales, before its critical-mass solves run
-        values = tuple(analysis.sweep_params(rc.params, rc.mode,
-                                             rc.values or ()))
+        values = tuple(analysis.sweep_params(args.params, args.mode,
+                                             args.values or ()))
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    rc = _apply_mu_relative(rc)
+    P = _apply_mu_relative(args)
     try:
-        table = analysis.sweep(rc.params, rc.mode, values, rc.solver)
+        table = analysis.sweep(P, args.mode, values, args.solver)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     rows = table.as_rows()
     verdicts = table.verdicts()
-    if "csv" in rc.formats:
-        _write_csv(rc, "sweep.csv", list(table.COLUMNS),
+    if "csv" in args.formats:
+        _write_csv(args.out, "sweep.csv", list(table.COLUMNS),
                    [[r[c] for c in table.COLUMNS] for r in rows])
-    if "json" in rc.formats:
-        _write_json(rc, "summary.json", {
+    if "json" in args.formats:
+        _write_json(args.out, "summary.json", {
             "schema_version": SCHEMA_VERSION,
             "command": "sweep",
-            "mode": rc.mode,
-            "params": dataclasses.asdict(rc.params),
-            "solver": dataclasses.asdict(rc.solver),
+            "mode": args.mode,
+            "params": dataclasses.asdict(P),
+            "solver": dataclasses.asdict(args.solver),
             "values": list(values),
             "rows": rows,
             "references": table.references,
             "verdicts": verdicts,
             "errors": list(table.errors),
         })
-    if "svg" in rc.formats and table.rows:
+    if "svg" in args.formats and table.rows:
         xs = [r.value for r in table.rows]
         mus = [table.mass_of(r) for r in table.rows]
         svg = _svgplot.render_lines(
             [("plane-1 fraction", xs, [r.mass1 / m for r, m in zip(table.rows, mus)]),
              ("plane-2 fraction", xs, [r.mass2 / m for r, m in zip(table.rows, mus)])],
-            title=f"mass split along {rc.mode}", xlabel=rc.mode,
+            title=f"mass split along {args.mode}", xlabel=args.mode,
             ylabel="mass fraction")
-        _write_svg(rc, "sweep.svg", svg)
+        _write(args.out, "sweep.svg", svg)
 
     for r in table.rows:
-        print(f"{rc.mode}={r.value:g}: energy {r.energy:.9g}  "
+        print(f"{args.mode}={r.value:g}: energy {r.energy:.9g}  "
               f"mass1 {r.mass1:.6g}  mass2 {r.mass2:.6g}  "
               f"converged {r.converged}")
     for e in table.errors:
@@ -372,32 +360,33 @@ def cmd_sweep(rc: RunConfig) -> int:
     return 0 if verdicts["all_converged"] and not table.errors else 1
 
 
-def cmd_baseline(rc: RunConfig) -> int:
-    if not rc.p_list and not rc.mustar_pairs:
+def cmd_baseline(args: argparse.Namespace) -> int:
+    powers, pairs, solver = args.p or (), args.mustar or (), args.solver
+    if not powers and not pairs:
         raise UsageError("baseline needs --p and/or --mustar")
     try:  # every power and pair, before the first solve
-        for p in rc.p_list or ():
+        for p in powers:
             check_power(p)
-        for p1, p2 in rc.mustar_pairs or ():
+        for p1, p2 in pairs:
             analysis.check_critical_pair(p1, p2)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     payload: dict = {
         "schema_version": SCHEMA_VERSION,
         "command": "baseline",
-        "solver": dataclasses.asdict(rc.solver),
+        "solver": dataclasses.asdict(solver),
         "rho": {},
         "reference_mass": {},
         "scaling": {},
         "mu_star": {},
     }
-    for p in rc.p_list or ():
-        detail = analysis.rho_detail(p, rc.solver)
+    for p in powers:
+        detail = analysis.rho_detail(p, solver)
         key = f"{p:g}"
         payload["rho"][key] = detail.value
         payload["reference_mass"][key] = detail.reference_mass
         mus = [f * detail.reference_mass for f in (0.5, 1.0, 2.0, 4.0)]
-        energies = [solve_planar(p, m, rc.solver).energy for m in mus]
+        energies = [solve_planar(p, m, solver).energy for m in mus]
         slope = float(np.polyfit(np.log(mus),
                                  np.log(np.abs(energies)), 1)[0])
         expected = 2.0 / (4.0 - p)
@@ -406,10 +395,10 @@ def cmd_baseline(rc: RunConfig) -> int:
             "expected_exponent": expected,
             "rel_err": abs(slope - expected) / expected,
         }
-    for p1, p2 in rc.mustar_pairs or ():
-        mustar = analysis.critical_mass(p1, p2, rc.solver)
-        r1 = analysis.rho(p1, rc.solver)
-        r2 = analysis.rho(p2, rc.solver)
+    for p1, p2 in pairs:
+        mustar = analysis.critical_mass(p1, p2, solver)
+        r1 = analysis.rho(p1, solver)
+        r2 = analysis.rho(p2, solver)
         e1 = -r1 * mustar ** (2.0 / (4.0 - p1))
         e2 = -r2 * mustar ** (2.0 / (4.0 - p2))
         gap = abs(e1 - e2) / max(abs(e1), abs(e2))
@@ -419,8 +408,8 @@ def cmd_baseline(rc: RunConfig) -> int:
             "root_rel_gap": gap,
             "root_property_ok": gap <= 1e-6,
         }
-    if "json" in rc.formats:
-        _write_json(rc, "baseline.json", payload)
+    if "json" in args.formats:
+        _write_json(args.out, "baseline.json", payload)
     for key, val in payload["rho"].items():
         print(f"rho({key}) = {val:.9e}  (reference mass "
               f"{payload['reference_mass'][key]:g}, scaling exponent "
@@ -434,12 +423,12 @@ def cmd_baseline(rc: RunConfig) -> int:
     return 1 if (bad_fit or bad_root) else 0
 
 
-def cmd_verify(rc: RunConfig) -> int:
-    report = run_suite(fast=rc.fast)
+def cmd_verify(args: argparse.Namespace) -> int:
+    report = run_suite(fast=args.fast)
     for line in report.lines():
         print(line)
-    if "json" in rc.formats:
-        _write_json(rc, "verify.json",
+    if "json" in args.formats:
+        _write_json(args.out, "verify.json",
                     {"schema_version": SCHEMA_VERSION, "command": "verify",
                      **report.as_dict()})
     if report.all_passed:
@@ -455,11 +444,10 @@ def cmd_verify(rc: RunConfig) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        rc = _resolve(_parse(argv))
-        os.makedirs(rc.out_dir, exist_ok=True)
+        args = _resolve(_parse(argv))
         handler = {"solve": cmd_solve, "sweep": cmd_sweep,
-                   "baseline": cmd_baseline, "verify": cmd_verify}[rc.command]
-        return handler(rc)
+                   "baseline": cmd_baseline, "verify": cmd_verify}[args.command]
+        return handler(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

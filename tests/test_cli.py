@@ -319,6 +319,19 @@ class TestConfigPlumbing:
         assert (target / "report.json").exists()
         assert not (tmp_path / "ignored").exists()
 
+    @pytest.mark.parametrize("out,named", [
+        ("a_file", "a_file"), ("a_file/sub", "a_file/sub"),
+        ("dir", "dir/report.json")],
+        ids=["file", "under-a-file", "output-name-is-a-directory"])
+    def test_unusable_output_path_exits_2_naming_it(self, tmp_path, capsys,
+                                                    out, named):
+        (tmp_path / "a_file").write_text("kept\n")
+        (tmp_path / "dir" / "report.json").mkdir(parents=True)
+        assert main(["solve", "--out", str(tmp_path / out), *FAST]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tmp_path / named) in err
+        assert (tmp_path / "a_file").read_text() == "kept\n"
+
     def test_console_script_argparse_error_exits_2(self):
         proc = subprocess.run(
             [sys.executable, "-m", "hybrid_nls.cli", "sweep",
