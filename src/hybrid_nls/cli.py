@@ -41,6 +41,15 @@ _SOLVER_KEYS = ("R", "N", "grading", "grad_tol", "max_iters", "starts")
 _LIST_KEYS = ("starts", "values", "p", "mustar", "formats")
 #: config-file entries that must hold text
 _TEXT_KEYS = ("out", "mode", "formats")
+#: the file each command writes per format; a format missing here
+#: writes nothing for that command
+_OUTPUTS = {
+    "solve": {"json": "report.json", "csv": "profiles.csv",
+              "svg": "profiles.svg"},
+    "sweep": {"json": "summary.json", "csv": "sweep.csv", "svg": "sweep.svg"},
+    "baseline": {"json": "baseline.json"},
+    "verify": {"json": "verify.json"},
+}
 
 
 class UsageError(ValueError):
@@ -195,7 +204,10 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
 
     ``args.solver`` is a SolverConfig, ``args.params`` (for commands
     with ``--mu``) a HybridParams, and ``args.out`` the directory from
-    ``--out``, then ``HYBRID_NLS_OUT``, then ``.``.
+    ``--out``, then ``HYBRID_NLS_OUT``, then ``.``.  Every file the
+    command will write is opened for appending here, so an output that
+    cannot be written is a usage error before any computation; a file
+    that did not exist is removed again.
     """
     opts = vars(args)
     try:
@@ -211,6 +223,13 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
     except OSError as exc:
         raise UsageError(f"cannot make output directory {args.out!r}: "
                          f"{exc.strerror}") from None
+    for fmt in args.formats:
+        if fmt in _OUTPUTS[args.command]:
+            path = _path(args, fmt)
+            existed = os.path.lexists(path)
+            _put(path, "a", "")
+            if not existed:
+                os.remove(path)
     return args
 
 
@@ -218,25 +237,34 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
 # output helpers
 
 
-def _write(out: str, name: str, text: str, newline: str | None = None) -> None:
-    path = os.path.join(out, name)
+def _path(args: argparse.Namespace, fmt: str) -> str:
+    return os.path.join(args.out, _OUTPUTS[args.command][fmt])
+
+
+def _put(path: str, mode: str, text: str, newline: str | None = None) -> None:
     try:
-        with open(path, "w", encoding="utf-8", newline=newline) as fh:
+        with open(path, mode, encoding="utf-8", newline=newline) as fh:
             fh.write(text)
     except OSError as exc:
         raise UsageError(f"cannot write {path!r}: {exc.strerror}") from None
 
 
-def _write_json(out: str, name: str, payload: dict) -> None:
-    _write(out, name, json.dumps(payload, indent=2, sort_keys=True,
-                                 allow_nan=False) + "\n")
+def _write(args: argparse.Namespace, fmt: str, text: str,
+           newline: str | None = None) -> None:
+    _put(_path(args, fmt), "w", text, newline)
 
 
-def _write_csv(out: str, name: str, header: list[str], rows: list[list]) -> None:
+def _write_json(args: argparse.Namespace, payload: dict) -> None:
+    _write(args, "json", json.dumps(payload, indent=2, sort_keys=True,
+                                    allow_nan=False) + "\n")
+
+
+def _write_csv(args: argparse.Namespace, header: list[str],
+               rows: list[list]) -> None:
     lines = [",".join(header)] + [
         ",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row)
         for row in rows]
-    _write(out, name, "".join(line + "\n" for line in lines), newline="")
+    _write(args, "csv", "".join(line + "\n" for line in lines), newline="")
 
 
 def _mass_carrier(r: GroundStateReport, mu: float) -> str:
@@ -282,7 +310,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         **report.as_dict(),
     }
     if "json" in args.formats:
-        _write_json(args.out, "report.json", payload)
+        _write_json(args, payload)
     U = report.state
     grid = U.grid
     t1 = total_field(U.u1).values
@@ -293,8 +321,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
                 for r, a, b, c, d in zip(
                     grid.r[inner], t1[inner], t2[inner],
                     U.u1.phi.values[inner], U.u2.phi.values[inner])]
-        _write_csv(args.out, "profiles.csv",
-                   ["r", "u1", "u2", "phi1", "phi2"], rows)
+        _write_csv(args, ["r", "u1", "u2", "phi1", "phi2"], rows)
     if "svg" in args.formats:
         svg = _svgplot.render_lines(
             [("plane 1", grid.r[inner], t1[inner]),
@@ -303,7 +330,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
                    f"  sigma=({P.sigma1:g},{P.sigma2:g})"
                    f"  beta={P.beta:g}  mu={P.mu:g}"),
             xlabel="r", ylabel="u(r)", ylog=True)
-        _write(args.out, "profiles.svg", svg)
+        _write(args, "svg", svg)
     print(f"energy {report.energy:.12g}  mass ({report.mass1:.6g}, "
           f"{report.mass2:.6g})  charges ({report.q1:.6g}, {report.q2:.6g})  "
           f"omega {report.omega:.6g}  converged {report.converged}")
@@ -326,10 +353,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     rows = table.as_rows()
     verdicts = table.verdicts()
     if "csv" in args.formats:
-        _write_csv(args.out, "sweep.csv", list(table.COLUMNS),
+        _write_csv(args, list(table.COLUMNS),
                    [[r[c] for c in table.COLUMNS] for r in rows])
     if "json" in args.formats:
-        _write_json(args.out, "summary.json", {
+        _write_json(args, {
             "schema_version": SCHEMA_VERSION,
             "command": "sweep",
             "mode": args.mode,
@@ -349,7 +376,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
              ("plane-2 fraction", xs, [r.mass2 / m for r, m in zip(table.rows, mus)])],
             title=f"mass split along {args.mode}", xlabel=args.mode,
             ylabel="mass fraction")
-        _write(args.out, "sweep.svg", svg)
+        _write(args, "svg", svg)
 
     for r in table.rows:
         print(f"{args.mode}={r.value:g}: energy {r.energy:.9g}  "
@@ -409,7 +436,7 @@ def cmd_baseline(args: argparse.Namespace) -> int:
             "root_property_ok": gap <= 1e-6,
         }
     if "json" in args.formats:
-        _write_json(args.out, "baseline.json", payload)
+        _write_json(args, payload)
     for key, val in payload["rho"].items():
         print(f"rho({key}) = {val:.9e}  (reference mass "
               f"{payload['reference_mass'][key]:g}, scaling exponent "
@@ -428,9 +455,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for line in report.lines():
         print(line)
     if "json" in args.formats:
-        _write_json(args.out, "verify.json",
-                    {"schema_version": SCHEMA_VERSION, "command": "verify",
-                     **report.as_dict()})
+        _write_json(args, {"schema_version": SCHEMA_VERSION,
+                           "command": "verify", **report.as_dict()})
     if report.all_passed:
         return 0
     print("failed criteria: "

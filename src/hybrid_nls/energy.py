@@ -214,12 +214,13 @@ def plane_data(grid: RadialGrid, lam: float) -> PlaneData:
     hit = _PLANE_CACHE.get(key)
     if hit is not None and hit.grid is grid:
         return hit
-    G = green_profile(lam, grid.r)
     z, lagw, area0 = origin_cell_rule(grid)
+    # the kernel at the nodes and at the origin cell's radii, in one call
+    G, g0 = np.split(green_profile(lam, np.concatenate(
+        (grid.r, grid.r[1] * np.exp(-z / 2.0)))), [grid.n_nodes])
     w_in = grid.w_trapz.copy()
     w_in[1] -= np.pi * grid.r[1] * grid.h[0]  # first cell handled by log rule
     w_in[0] = 0.0
-    g0 = green_profile(lam, grid.r[1] * np.exp(-z / 2.0))  # origin-cell radii
     data = PlaneData(grid=grid, lam=float(lam), theta=theta(lam),
                      gl2=green_l2_norm_sq(lam), G=G, wG=grid.w_trapz * G,
                      w_in=w_in, g0=g0, lagw=lagw, area0=area0, w0=area0 * lagw)

@@ -77,9 +77,9 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs, dpttrf, dpttrs
 
 from ._kernels import _exponent, plane_energy, plane_energy_grad
+from ._lapack import dgttrf, dgttrs, dpttrf, dpttrs
 from .energy import (
     ChargedField,
     HybridParams,

@@ -332,6 +332,28 @@ class TestConfigPlumbing:
         assert err.startswith("error: ") and str(tmp_path / named) in err
         assert (tmp_path / "a_file").read_text() == "kept\n"
 
+    @pytest.mark.parametrize("argv,name,computes", [
+        (["solve"], "report.json", "hybrid_nls.cli.solve_hybrid"),
+        (["solve", "--formats", "csv"], "profiles.csv",
+         "hybrid_nls.cli.solve_hybrid"),
+        (["sweep", "--values", "1,2", "--formats", "svg"], "sweep.svg",
+         "hybrid_nls.analysis.sweep"),
+        (["baseline", "--p", "3"], "baseline.json",
+         "hybrid_nls.analysis.rho_detail"),
+        (["verify", "--fast"], "verify.json", "hybrid_nls.cli.run_suite"),
+    ], ids=["solve-json", "solve-csv", "sweep-svg", "baseline", "verify"])
+    def test_unwritable_output_exits_2_before_computing(
+            self, tmp_path, capsys, monkeypatch, argv, name, computes):
+        def computed(*args, **kwargs):
+            raise AssertionError("computed before checking the outputs")
+
+        monkeypatch.setattr(computes, computed)
+        (tmp_path / name).mkdir()
+        assert main([*argv, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write ") and name in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == [name]
+
     def test_console_script_argparse_error_exits_2(self):
         proc = subprocess.run(
             [sys.executable, "-m", "hybrid_nls.cli", "sweep",

@@ -12,10 +12,13 @@ digits below were produced by that oracle.
 """
 
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy import special
 from scipy.integrate import quad
 
 from hybrid_nls import specfun as sf
@@ -185,3 +188,41 @@ class TestGreenKernel:
             sf.green_profile(-1.0, 1.0)
         with pytest.raises(ValueError):
             sf.green_l2_norm_sq(0.0)
+
+
+class TestK0Evaluation:
+    """specfun evaluates K0 itself, as Cephes does; scipy.special.k0 (the
+    same algorithm in compiled code) and mpmath are the references."""
+
+    def test_bit_for_bit_scipy(self):
+        # the same operations on the same coefficients give the same
+        # doubles, subnormals included (5e-15 relative would do for the
+        # values; the solves whose stop sits on the roundoff floor of the
+        # convergence test need them exact)
+        x = np.geomspace(1e-12, 745.0, 200_001)
+        np.testing.assert_array_equal(sf._k0(x), special.k0(x))
+        np.testing.assert_array_equal(sf.green_profile(1.0, x),
+                                      special.k0(x) / (2.0 * math.pi))
+
+    @pytest.mark.parametrize("x", [1e-12, 1e-3, 0.5, 1.0, 1.999, 2.0, 2.001,
+                                   7.9, 8.0, 30.0, 700.0])
+    def test_against_mpmath(self, x):
+        want = float(mpmath.besselk(0, x))
+        assert abs(float(sf._k0(np.array([x]))[0]) - want) <= 2e-15 * want
+
+    @pytest.mark.parametrize("seam", [2.0, 8.0])
+    def test_continuous_across_seams(self, seam):
+        x = np.array([np.nextafter(seam, 0.0), seam, np.nextafter(seam, 3 * seam)])
+        v = sf._k0(x)
+        assert np.all(np.diff(v) < 0.0)  # strictly decreasing
+        assert np.abs(np.diff(v)).max() <= 4e-15 * v[1]
+
+    def test_exact_zeros_and_no_warning_far_out(self):
+        r = np.geomspace(1e-3, 1e4, 5001)
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            g = sf.green_profile(1.0, r)
+        assert np.all(g[r > 746.0] == 0.0)
+        assert np.all(g[r < 700.0] > 0.0)
+        np.testing.assert_array_equal(g, special.k0(r) / (2.0 * math.pi))
+

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import hybrid_nls
-from hybrid_nls import solver
+from hybrid_nls import solver, specfun
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -77,3 +77,9 @@ def test_joined_start_reruns_at_its_shift(census_run):
         assert len(rargs) == len(args) and all(map(operator.is_, rargs, args))
         assert rkw == {"shift": kw["shift"]}
     assert any(kw["shift"] != args[0].lam for args, kw in joins)
+
+
+def test_k0_coefficients_are_the_tools():
+    # specfun holds the constants tools/k0_coefficients.py computes
+    for name, values in _load("k0_coefficients").coefficients().items():
+        assert getattr(specfun, name) == values, name
