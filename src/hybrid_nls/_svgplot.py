@@ -9,7 +9,6 @@ reproducible byte for byte.
 from __future__ import annotations
 
 import math
-from xml.sax.saxutils import escape
 
 __all__ = ["render_lines"]
 
@@ -17,6 +16,11 @@ _PALETTE = ("#1f6feb", "#d1242f", "#1a7f37", "#8250df", "#bf8700", "#57606a")
 
 _W, _H = 720, 480
 _ML, _MR, _MT, _MB = 72, 24, 40, 56  # margins: left, right, top, bottom
+
+
+def _escape(text: str) -> str:
+    """``xml.sax.saxutils.escape`` without its import chain: &, < and >."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _nice_step(span: float, target: int = 5) -> float:
@@ -114,7 +118,7 @@ def render_lines(series, *, title: str = "", xlabel: str = "",
     ]
     if title:
         out.append(f'<text x="{_W // 2}" y="24" text-anchor="middle" '
-                   f'font-family="sans-serif" font-size="15">{escape(title)}</text>')
+                   f'font-family="sans-serif" font-size="15">{_escape(title)}</text>')
 
     # axes box
     out.append(f'<rect x="{_ML}" y="{_MT}" width="{_W - _ML - _MR}" '
@@ -140,12 +144,12 @@ def render_lines(series, *, title: str = "", xlabel: str = "",
     if xlabel:
         out.append(f'<text x="{(_ML + _W - _MR) // 2}" y="{_H - 14}" '
                    f'text-anchor="middle" font-family="sans-serif" '
-                   f'font-size="13">{escape(xlabel)}</text>')
+                   f'font-size="13">{_escape(xlabel)}</text>')
     if ylabel:
         yc = (_MT + _H - _MB) // 2
         out.append(f'<text x="18" y="{yc}" text-anchor="middle" '
                    f'font-family="sans-serif" font-size="13" '
-                   f'transform="rotate(-90 18 {yc})">{escape(ylabel)}</text>')
+                   f'transform="rotate(-90 18 {yc})">{_escape(ylabel)}</text>')
 
     for k, (label, pts) in enumerate(pts_by_series):
         if not pts:
@@ -161,7 +165,7 @@ def render_lines(series, *, title: str = "", xlabel: str = "",
                    f'stroke-width="2"/>')
         out.append(f'<text x="{_W - _MR - 100}" y="{ly}" '
                    f'font-family="sans-serif" font-size="12">'
-                   f'{escape(label)}</text>')
+                   f'{_escape(label)}</text>')
 
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -413,7 +413,9 @@ def cmd_baseline(args: argparse.Namespace) -> int:
         payload["rho"][key] = detail.value
         payload["reference_mass"][key] = detail.reference_mass
         mus = [f * detail.reference_mass for f in (0.5, 1.0, 2.0, 4.0)]
-        energies = [solve_planar(p, m, solver).energy for m in mus]
+        # rho's reference solve is the one at f = 1
+        energies = [detail.report.energy if m == detail.reference_mass
+                    else solve_planar(p, m, solver).energy for m in mus]
         slope = float(np.polyfit(np.log(mus),
                                  np.log(np.abs(energies)), 1)[0])
         expected = 2.0 / (4.0 - p)

@@ -826,7 +826,10 @@ def _sample_profiles(grid, u1, u2) -> dict[str, list[float]]:
     # interior nodes only: node 0 is the (possibly singular) origin and
     # the last node is pinned to zero by the box truncation
     n = grid.n_nodes
-    idx = np.unique(np.geomspace(1, n - 2, 64).astype(int))
+    # the truncated geomspace never decreases, so dropping adjacent
+    # repeats is np.unique, whose first call imports numpy.ma
+    idx = np.geomspace(1, n - 2, 64).astype(int)
+    idx = idx[np.r_[True, idx[1:] != idx[:-1]]]
     t1 = total_field(u1).values
     t2 = total_field(u2).values
     return {

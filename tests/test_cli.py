@@ -9,16 +9,20 @@ import sys
 import warnings
 import xml.dom.minidom
 from pathlib import Path
+from xml.sax import saxutils
 
+import numpy as np
 import pytest
 
 import hybrid_nls.analysis as analysis
+import hybrid_nls.cli as cli
 import hybrid_nls.energy as en
 import hybrid_nls.specfun as sf
 import hybrid_nls.verify as verify
+from hybrid_nls import _svgplot, solver
 from hybrid_nls.analysis import SweepTable, critical_mass, sweep
 from hybrid_nls.cli import main
-from hybrid_nls.solver import SolverConfig, omega_star_grid
+from hybrid_nls.solver import SolverConfig, omega_star_grid, solve_planar
 from hybrid_nls.energy import HybridParams
 from hybrid_nls.verify import run_suite
 
@@ -462,6 +466,40 @@ class TestSweep:
         assert "beta=-1:" in capsys.readouterr().err
 
 
+README_SOLVE = ["solve", "--p1", "3", "--p2", "3", "--sigma1", "0", "--sigma2",
+                "1", "--beta", "1", "--mu", "1", "--formats", "json,csv,svg"]
+
+
+class TestReportsWithoutHeavyImports:
+    """The SVG escape and the profile sampling avoid stdlib and numpy
+    imports; their outputs are those of the calls they replace."""
+
+    @pytest.mark.parametrize("text", [
+        "", "plain", "a & b", "<u1>", "x > y", "&amp; stays &amp;amp;",
+        "\"double\" and 'single' quotes", "σ₂ = 1 < σ₁ & β > 0",
+        "&&<<>>", "<σ₂ & \"β\"> &amp;lt; ρ'",
+    ])
+    def test_escape_matches_saxutils(self, text):
+        assert _svgplot._escape(text) == saxutils.escape(text)
+
+    def test_readme_solve_files_match_the_replaced_calls(self, tmp_path,
+                                                         monkeypatch):
+        assert main([*README_SOLVE, "--out", str(tmp_path / "new")]) == 0
+
+        def unique_samples(grid, u1, u2):
+            idx = np.unique(np.geomspace(1, grid.n_nodes - 2, 64).astype(int))
+            return {"r": [float(x) for x in grid.r[idx]],
+                    "u1": [float(x) for x in en.total_field(u1).values[idx]],
+                    "u2": [float(x) for x in en.total_field(u2).values[idx]]}
+
+        monkeypatch.setattr(_svgplot, "_escape", saxutils.escape)
+        monkeypatch.setattr(solver, "_sample_profiles", unique_samples)
+        assert main([*README_SOLVE, "--out", str(tmp_path / "old")]) == 0
+        for name in ("report.json", "profiles.csv", "profiles.svg"):
+            new = (tmp_path / "new" / name).read_bytes()
+            assert new == (tmp_path / "old" / name).read_bytes(), name
+
+
 class TestBaseline:
     def test_baseline_rho_mustar_and_scaling(self, tmp_path):
         code = main(["baseline", "--p", "3", "--mustar", "2.5:3.5",
@@ -473,6 +511,26 @@ class TestBaseline:
         entry = b["mu_star"]["2.5:3.5"]
         assert entry["value"] > 0.0
         assert entry["root_property_ok"] is True
+
+    def test_baseline_reuses_the_reference_solve(self, tmp_path, monkeypatch):
+        # the scaling fit's f = 1 point is rho's reference solve: three
+        # planar solves per power, and the fit of all four energies
+        cfg = SolverConfig(N=512)
+        detail = analysis.rho_detail(3.0, cfg)
+        mus = [f * detail.reference_mass for f in (0.5, 1.0, 2.0, 4.0)]
+        energies = [solve_planar(3.0, m, cfg).energy for m in mus]
+        expected = float(np.polyfit(np.log(mus), np.log(np.abs(energies)), 1)[0])
+        masses = []
+
+        def counted(p, mu, cfg=None):
+            masses.append(mu)
+            return solve_planar(p, mu, cfg)
+
+        monkeypatch.setattr(cli, "solve_planar", counted)
+        assert main(["baseline", "--p", "3", "--out", str(tmp_path), *FAST]) == 0
+        assert masses == [mus[0], mus[2], mus[3]]
+        fit = read_json(tmp_path / "baseline.json")["scaling"]["3"]
+        assert fit["fitted_exponent"] == expected
 
     def test_baseline_without_inputs_exits_2(self, tmp_path):
         assert main(["baseline", "--out", str(tmp_path)]) == 2

@@ -18,6 +18,7 @@ import os
 import random
 import subprocess
 import sys
+import types
 import warnings
 
 import numpy as np
@@ -500,6 +501,17 @@ class TestReportContract:
         assert set(s) == {"r", "u1", "u2"}
         assert len(s["r"]) == len(s["u1"]) == len(s["u2"])
         assert all(b > a for a, b in zip(s["r"], s["r"][1:]))
+
+    @pytest.mark.parametrize("n", [*range(2, 65), 256, 2048, 8192, 32768])
+    def test_profile_sample_nodes_are_the_unique_geomspace(self, n,
+                                                           monkeypatch):
+        # nodes numbered by their radius: the sampled radii are the indices
+        grid = types.SimpleNamespace(n_nodes=n + 1, r=np.arange(n + 1.0))
+        monkeypatch.setattr(solver, "total_field",
+                            lambda u: types.SimpleNamespace(values=grid.r))
+        samples = solver._sample_profiles(grid, None, None)
+        expected = np.unique(np.geomspace(1, n - 1, 64).astype(int))
+        assert samples["r"] == samples["u1"] == [float(i) for i in expected]
 
     def test_as_dict_serializes(self, cfg):
         r = solve_hybrid(HybridParams(3.0, 3.0, 0.5, 0.5, 0.0, 1.0), cfg)
@@ -1122,12 +1134,26 @@ class TestLinearSolver:
             _linear_solver(grid, self.LAM, 0.0, sigmas, beta)
 
 
-def test_import_leaves_scipy_unloaded():
-    # the package binds numpy's LAPACK and evaluates K0 itself
-    code = ("import sys, hybrid_nls, hybrid_nls.cli; "
-            "print([m for m in sys.modules if m.startswith('scipy')])")
+def test_import_leaves_scipy_unloaded(tmp_path):
+    # the package binds numpy's LAPACK and evaluates K0 itself, escapes
+    # SVG text without xml.sax (which loads urllib.request, http, email
+    # and ssl), and samples profiles without np.unique (whose first call
+    # loads numpy.ma)
+    code = f"""
+import sys, hybrid_nls, hybrid_nls.cli
+def loaded(*names):
+    return [m for m in sys.modules if m in names or m.startswith(
+        tuple(name + "." for name in names))]
+print(loaded("scipy", "xml", "urllib.request", "http", "email", "ssl"))
+hybrid_nls.cli.main(["solve", "--N", "256", "--formats", "json,csv,svg",
+                     "--out", {str(tmp_path)!r}])
+print(loaded("numpy.ma"))
+"""
     src = os.path.dirname(os.path.dirname(hybrid_nls.__file__))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=src),
                           check=True)
-    assert proc.stdout.strip() == "[]"
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "[]"  # after the import
+    assert lines[-1] == "[]"  # after the solve
+    assert (tmp_path / "profiles.svg").read_bytes().startswith(b"<svg")
