@@ -516,8 +516,10 @@ def _initial_guess(pd, sigmas, beta, mu, start):
     w = pd.grid.w_trapz
     charged = sigmas is not None
     k = len(sigmas) if charged else 1
-    # a charged start fits the linear level lam / _RATE_MARGIN of _setup
-    width0 = min(1.0, 2.5 / math.sqrt(pd.lam / _RATE_MARGIN)) if charged else 1.0
+    # a charged start fits the linear level lam / _RATE_MARGIN of _setup,
+    # at most a 40th of the box; the planar grid is built for lam = 1
+    width0 = (min(pd.grid.R / 40.0, 2.5 / math.sqrt(pd.lam / _RATE_MARGIN))
+              if charged else 1.0)
     if k == 1:
         widths = np.array([width0 * (0.5 + start)])
         masses = np.array([mu])

@@ -8,12 +8,17 @@ directions satisfy v[0] = v[1], v[-1] = 0.
 """
 
 import dataclasses
+import gc
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import hybrid_nls
 from hybrid_nls import _kernels
+from hybrid_nls import energy as en
 from hybrid_nls import specfun as sf
 from hybrid_nls.energy import (
     ActionValues,
@@ -444,6 +449,56 @@ class TestPlaneData:
         pd = plane_data(small_grid, 2.0)
         np.testing.assert_array_equal(pd.wG, small_grid.w_trapz * pd.G)
         np.testing.assert_array_equal(pd.w0, pd.area0 * pd.lagw)
+
+
+class TestPlaneDataLifetime:
+    """Every public solve builds its own grid, so an entry of a finished
+    solve is never hit again; the cache keeps the two most recently used
+    entries, enough for every lookup inside one solve."""
+
+    def test_distinct_solves_leave_at_most_two_entries(self):
+        en._PLANE_CACHE.clear()
+        cfg = hybrid_nls.SolverConfig(N=256)
+        for sigma in np.linspace(-0.5, 0.0, 12):  # one lam per sigma
+            hybrid_nls.solve_single(3.0, float(sigma), 1.0, cfg)
+            assert len(en._PLANE_CACHE) <= 2
+
+    @pytest.mark.parametrize("beta", [0.5, 0.0])
+    def test_one_solve_builds_its_plane_data_once(self, monkeypatch, beta):
+        # report included; at beta = 0 both single-plane multistarts
+        # share the two-plane problem's grid
+        builds = []
+
+        def counted(lam, r):
+            builds.append(lam)
+            return sf.green_profile(lam, r)
+
+        monkeypatch.setattr(en, "green_profile", counted)
+        P = HybridParams(3.0, 2.5, 0.0, 1.0, beta, 1.0)
+        hybrid_nls.solve_hybrid(P, hybrid_nls.SolverConfig(N=512))
+        assert len(builds) == 1
+
+    def test_finished_solves_retain_less_than_three_entries(self):
+        # at N = 2048 an entry holds three node arrays of its own and
+        # four of its grid, about 115 KB
+        grid = make_grid(40.0, 2048, 1.01)
+        pd = plane_data(grid, 1.0)
+        entry = sum(a.nbytes for a in (pd.G, pd.wG, pd.w_in, pd.w0, grid.r,
+                                       grid.h, grid.w_trapz, grid.c_h1))
+        del grid, pd
+        en._PLANE_CACHE.clear()
+        here = os.path.join(os.path.dirname(hybrid_nls.__file__), "*")
+        tracemalloc.start()
+        try:
+            for sigma in np.linspace(-0.5, 0.0, 20):
+                hybrid_nls.solve_single(3.0, float(sigma), 1.0)
+            gc.collect()
+            snap = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        held = sum(st.size for st in snap.filter_traces(
+            [tracemalloc.Filter(True, here)]).statistics("filename"))
+        assert held < 3 * entry
 
 
 class TestTotalField:

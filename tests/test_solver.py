@@ -883,6 +883,20 @@ class TestSmallMass:
         assert rel(r.omega, omega_star(P)) < 1e-3
 
 
+class TestStartScale:
+    def test_charged_start_fits_a_wide_box(self):
+        # a start width capped at 1 in absolute units vanishes on every
+        # node past the origin of this grid: a divide by zero, then
+        # "cannot scale the start onto the sphere"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            r = solve_hybrid(HybridParams(3.0, 3.0, 10.0, 10.0, 0.5, 1.0),
+                             SolverConfig(R=1e6, N=512))
+        assert r.converged and r.el_residual <= 1e-2
+        assert r.energy == pytest.approx(-1.6364e-4, rel=1e-3)
+        assert r.omega == pytest.approx(4.964e-4, rel=1e-3)
+
+
 class TestNewtonStep:
     """The endgame's Newton direction against a dense KKT solve whose
     Hessian is central differences of the kernel gradient."""
