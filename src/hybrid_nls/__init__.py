@@ -35,9 +35,11 @@ from hybrid_nls.energy import (
     HybridGradient,
     HybridParams,
     HybridState,
+    PlaneData,
     action_functionals,
     f_hybrid,
     f_single,
+    plane_data,
     total_field,
 )
 from hybrid_nls.grid import RadialField, RadialGrid, make_grid
@@ -71,6 +73,7 @@ __all__ = [
     "HybridGradient",
     "HybridParams",
     "HybridState",
+    "PlaneData",
     "RadialField",
     "RadialGrid",
     "RhoDetail",
@@ -90,6 +93,7 @@ __all__ = [
     "monotone_radial_check",
     "omega_star",
     "omega_star_grid",
+    "plane_data",
     "rearrange_decreasing",
     "refine_config",
     "rho",

@@ -8,7 +8,8 @@ Each plane's field is stored in decomposed form
 with ``phi`` a regular (H^1) radial profile, ``q >= 0`` the charge
 multiplying the Green kernel of -Delta + lam, and ``lam`` a free
 bookkeeping rate: physical quantities do not depend on it (tested), it
-only fixes how the singular part is split off.
+only fixes how the singular part is split off.  A field carries G_lam
+on its grid, in the :class:`PlaneData` of its rate.
 
 The central objects are
 
@@ -73,25 +74,29 @@ __all__ = [
 
 @dataclass
 class ChargedField:
-    """One plane's state: regular part, charge, decomposition rate."""
+    """One plane's state: regular part, charge, and the plane data of
+    its decomposition rate, built on the regular part's grid."""
 
     phi: RadialField
     q: float
-    lam: float
+    plane: PlaneData
 
     def __post_init__(self) -> None:
         self.q = float(self.q)
-        self.lam = float(self.lam)
         if not isinstance(self.phi, RadialField):
             raise TypeError("phi must be a RadialField")
         if not self.q >= 0.0:
             raise ValueError(f"charge must be >= 0, got {self.q}")
-        if not self.lam > 0.0:
-            raise ValueError(f"decomposition rate must be > 0, got {self.lam}")
+        if self.plane.grid is not self.phi.grid:
+            raise ValueError("plane data must be built on the field's grid")
 
     @property
     def grid(self) -> RadialGrid:
         return self.phi.grid
+
+    @property
+    def lam(self) -> float:
+        return self.plane.lam
 
 
 def check_power(p: float, name: str = "p") -> None:
@@ -173,7 +178,8 @@ class PlaneData:
     """Green profile, origin-cell rule and weights of one (grid, lam).
 
     What the kernels in :mod:`hybrid_nls._kernels` and the solver read
-    besides the state; built by :func:`plane_data`, arrays read-only.
+    besides profiles and charges; built by :func:`plane_data`, arrays
+    read-only, carried by each :class:`ChargedField` decomposed on it.
     ``mass``, ``lp_power`` and ``q_form_sigma`` read it too, but keep
     their own formulas: they are the reference the kernels are tested on.
     Node 0 is a ghost tied to node 1 and carries zero quadrature weight,
@@ -189,16 +195,6 @@ class PlaneData:
     * ``w0``     — origin-cell quadrature weights ``area0 * lagw``: pi r_1^2
       times the log-adapted rule's weights (``grid.origin_cell_rule``);
     * ``g0``     — Green-kernel values at the origin-cell quadrature radii.
-
-    Lifetime: :func:`plane_data` keeps an entry while it is among the
-    two most recently used, that is, while its solve runs.  Every public
-    solve builds its own grid, and an entry is returned only to a caller
-    holding that grid object, so an entry of a finished solve is never
-    hit again; at N = 2048 it holds about 115 KB with its grid.  Two,
-    not one, because each plane of a :class:`HybridState` may carry its
-    own lam, and the functionals of such a state alternate between the
-    two planes' entries (keeping one, ``verify --fast`` builds 666
-    entries instead of 39).
     """
 
     grid: RadialGrid
@@ -214,19 +210,8 @@ class PlaneData:
     w0: np.ndarray = field(repr=False)
 
 
-_PLANE_CACHE: dict[tuple, PlaneData] = {}  # least recently used first
-_PLANE_CACHE_SIZE = 2
-
-
 def plane_data(grid: RadialGrid, lam: float) -> PlaneData:
-    """The :class:`PlaneData` of ``grid`` at decomposition rate ``lam``,
-    cached: the same grid object and lam get the same object back while
-    it is among the two most recently used entries (see its lifetime)."""
-    key = (grid.signature(), float(lam))
-    hit = _PLANE_CACHE.pop(key, None)
-    if hit is not None and hit.grid is grid:
-        _PLANE_CACHE[key] = hit
-        return hit
+    """The :class:`PlaneData` of ``grid`` at decomposition rate ``lam``."""
     z, lagw, area0 = origin_cell_rule(grid)
     # the kernel at the nodes and at the origin cell's radii, in one call
     G, g0 = np.split(green_profile(lam, np.concatenate(
@@ -239,9 +224,6 @@ def plane_data(grid: RadialGrid, lam: float) -> PlaneData:
                      w_in=w_in, g0=g0, lagw=lagw, area0=area0, w0=area0 * lagw)
     for arr in (data.G, data.wG, data.w_in, data.g0, data.w0):
         arr.flags.writeable = False
-    _PLANE_CACHE[key] = data
-    if len(_PLANE_CACHE) > _PLANE_CACHE_SIZE:
-        del _PLANE_CACHE[next(iter(_PLANE_CACHE))]
     return data
 
 
@@ -251,7 +233,7 @@ def plane_data(grid: RadialGrid, lam: float) -> PlaneData:
 
 def mass(u: ChargedField) -> float:
     """Squared L^2 norm |phi|^2 + 2q <phi, G> + q^2/(4 pi lam)."""
-    pd = plane_data(u.grid, u.lam)
+    pd = u.plane
     phi = u.phi.values
     w = u.grid.w_trapz
     mpp = float(w @ (phi * phi))
@@ -261,7 +243,7 @@ def mass(u: ChargedField) -> float:
 
 def lp_power(u: ChargedField, p: float) -> float:
     """|u|_p^p of the total field, origin cell by the log-adapted rule."""
-    pd = plane_data(u.grid, u.lam)
+    pd = u.plane
     phi = u.phi.values
     total = phi + u.q * pd.G
     val = float(pd.w_in @ np.abs(total) ** p)
@@ -275,7 +257,7 @@ def q_form_sigma(u: ChargedField, sigma: float) -> float:
     Independent of the decomposition rate lam up to quadrature error
     (a tested property), despite every term moving with it.
     """
-    pd = plane_data(u.grid, u.lam)
+    pd = u.plane
     phi = u.phi.values
     grid = u.grid
     d = np.diff(phi)
@@ -310,7 +292,7 @@ def grad_f_hybrid(U: HybridState, P: HybridParams) -> HybridGradient:
     grid = U.grid
     out = []
     for u, sigma, p in ((U.u1, P.sigma1, P.p1), (U.u2, P.sigma2, P.p2)):
-        pd = plane_data(grid, u.lam)
+        pd = u.plane
         q = np.array([u.q])
         sig_theta = sigma + pd.theta
         pieces = _kernels.plane_energy(u.phi.values[None], q, p, sig_theta, pd)[3]
@@ -383,7 +365,7 @@ def el_residual(U: HybridState, P: HybridParams, omega: float) -> float:
     for u, sigma, p in ((U.u1, P.sigma1, P.p1), (U.u2, P.sigma2, P.p2)):
         if mass(u) <= 1e-12 * m_total:
             continue
-        pd = plane_data(u.grid, u.lam)
+        pd = u.plane
         phi = u.phi.values
         total = phi + u.q * pd.G
         s = np.abs(total) ** (p - 2.0) * total
@@ -405,15 +387,11 @@ def boundary_residual(U: HybridState, P: HybridParams) -> tuple[float, float]:
     Invariant under the decomposition rate (phi(0) and theta shift
     together); vanishes at stationary points.
     """
-    th1 = theta(U.u1.lam)
-    th2 = theta(U.u2.lam)
-    r1 = eval_at_origin(U.u1.phi) - ((P.sigma1 + th1) * U.u1.q
-                                     - P.beta * U.u2.q)
-    r2 = eval_at_origin(U.u2.phi) - ((P.sigma2 + th2) * U.u2.q
-                                     - P.beta * U.u1.q)
-    return float(r1), float(r2)
+    return tuple(
+        float(eval_at_origin(u.phi) - ((sigma + u.plane.theta) * u.q - P.beta * v.q))
+        for u, v, sigma in ((U.u1, U.u2, P.sigma1), (U.u2, U.u1, P.sigma2)))
 
 
 def total_field(u: ChargedField) -> RadialField:
     """phi + q G sampled on the nodes (origin entry is a placeholder)."""
-    return RadialField(u.grid, u.phi.values + u.q * plane_data(u.grid, u.lam).G)
+    return RadialField(u.grid, u.phi.values + u.q * u.plane.G)

@@ -66,7 +66,8 @@ class RadialGrid:
         return self.n_cells + 1
 
     def signature(self) -> tuple:
-        """Hashable identity used for caching solves per grid."""
+        """Box, cell count and grading: equal for equal meshes, whichever
+        object holds them (a :class:`HybridState`'s two grids must match)."""
         return (round(self.R, 12), self.n_cells, round(self.grading, 12))
 
 

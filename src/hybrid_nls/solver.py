@@ -841,15 +841,15 @@ def _sample_profiles(grid, u1, u2) -> dict[str, list[float]]:
     }
 
 
-def _build_report(pd, run, P, plane=None, *, vertex=True):
-    """Report of a descent run.  A one-plane run fills ``plane`` and
-    leaves the other plane exactly empty."""
-    grid, lam = pd.grid, pd.lam
-    fields = [ChargedField(RadialField(grid, f), q, lam)
+def _build_report(pd, run, P, side=None, *, vertex=True):
+    """Report of a descent run; both fields carry ``pd``.  A one-plane
+    run fills plane ``side`` and leaves the other exactly empty."""
+    grid = pd.grid
+    fields = [ChargedField(RadialField(grid, f), q, pd)
               for f, q in zip(run["phi"], run["q"])]
-    if plane is not None:
-        fields.insert(1 - plane, ChargedField(
-            RadialField(grid, np.zeros(grid.n_nodes)), 0.0, lam))
+    if side is not None:
+        fields.insert(1 - side, ChargedField(
+            RadialField(grid, np.zeros(grid.n_nodes)), 0.0, pd))
     U = HybridState(*fields)
     m1, m2 = mass(U.u1), mass(U.u2)
     total = m1 + m2

@@ -26,6 +26,7 @@ import numpy as np
 
 from . import analysis
 from .energy import (
+    ChargedField,
     HybridParams,
     HybridState,
     action_functionals,
@@ -33,6 +34,7 @@ from .energy import (
     grad_f_hybrid,
     lp_power,
     mass,
+    plane_data,
     q_form_sigma,
     total_field,
 )
@@ -326,23 +328,28 @@ _GRADIENT_SETS = (
 )
 
 
-def _random_state(grid, rng) -> HybridState:
-    from .energy import ChargedField
+#: decomposition rates of the random states' two planes
+_RANDOM_RATES = (1.5, 3.0)
 
-    def fld(lam):
+
+def _random_state(planes, rng) -> HybridState:
+    grid = planes[0].grid
+
+    def fld(pd):
         a = rng.uniform(0.2, 1.5)
         b = rng.uniform(0.5, 2.0)
         c = rng.uniform(0.5, 4.0)
         v = a * np.exp(-(grid.r**2) / (2 * b**2)) * (1.0 + 0.3 * np.sin(c * grid.r))
         v[0] = v[1]
         v[-1] = 0.0
-        return ChargedField(RadialField(grid, v), rng.uniform(0.1, 0.9), lam)
+        return ChargedField(RadialField(grid, v), rng.uniform(0.1, 0.9), pd)
 
-    return HybridState(fld(1.5), fld(3.0))
+    return HybridState(*map(fld, planes))
 
 
 def _c11_gradient_check(ctx: _Context):
     grid = make_grid(12.0, 256, 1.02)
+    planes = [plane_data(grid, lam) for lam in _RANDOM_RATES]
     w = grid.w_trapz
     rng = np.random.default_rng(1)
     h = 1e-6
@@ -350,7 +357,7 @@ def _c11_gradient_check(ctx: _Context):
     for p1, p2, s1, s2, beta in _GRADIENT_SETS:
         P = HybridParams(p1, p2, s1, s2, beta, 1.0)
         for _ in range(20):
-            U = _random_state(grid, rng)
+            U = _random_state(planes, rng)
             g = grad_f_hybrid(U, P)
             d1 = np.zeros(grid.n_nodes)
             d2 = np.zeros(grid.n_nodes)
@@ -384,11 +391,12 @@ def _c11_gradient_check(ctx: _Context):
 
 def _c12_action_identities(ctx: _Context):
     grid = make_grid(12.0, 256, 1.02)
+    planes = [plane_data(grid, lam) for lam in _RANDOM_RATES]
     rng = np.random.default_rng(2)
     P = HybridParams(2.5, 3.5, 0.3, -0.2, 0.8, 1.0)
     worst_id = 0.0
     for _ in range(25):
-        U = _random_state(grid, rng)
+        U = _random_state(planes, rng)
         omega = rng.uniform(0.1, 3.0)
         acts = action_functionals(U, P, omega)
         scale = max(abs(acts.s_omega), 1e-12)

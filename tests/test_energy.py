@@ -67,7 +67,8 @@ def redecompose(u, lam_new):
     grid = u.grid
     diff = sf.green_profile(u.lam, grid.r) - sf.green_profile(lam_new, grid.r)
     diff[0] = sf.theta(lam_new) - sf.theta(u.lam)
-    return ChargedField(RadialField(grid, u.phi.values + u.q * diff), u.q, lam_new)
+    return ChargedField(RadialField(grid, u.phi.values + u.q * diff), u.q,
+                        plane_data(grid, lam_new))
 
 
 def gaussian_field(grid, amp=1.0, width=1.0):
@@ -79,8 +80,10 @@ def random_state(grid, rng, lam1=1.5, lam2=3.0):
         a, b, c = rng.uniform(0.3, 1.5, size=3)
         return tied(grid, a * np.exp(-(grid.r**2) / (2 * b * b))
                     * (1.0 + 0.3 * np.sin(c * grid.r)))
-    u1 = ChargedField(RadialField(grid, bump()), rng.uniform(0.05, 0.8), lam1)
-    u2 = ChargedField(RadialField(grid, bump()), rng.uniform(0.05, 0.8), lam2)
+    u1 = ChargedField(RadialField(grid, bump()), rng.uniform(0.05, 0.8),
+                      plane_data(grid, lam1))
+    u2 = ChargedField(RadialField(grid, bump()), rng.uniform(0.05, 0.8),
+                      plane_data(grid, lam2))
     return HybridState(u1, u2)
 
 
@@ -105,13 +108,28 @@ class TestTypes:
     def test_charged_field_validation(self, small_grid):
         phi = RadialField(small_grid, np.zeros(small_grid.n_nodes))
         with pytest.raises(ValueError):
-            ChargedField(phi, -0.1, 1.0)
+            ChargedField(phi, -0.1, plane_data(small_grid, 1.0))
         with pytest.raises(ValueError):
-            ChargedField(phi, 0.1, 0.0)
+            plane_data(small_grid, 0.0)
+
+    def test_charged_field_carries_its_plane(self, small_grid, default_grid):
+        phi = RadialField(small_grid, np.zeros(small_grid.n_nodes))
+        u = ChargedField(phi, 0.1, plane_data(small_grid, 2.5))
+        assert u.lam == u.plane.lam == 2.5
+        with pytest.raises(AttributeError):
+            u.lam = 1.0
+        # a plane built on another grid object is refused, even an equal one
+        twin = make_grid(30.0, 256, 1.02)
+        assert twin.signature() == small_grid.signature()
+        for grid in (twin, default_grid):
+            with pytest.raises(ValueError, match="grid"):
+                ChargedField(phi, 0.1, plane_data(grid, 2.5))
 
     def test_state_grid_compatibility(self, small_grid, default_grid):
-        z1 = ChargedField(RadialField(small_grid, np.zeros(small_grid.n_nodes)), 0.0, 1.0)
-        z2 = ChargedField(RadialField(default_grid, np.zeros(default_grid.n_nodes)), 0.0, 1.0)
+        z1 = ChargedField(RadialField(small_grid, np.zeros(small_grid.n_nodes)),
+                          0.0, plane_data(small_grid, 1.0))
+        z2 = ChargedField(RadialField(default_grid, np.zeros(default_grid.n_nodes)),
+                          0.0, plane_data(default_grid, 1.0))
         with pytest.raises(ValueError):
             HybridState(z1, z2)
 
@@ -119,7 +137,7 @@ class TestTypes:
 class TestMass:
     def test_pure_profile(self, small_grid):
         phi = gaussian_field(small_grid)
-        u = ChargedField(RadialField(small_grid, phi), 0.0, 1.0)
+        u = ChargedField(RadialField(small_grid, phi), 0.0, plane_data(small_grid, 1.0))
         # same value as the standalone quadrature up to the difference
         # of the two rules (trapezoid vs locally-quadratic)
         assert mass(u) == pytest.approx(
@@ -129,12 +147,13 @@ class TestMass:
 
     def test_pure_charge_closed_form(self, small_grid):
         zero = RadialField(small_grid, np.zeros(small_grid.n_nodes))
-        u = ChargedField(zero, 1.0, 1.0)
+        u = ChargedField(zero, 1.0, plane_data(small_grid, 1.0))
         assert mass(u) == pytest.approx(1.0 / (4.0 * math.pi), rel=1e-8)
 
     def test_redecomposition_invariance(self, default_grid):
         phi = gaussian_field(default_grid)
-        u = ChargedField(RadialField(default_grid, phi), 0.7, 1.0)
+        u = ChargedField(RadialField(default_grid, phi), 0.7,
+                         plane_data(default_grid, 1.0))
         v = redecompose(u, 4.0)
         assert mass(v) == pytest.approx(mass(u), rel=1e-6)
         back = redecompose(v, 1.0)
@@ -144,20 +163,21 @@ class TestMass:
 class TestQFormSigma:
     def test_pure_profile_is_kinetic(self, small_grid):
         phi = gaussian_field(small_grid)
-        u = ChargedField(RadialField(small_grid, phi), 0.0, 2.0)
+        u = ChargedField(RadialField(small_grid, phi), 0.0, plane_data(small_grid, 2.0))
         assert q_form_sigma(u, 0.7) == pytest.approx(
             h1_seminorm_sq(RadialField(small_grid, phi)), rel=1e-12)
 
     def test_pure_charge_closed_form(self, small_grid):
         zero = RadialField(small_grid, np.zeros(small_grid.n_nodes))
         for lam, sigma in ((1.0, 0.0), (3.0, -0.4), (0.5, 2.0)):
-            u = ChargedField(zero, 1.0, lam)
+            u = ChargedField(zero, 1.0, plane_data(small_grid, lam))
             expected = sigma + sf.theta(lam) - 1.0 / (4.0 * math.pi)
             assert q_form_sigma(u, sigma) == pytest.approx(expected, abs=1e-12)
 
     def test_rate_independence(self, default_grid):
         phi = gaussian_field(default_grid)
-        u = ChargedField(RadialField(default_grid, phi), 0.5, 1.0)
+        u = ChargedField(RadialField(default_grid, phi), 0.5,
+                         plane_data(default_grid, 1.0))
         v = redecompose(u, 4.0)
         a = q_form_sigma(u, 0.3)
         b = q_form_sigma(v, 0.3)
@@ -167,12 +187,13 @@ class TestQFormSigma:
 class TestFSingle:
     def test_zero_state(self, small_grid):
         zero = RadialField(small_grid, np.zeros(small_grid.n_nodes))
-        assert f_single(ChargedField(zero, 0.0, 1.0), 3.0, 0.5) == 0.0
+        u = ChargedField(zero, 0.0, plane_data(small_grid, 1.0))
+        assert f_single(u, 3.0, 0.5) == 0.0
 
     def test_chargeless_reduces_to_planar_energy(self, default_grid):
         phi_vals = gaussian_field(default_grid)
         phi = RadialField(default_grid, phi_vals)
-        u = ChargedField(phi, 0.0, 1.0)
+        u = ChargedField(phi, 0.0, plane_data(default_grid, 1.0))
         # identical decomposition: 1/2 |grad|^2 - (1/p) |phi|_p^p
         p = 3.0
         assert f_single(u, p, 0.9) == pytest.approx(
@@ -183,7 +204,8 @@ class TestFSingle:
 
     def test_rate_independence(self, default_grid):
         phi = gaussian_field(default_grid)
-        u = ChargedField(RadialField(default_grid, phi), 0.5, 1.0)
+        u = ChargedField(RadialField(default_grid, phi), 0.5,
+                         plane_data(default_grid, 1.0))
         v = redecompose(u, 4.0)
         assert f_single(v, 2.7, 0.3) == pytest.approx(
             f_single(u, 2.7, 0.3), rel=1e-5)
@@ -191,7 +213,7 @@ class TestFSingle:
     def test_invalid_power(self, small_grid):
         zero = RadialField(small_grid, np.zeros(small_grid.n_nodes))
         with pytest.raises(ValueError):
-            f_single(ChargedField(zero, 0.0, 1.0), 4.5, 0.0)
+            f_single(ChargedField(zero, 0.0, plane_data(small_grid, 1.0)), 4.5, 0.0)
 
 
 class TestFHybrid:
@@ -205,8 +227,8 @@ class TestFHybrid:
     def test_single_plane_limit(self, small_grid):
         rng = np.random.default_rng(1)
         U0 = random_state(small_grid, rng)
-        zero = ChargedField(
-            RadialField(small_grid, np.zeros(small_grid.n_nodes)), 0.0, 1.0)
+        zero = ChargedField(RadialField(small_grid, np.zeros(small_grid.n_nodes)),
+                            0.0, plane_data(small_grid, 1.0))
         U = HybridState(U0.u1, zero)
         P = HybridParams(3.0, 3.0, 0.2, 0.4, 1.5, 1.0)
         assert f_hybrid(U, P) == pytest.approx(
@@ -251,18 +273,18 @@ class TestGradient:
             def shifted(sign):
                 u1 = ChargedField(
                     RadialField(small_grid, U.u1.phi.values + sign * h * v1),
-                    U.u1.q + sign * h * vq1, U.u1.lam)
+                    U.u1.q + sign * h * vq1, U.u1.plane)
                 u2 = ChargedField(
                     RadialField(small_grid, U.u2.phi.values + sign * h * v2),
-                    U.u2.q + sign * h * vq2, U.u2.lam)
+                    U.u2.q + sign * h * vq2, U.u2.plane)
                 return HybridState(u1, u2)
 
             fd = (f_hybrid(shifted(+1), P) - f_hybrid(shifted(-1), P)) / (2 * h)
             assert fd == pytest.approx(analytic, rel=1e-5, abs=1e-9)
 
     def test_zero_state_gradient_vanishes(self, small_grid):
-        zero = ChargedField(
-            RadialField(small_grid, np.zeros(small_grid.n_nodes)), 0.0, 1.0)
+        zero = ChargedField(RadialField(small_grid, np.zeros(small_grid.n_nodes)),
+                            0.0, plane_data(small_grid, 1.0))
         P = HybridParams(3.0, 3.0, 0.5, 0.5, 1.0, 1.0)
         g = grad_f_hybrid(HybridState(zero, zero), P)
         assert np.all(g.d1.values == 0.0) and np.all(g.d2.values == 0.0)
@@ -271,8 +293,8 @@ class TestGradient:
 
 class TestActionValues:
     def test_zero_state(self, small_grid):
-        zero = ChargedField(
-            RadialField(small_grid, np.zeros(small_grid.n_nodes)), 0.0, 1.0)
+        zero = ChargedField(RadialField(small_grid, np.zeros(small_grid.n_nodes)),
+                            0.0, plane_data(small_grid, 1.0))
         P = HybridParams(3.0, 2.5, 0.0, 0.0, 1.0, 1.0)
         av = action_functionals(HybridState(zero, zero), P, 0.7)
         assert av == ActionValues(0.0, 0.0, 0.0, 0.0, 0.0)
@@ -297,8 +319,8 @@ class TestResiduals:
     def test_boundary_residual_chargeless(self, small_grid):
         rng = np.random.default_rng(4)
         U = random_state(small_grid, rng)
-        u1 = ChargedField(U.u1.phi, 0.0, U.u1.lam)
-        u2 = ChargedField(U.u2.phi, 0.0, U.u2.lam)
+        u1 = ChargedField(U.u1.phi, 0.0, U.u1.plane)
+        u2 = ChargedField(U.u2.phi, 0.0, U.u2.plane)
         P = HybridParams(3.0, 3.0, 0.5, 1.0, 2.0, 1.0)
         r1, r2 = boundary_residual(HybridState(u1, u2), P)
         from hybrid_nls.grid import eval_at_origin
@@ -314,8 +336,8 @@ class TestResiduals:
         zero = RadialField(small_grid, np.zeros(small_grid.n_nodes))
         q1 = 1.0
         q2 = (sigma1 + th) * q1 / beta
-        U = HybridState(ChargedField(zero, q1, lam),
-                        ChargedField(zero, q2, lam))
+        pd = plane_data(small_grid, lam)
+        U = HybridState(ChargedField(zero, q1, pd), ChargedField(zero, q2, pd))
         P = HybridParams(3.0, 3.0, sigma1, sigma2, beta, 1.0)
         r1, r2 = boundary_residual(U, P)
         assert abs(r1) <= 1e-6 and abs(r2) <= 1e-6
@@ -340,8 +362,8 @@ class TestResiduals:
     def test_el_residual_skips_empty_plane(self, small_grid):
         rng = np.random.default_rng(7)
         U0 = random_state(small_grid, rng)
-        zero = ChargedField(
-            RadialField(small_grid, np.zeros(small_grid.n_nodes)), 0.0, 2.0)
+        zero = ChargedField(RadialField(small_grid, np.zeros(small_grid.n_nodes)),
+                            0.0, plane_data(small_grid, 2.0))
         U = HybridState(U0.u1, zero)
         P = HybridParams(3.0, 3.0, 0.0, 0.0, 0.0, 1.0)
         assert np.isfinite(el_residual(U, P, 1.0))
@@ -371,7 +393,8 @@ class TestKernelBackends:
         phi = np.array([tied(grid, rng.standard_normal(grid.n_nodes))
                         for _ in range(k)])
         q = rng.uniform(0.05, 0.8, size=k)
-        fields = [ChargedField(RadialField(grid, phi[i]), q[i], self.LAM)
+        pd = plane_data(grid, self.LAM)
+        fields = [ChargedField(RadialField(grid, phi[i]), q[i], pd)
                   for i in range(k)]
         return phi, q, fields
 
@@ -431,13 +454,16 @@ class TestKernelBackends:
 
 
 class TestPlaneData:
-    def test_same_object_per_grid_and_rate(self, small_grid):
-        pd = plane_data(small_grid, 2.0)
-        assert plane_data(small_grid, 2.0) is pd
-        assert plane_data(small_grid, 3.0) is not pd
+    def test_fields_of_a_report_share_its_plane(self, small_grid):
+        # plane_data keeps no memo: each call builds
+        assert plane_data(small_grid, 2.0) is not plane_data(small_grid, 2.0)
+        P = HybridParams(3.0, 2.5, 0.0, 1.0, 0.5, 1.0)
+        U = hybrid_nls.solve_hybrid(P, hybrid_nls.SolverConfig(N=512)).state
+        assert U.u1.plane is U.u2.plane
+        assert U.u1.plane.grid is U.grid
 
     def test_read_only(self, small_grid):
-        # the cache hands one object to every caller
+        # every field of a solve shares one object
         pd = plane_data(small_grid, 2.0)
         with pytest.raises(dataclasses.FrozenInstanceError):
             pd.G = np.zeros_like(pd.G)
@@ -451,42 +477,46 @@ class TestPlaneData:
         np.testing.assert_array_equal(pd.w0, pd.area0 * pd.lagw)
 
 
-class TestPlaneDataLifetime:
-    """Every public solve builds its own grid, so an entry of a finished
-    solve is never hit again; the cache keeps the two most recently used
-    entries, enough for every lookup inside one solve."""
+def counting_builds(monkeypatch):
+    """Record the rate of every plane-data build (one Green profile each)."""
+    builds = []
 
-    def test_distinct_solves_leave_at_most_two_entries(self):
-        en._PLANE_CACHE.clear()
-        cfg = hybrid_nls.SolverConfig(N=256)
-        for sigma in np.linspace(-0.5, 0.0, 12):  # one lam per sigma
-            hybrid_nls.solve_single(3.0, float(sigma), 1.0, cfg)
-            assert len(en._PLANE_CACHE) <= 2
+    def counted(lam, r):
+        builds.append(lam)
+        return sf.green_profile(lam, r)
+
+    monkeypatch.setattr(en, "green_profile", counted)
+    return builds
+
+
+class TestPlaneDataLifetime:
+    """A field carries its plane data, which lives as long as something
+    holds the field or the solve that built it; each solve builds one."""
 
     @pytest.mark.parametrize("beta", [0.5, 0.0])
     def test_one_solve_builds_its_plane_data_once(self, monkeypatch, beta):
         # report included; at beta = 0 both single-plane multistarts
         # share the two-plane problem's grid
-        builds = []
-
-        def counted(lam, r):
-            builds.append(lam)
-            return sf.green_profile(lam, r)
-
-        monkeypatch.setattr(en, "green_profile", counted)
+        builds = counting_builds(monkeypatch)
         P = HybridParams(3.0, 2.5, 0.0, 1.0, beta, 1.0)
         hybrid_nls.solve_hybrid(P, hybrid_nls.SolverConfig(N=512))
         assert len(builds) == 1
 
-    def test_finished_solves_retain_less_than_three_entries(self):
-        # at N = 2048 an entry holds three node arrays of its own and
+    def test_verify_builds_its_random_planes_once(self, monkeypatch):
+        # criteria 11 and 12 draw 105 random states on two planes; a
+        # build per field would make 243 in all
+        builds = counting_builds(monkeypatch)
+        hybrid_nls.run_suite(fast=True)
+        assert len(builds) <= 39
+
+    def test_finished_solves_retain_less_than_one_entry(self):
+        # at N = 2048 a plane holds three node arrays of its own and
         # four of its grid, about 115 KB
         grid = make_grid(40.0, 2048, 1.01)
         pd = plane_data(grid, 1.0)
         entry = sum(a.nbytes for a in (pd.G, pd.wG, pd.w_in, pd.w0, grid.r,
                                        grid.h, grid.w_trapz, grid.c_h1))
         del grid, pd
-        en._PLANE_CACHE.clear()
         here = os.path.join(os.path.dirname(hybrid_nls.__file__), "*")
         tracemalloc.start()
         try:
@@ -498,7 +528,7 @@ class TestPlaneDataLifetime:
             tracemalloc.stop()
         held = sum(st.size for st in snap.filter_traces(
             [tracemalloc.Filter(True, here)]).statistics("filename"))
-        assert held < 3 * entry
+        assert held < entry
 
 
 class TestTotalField:
