@@ -9,7 +9,6 @@ verification suite.
 from __future__ import annotations
 
 import dataclasses
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,11 +138,11 @@ def _monotone(xs: list[float]) -> str:
 
 @dataclass(frozen=True)
 class RhoDetail:
-    """Free-plane coefficient together with the solve that produced it."""
+    """Free-plane coefficient, with its reference solve's mass and energy."""
 
     value: float
     reference_mass: float
-    report: GroundStateReport
+    energy: float
 
 
 def _row_from_report(value: float, r: GroundStateReport) -> SweepRow:
@@ -151,13 +150,24 @@ def _row_from_report(value: float, r: GroundStateReport) -> SweepRow:
                     **{c: getattr(r, c) for c in SweepTable.COLUMNS[1:]})
 
 
-@functools.lru_cache(maxsize=128)
-def _rho_detail_cached(p: float, cfg: SolverConfig) -> RhoDetail:
+#: rho_detail's answers by (p, cfg), oldest first: numbers, not reports
+_RHO_CACHE: dict[tuple[float, SolverConfig], RhoDetail] = {}
+
+
+def rho_detail(p: float, cfg: SolverConfig | None = None, solve=None) -> RhoDetail:
+    """Like :func:`rho`, with the reference solve's mass and energy.
+
+    Up to 128 (p, cfg) are cached, the oldest dropped first.  A miss makes
+    the reference solves with ``solve(p, mu, cfg=cfg)``, by default
+    :func:`solve_planar`; verify passes the one that keeps its solves.
+    """
+    p, cfg = float(p), cfg if cfg is not None else SolverConfig()
+    if (p, cfg) in _RHO_CACHE:
+        return _RHO_CACHE[p, cfg]
     exponent = 2.0 / (4.0 - p)
     mu_ref = 1.0
-    report = None
     for _ in range(3):
-        report = solve_planar(p, mu_ref, cfg)
+        report = (solve or solve_planar)(p, mu_ref, cfg=cfg)
         if report.omega >= _RATE_FLOOR:
             break
         if report.omega > 0.0:
@@ -174,12 +184,10 @@ def _rho_detail_cached(p: float, cfg: SolverConfig) -> RhoDetail:
         raise RuntimeError(
             f"free-plane energy for p={p} is nonnegative at mass {mu_ref}; "
             "enlarge R in the solver configuration")
-    return RhoDetail(value=value, reference_mass=mu_ref, report=report)
-
-
-def rho_detail(p: float, cfg: SolverConfig | None = None) -> RhoDetail:
-    """Like :func:`rho` but also exposes the underlying reference solve."""
-    return _rho_detail_cached(float(p), cfg if cfg is not None else SolverConfig())
+    if len(_RHO_CACHE) >= 128:
+        del _RHO_CACHE[next(iter(_RHO_CACHE))]
+    detail = _RHO_CACHE[p, cfg] = RhoDetail(value, mu_ref, report.energy)
+    return detail
 
 
 def rho(p: float, cfg: SolverConfig | None = None) -> float:

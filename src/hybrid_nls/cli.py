@@ -414,7 +414,7 @@ def cmd_baseline(args: argparse.Namespace) -> int:
         payload["reference_mass"][key] = detail.reference_mass
         mus = [f * detail.reference_mass for f in (0.5, 1.0, 2.0, 4.0)]
         # rho's reference solve is the one at f = 1
-        energies = [detail.report.energy if m == detail.reference_mass
+        energies = [detail.energy if m == detail.reference_mass
                     else solve_planar(p, m, solver).energy for m in mus]
         slope = float(np.polyfit(np.log(mus),
                                  np.log(np.abs(energies)), 1)[0])

@@ -6,7 +6,10 @@ property of the formulas or a qualitative trend with a frozen margin.
 """
 
 import dataclasses
+import gc
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -64,11 +67,32 @@ class TestRho:
             r = solve_planar(3.0, mu, cfg)
             assert abs(r.energy + r3 * mu**2) / abs(r.energy) < 2e-2
 
-    def test_cached_per_config(self, cfg):
-        a = rho(2.5, cfg)
-        b = rho(2.5, cfg)
-        assert a == b
-        assert rho_detail(2.5, cfg) is rho_detail(2.5, cfg)
+    def test_cached_per_config(self, cfg, monkeypatch):
+        first = rho_detail(2.5, cfg)
+
+        def no_solve(p, mu, cfg=None):
+            raise AssertionError(f"rho({p}) solved again at mass {mu}")
+
+        monkeypatch.setattr(analysis, "solve_planar", no_solve)
+        assert rho_detail(2.5, cfg) == first
+        assert rho(2.5, cfg) == first.value
+
+    def test_cache_keeps_numbers_not_reports(self):
+        # a held reference report would keep its state, plane and grid:
+        # about 26 KB per power at N = 256
+        cfg = SolverConfig(N=256)
+        here = os.path.join(os.path.dirname(analysis.__file__), "*")
+        tracemalloc.start()
+        try:
+            for p in np.linspace(2.2, 3.3, 20):
+                rho(float(p), cfg)
+            gc.collect()
+            snap = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        held = sum(st.size for st in snap.filter_traces(
+            [tracemalloc.Filter(True, here)]).statistics("filename"))
+        assert held < 100_000
 
     def test_reference_mass_adapts_for_wide_states(self, cfg):
         # the mass-1 profile fits the box for the lower powers but not
@@ -77,8 +101,11 @@ class TestRho:
         assert rho_detail(3.0, cfg).reference_mass == 1.0
         d = rho_detail(3.5, cfg)
         assert d.reference_mass > 1.0
-        assert d.report.converged
-        assert d.report.omega >= 0.02
+        ref = solve_planar(3.5, d.reference_mass, cfg)
+        assert ref.converged
+        assert ref.omega >= 0.02
+        assert d.energy == ref.energy
+        assert d.value == -ref.energy / d.reference_mass**4.0
 
     def test_default_config_is_default(self):
         assert rho(3.0) == rho(3.0, SolverConfig())

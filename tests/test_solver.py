@@ -1171,3 +1171,18 @@ print(loaded("numpy.ma"))
     assert lines[0] == "[]"  # after the import
     assert lines[-1] == "[]"  # after the solve
     assert (tmp_path / "profiles.svg").read_bytes().startswith(b"<svg")
+
+
+def test_verify_leaves_numpy_random_unloaded(tmp_path):
+    # criteria 9, 11 and 12 draw from the standard library's random
+    # module: numpy.random costs about 6 MB and 15 ms per process
+    code = f"""
+import sys, hybrid_nls.cli
+code = hybrid_nls.cli.main(["verify", "--fast", "--out", {str(tmp_path)!r}])
+print(code, [m for m in sys.modules if m.split(".")[:2] == ["numpy", "random"]])
+"""
+    src = os.path.dirname(os.path.dirname(hybrid_nls.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src),
+                          check=True)
+    assert proc.stdout.splitlines()[-1] == "1 []"
