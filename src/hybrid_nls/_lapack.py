@@ -1,13 +1,14 @@
-"""The four tridiagonal LAPACK routines the solver uses, from numpy's OpenBLAS.
+"""Tridiagonal factorizations from numpy's OpenBLAS, each with its solve.
 
 numpy's wheels load an ILP64 OpenBLAS (``numpy.libs/libscipy_openblas64_*``)
 whose Fortran symbols carry a ``scipy_`` prefix and a ``64_`` suffix and
 take 64-bit integers.  Binding them with ctypes spares every import the
-load of ``scipy.linalg``.  Each function takes and returns what the
-``scipy.linalg.lapack`` wrapper of the same name does, except that
-``ipiv`` is int64, and, as that wrapper does by default, leaves its
-inputs untouched.  There is no fallback: without that library or one of
-the symbols, the import fails naming both.
+load of ``scipy.linalg``.  A factorization copies its inputs and raises
+ArithmeticError naming the routine and its ``info`` when it fails.  Its
+solve copies b, (n,) or (n, nrhs), and returns the solution that
+``scipy.linalg.lapack``'s dpttrs or dgttrs returns, bit for bit.
+There is no fallback: without that library or one of the symbols, the
+import fails naming both.
 """
 
 from __future__ import annotations
@@ -15,10 +16,11 @@ from __future__ import annotations
 import ctypes
 import glob
 import os
+from collections.abc import Callable
 
 import numpy as np
 
-__all__ = ["dpttrf", "dpttrs", "dgttrf", "dgttrs"]
+__all__ = ["pttrf", "gttrf"]
 
 
 def _bind(*names: str) -> list:
@@ -52,73 +54,72 @@ def _at(a: np.ndarray) -> int:
     Fortran-ordered one is C-contiguous)."""
     try:  # a fifth of the cost of a.ctypes.data
         return ctypes.addressof(ctypes.c_char.from_buffer(a))
-    except (TypeError, ValueError):  # read-only or empty
+    except ValueError:  # empty: e at n = 1, du2 at n = 2
         return a.ctypes.data
 
 
 def _vector(a, size: int) -> np.ndarray:
-    """a as a contiguous float64 vector, checked to hold ``size`` entries
-    (the routine would read past a shorter one)."""
-    a = np.ascontiguousarray(a, dtype=np.float64)
+    """A float64 copy of a, checked to hold ``size`` entries (the routine
+    would read past a shorter one)."""
+    a = np.array(a, dtype=np.float64)
     if a.shape != (max(size, 0),):
         raise ValueError(f"expected {max(size, 0)} entries, got shape {a.shape}")
     return a
 
 
-def _rhs(b) -> tuple[np.ndarray, _INTS, int]:
-    """A Fortran-ordered copy of b, (n,) or (n, nrhs), and its integers.
+def _factor(routine, name: str, failure: str, n: int, *arrays) -> None:
+    """Factor in place the order-n matrix the arrays hold."""
+    ints = _INTS(n)
+    at = ctypes.addressof(ints)
+    routine(at, *map(_at, arrays), at + 24)
+    if ints[3]:
+        raise ArithmeticError(f"{name} info {ints[3]}: the matrix is {failure}")
 
-    The transpose of a C-contiguous (nrhs, n) array already has this
-    layout, so its copy is one memcpy.
-    """
+
+def _rhs(b, low: int, high: int) -> tuple[np.ndarray, _INTS, int]:
+    """A Fortran-ordered copy of b with low to high rows (one memcpy for
+    the transpose of a C-ordered array), its integers and their address.
+    dpttrs and dgttrs then report in info only illegal arguments."""
     x = np.array(b, dtype=np.float64, order="F")
-    if x.ndim not in (1, 2):
-        raise ValueError(f"right-hand sides must be (n,) or (n, nrhs), got {x.shape}")
-    n = len(x)
+    n = len(x) if x.ndim in (1, 2) else -1
+    if not low <= n <= high:
+        raise ValueError(f"expected {low} to {high} rows, got shape {x.shape}")
     ints = _INTS(n, x.shape[1] if x.ndim == 2 else 1, max(n, 1), 0)
     return x, ints, ctypes.addressof(ints)
 
 
-def dpttrf(d, e):
-    """L D L^T factor of the SPD tridiagonal (d, e): ``(d, e, info)``."""
-    d = np.array(_vector(d, np.size(d)))
-    e = np.array(_vector(e, d.size - 1))
-    ints = _INTS(d.size)
-    at = ctypes.addressof(ints)
-    _PTTRF(at, _at(d), _at(e), at + 24)
-    return d, e, ints[3]
+def pttrf(d, e) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+    """L D L^T factor of the SPD tridiagonal (d, e): ``(e, solve)``.
+
+    ``e`` is a read-only view of the multipliers.  ``solve(b)`` takes b
+    with 0 < n <= len(d) rows and solves the leading n x n block, whose
+    factor is the first n pivots and n-1 multipliers.
+    """
+    d, e = _vector(d, np.size(d)), _vector(e, np.size(d) - 1)
+    _factor(_PTTRF, "dpttrf", "not positive definite", d.size, d, e)
+
+    def solve(b) -> np.ndarray:
+        x, ints, at = _rhs(b, 1, d.size)
+        _PTTRS(at, at + 8, _at(d), _at(e), _at(x.T), at + 16, at + 24)
+        return x
+
+    view = e.view()
+    view.flags.writeable = False
+    return view, solve
 
 
-def dpttrs(d, e, b):
-    """Solve with dpttrf's factor, ``b`` (n,) or (n, nrhs): ``(x, info)``."""
-    x, ints, at = _rhs(b)
-    n = ints[0]
-    _PTTRS(at, at + 8, _at(_vector(d, n)), _at(_vector(e, n - 1)), _at(x.T),
-           at + 16, at + 24)
-    return x, ints[3]
-
-
-def dgttrf(dl, d, du):
+def gttrf(dl, d, du) -> Callable[[np.ndarray], np.ndarray]:
     """LU factor, with row interchanges, of the tridiagonal (dl, d, du):
-    ``(dl, d, du, du2, ipiv, info)``."""
-    d = np.array(_vector(d, np.size(d)))
-    dl, du = (np.array(_vector(a, d.size - 1)) for a in (dl, du))
-    du2 = np.zeros(max(d.size - 2, 0))
-    ipiv = np.zeros(d.size, dtype=np.int64)
-    ints = _INTS(d.size)
-    at = ctypes.addressof(ints)
-    _GTTRF(at, _at(dl), _at(d), _at(du), _at(du2), _at(ipiv), at + 24)
-    return dl, d, du, du2, ipiv, ints[3]
+    its ``solve(b)``, b with len(d) rows."""
+    d = _vector(d, np.size(d))
+    dl, du = (_vector(a, d.size - 1) for a in (dl, du))
+    du2, ipiv = np.zeros(max(d.size - 2, 0)), np.zeros(d.size, dtype=np.int64)
+    _factor(_GTTRF, "dgttrf", "singular", d.size, dl, d, du, du2, ipiv)
 
+    def solve(b) -> np.ndarray:
+        x, ints, at = _rhs(b, d.size, d.size)
+        _GTTRS(b"N", at, at + 8, _at(dl), _at(d), _at(du), _at(du2), _at(ipiv),
+               _at(x.T), at + 16, at + 24, 1)
+        return x
 
-def dgttrs(dl, d, du, du2, ipiv, b):
-    """Solve with dgttrf's factor, ``b`` (n,) or (n, nrhs): ``(x, info)``."""
-    x, ints, at = _rhs(b)
-    n = ints[0]
-    piv = np.ascontiguousarray(ipiv, dtype=np.int64)
-    if piv.shape != (n,):
-        raise ValueError(f"expected {n} pivots, got shape {piv.shape}")
-    _GTTRS(b"N", at, at + 8, _at(_vector(dl, n - 1)), _at(_vector(d, n)),
-           _at(_vector(du, n - 1)), _at(_vector(du2, n - 2)), _at(piv),
-           _at(x.T), at + 16, at + 24, 1)
-    return x, ints[3]
+    return solve

@@ -16,6 +16,7 @@ import numpy as np
 from .energy import HybridParams, check_power
 from .grid import RadialField
 from .solver import (
+    _FIRST_CELL_FACTOR,
     GroundStateReport,
     SolverConfig,
     solve_hybrid,
@@ -29,6 +30,7 @@ __all__ = [
     "RhoDetail",
     "rho",
     "rho_detail",
+    "free_plane_energy",
     "check_critical_pair",
     "critical_mass",
     "mass_split_infimum",
@@ -41,7 +43,8 @@ __all__ = [
 
 # A free-plane profile whose decay rate drops below this value is wider
 # than the default box can hold without visible truncation bias, so the
-# reference solve moves to a larger mass where the state is compact.
+# reference solve moves to a larger mass where the state is compact; one
+# whose first cell spans over _FIRST_CELL_FACTOR decay lengths, a smaller.
 _RATE_FLOOR = 0.02
 _RATE_TARGET = 0.3
 
@@ -166,13 +169,17 @@ def rho_detail(p: float, cfg: SolverConfig | None = None, solve=None) -> RhoDeta
         return _RHO_CACHE[p, cfg]
     exponent = 2.0 / (4.0 - p)
     mu_ref = 1.0
-    for _ in range(3):
+    for attempt in range(3):
         report = (solve or solve_planar)(p, mu_ref, cfg=cfg)
-        if report.omega >= _RATE_FLOOR:
+        omega, cell = report.omega, report.state.grid.h[0]
+        if omega >= _RATE_FLOOR and omega * cell * cell <= _FIRST_CELL_FACTOR**2:
             break
-        if report.omega > 0.0:
+        if attempt == 2:
+            raise RuntimeError(f"free-plane reference for p={p} is out of band "
+                               f"at mass {mu_ref}: omega {omega:.6g}")
+        if omega > 0.0:
             # exact rate scaling: omega(mu) = omega(1) mu^((p-2)/(4-p))
-            mu_ref *= (_RATE_TARGET / report.omega) ** ((4.0 - p) / (p - 2.0))
+            mu_ref *= (_RATE_TARGET / omega) ** ((4.0 - p) / (p - 2.0))
         else:
             # box pressure beats the binding at this mass; no usable scale
             mu_ref *= 16.0
@@ -194,12 +201,17 @@ def rho(p: float, cfg: SolverConfig | None = None) -> float:
     """Coefficient of the free-plane energy curve E(mu) = -rho mu^(2/(4-p)).
 
     Measured from one planar ground-state solve and cached per (p, cfg).
-    The solve runs at mass 1 when the resulting profile fits the box;
-    for powers close to 4 the mass-1 profile is far wider than any
-    reasonable box, so the reference solve moves to a larger mass and
-    scales back through the exact mass-scaling law.
+    The solve runs at mass 1 when the resulting profile fits the box and
+    the grid; otherwise (powers near 4) it moves, through the exact
+    mass-scaling law, to a mass where it does, and RuntimeError is
+    raised when the third solve still does not.
     """
     return rho_detail(p, cfg).value
+
+
+def free_plane_energy(p: float, mu: float, cfg: SolverConfig | None = None) -> float:
+    """Free-plane ground-state energy at mass mu: -rho(p) mu^(2/(4-p))."""
+    return -rho(p, cfg) * mu ** (2.0 / (4.0 - p))
 
 
 def check_critical_pair(p1: float, p2: float) -> None:
@@ -272,7 +284,7 @@ def _references(P: HybridParams, mode: str, cfg: SolverConfig) -> dict[str, floa
         refs["critical_mass"] = critical_mass(*sorted((P.p1, P.p2)), cfg)
     if mode == "sigma_common":
         for tag, p in (("free_plane_1", P.p1), ("free_plane_2", P.p2)):
-            refs[tag] = -rho(p, cfg) * P.mu ** (2.0 / (4.0 - p))
+            refs[tag] = free_plane_energy(p, P.mu, cfg)
     if mode == "beta":
         refs["uncoupled"] = solve_hybrid(dataclasses.replace(P, beta=0.0), cfg).energy
     return refs

@@ -426,10 +426,7 @@ def cmd_baseline(args: argparse.Namespace) -> int:
         }
     for p1, p2 in pairs:
         mustar = analysis.critical_mass(p1, p2, solver)
-        r1 = analysis.rho(p1, solver)
-        r2 = analysis.rho(p2, solver)
-        e1 = -r1 * mustar ** (2.0 / (4.0 - p1))
-        e2 = -r2 * mustar ** (2.0 / (4.0 - p2))
+        e1, e2 = (analysis.free_plane_energy(p, mustar, solver) for p in (p1, p2))
         gap = abs(e1 - e2) / max(abs(e1), abs(e2))
         payload["mu_star"][f"{p1:g}:{p2:g}"] = {
             "value": mustar,

@@ -8,7 +8,7 @@ charge block (1x1, or the 2x2 block coupled by beta) on the charges,
 with no profile-charge entries.  So it is factored as one SPD
 tridiagonal shared by the planes (LAPACK dpttrf, refactored when the
 shift moves) and a charge block inverted in closed form; each iteration
-solves its two right-hand sides in one dpttrs call.
+solves its two right-hand sides in one call of the factor's solve.
 
 That preconditioner leaves out the |u|^p curvature, and where that term
 dominates (a strong interaction at large mass, or p near 2) the descent
@@ -26,7 +26,7 @@ on a preconditioned direction that does not descend, 276
 ``no_progress`` and 26 ``line_search``).  Pull the grading toward 1 as
 N grows, as refine_config does: at grading 1.0025 all 640 converge.
 
-That dpttrs call solves only the leading block the right-hand sides
+That solve (dpttrs) covers only the leading block the right-hand sides
 reach, and the Newton solve the leading block the state reaches.  Deep
 states underflow to exact zeros well inside the box, and carrying the
 solve into that tail runs the forward sweep through subnormal numbers,
@@ -79,7 +79,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import _exponent, plane_energy, plane_energy_grad
-from ._lapack import dgttrf, dgttrs, dpttrf, dpttrs
+from ._lapack import gttrf, pttrf
 from .energy import (
     ChargedField,
     HybridParams,
@@ -305,9 +305,9 @@ def _linear_solver(
     the tridiagonal block or the charge block is not positive definite.
 
     Only the leading M x M block that the right-hand sides reach is
-    solved, and the profile entries past M are set to 0.  The first M
-    pivots and M-1 multipliers of the full factor are the factor of
-    that block, so no refactor is needed.  M is the last node where any
+    solved, and the profile entries past M are set to 0: pttrf's solve
+    takes M rows and solves that block with its factor, the first M
+    pivots and M-1 multipliers.  M is the last node where any
     right-hand side is nonzero, extended until the product of the
     multipliers |e_i| has fallen by e^-_CUT_NATS.  Past the last nonzero
     node the solution decays like that product, so the cut changes it
@@ -327,11 +327,8 @@ def _linear_solver(
     cu = grid.c_h1  # per cell; interior node j sits between cells j-1, j
     diag = shift * grid.w_trapz[1:-1] + cu[1:]
     diag[1:] += cu[1:-1]
-    d, e, info = dpttrf(diag, -cu[1:-1])
-    if info != 0:
-        raise ArithmeticError(
-            f"preconditioner is not positive definite (dpttrf info {info})")
-    nin = d.size
+    e, tri = pttrf(diag, -cu[1:-1])
+    nin = diag.size
     # decay[j]: nats the forward sweep's multipliers take off from node 0
     # to node j; nondecreasing, since diagonal dominance gives |e_i| < 1
     ae = np.abs(e)
@@ -357,7 +354,7 @@ def _linear_solver(
             live = np.flatnonzero(rows[:, :nin].any(axis=0))
             last = live[-1] if live.size else 0
             m = min(nin, int(np.searchsorted(decay, decay[last] + _CUT_NATS)) + 1)
-        out[:, :m] = dpttrs(d[:m], e[:m - 1], rows[:, :m].T)[0].T
+        out[:, :m] = tri(rows[:, :m].T).T
         out[:, m:nin] = 0.0
         if charged:
             qs = rows[:, nin].reshape(len(rhs), -1)
@@ -423,14 +420,10 @@ def _newton_solver(pd, phi, q, p, omega, sigmas, beta):
     off = np.zeros((k, m))
     off[:, :-1] = -cu[1:m]
     off = off.ravel()[:-1]
-    dl, d, du, du2, ipiv, info = dgttrf(off, diag.ravel(), off)
-    if info != 0:
-        raise ArithmeticError(f"Newton block is singular (dgttrf info {info})")
+    tri = gttrf(off, diag.ravel(), off)
 
     def tri_solve(b):  # (r, k, m) -> (r, k, m)
-        r = len(b)
-        x = dgttrs(dl, d, du, du2, ipiv, b.reshape(r, k * m).T)[0]
-        return x.T.reshape(r, k, m)
+        return tri(b.reshape(len(b), k * m).T).T.reshape(b.shape)
 
     if charged:
         border = (omega - lam) * pd.wG[sl] - a[:, sl] * G[sl]

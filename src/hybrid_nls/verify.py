@@ -270,7 +270,7 @@ def _c8_critical_mass_dichotomy(ctx: _Context):
     for mu, plane, p in ((mustar / 2, 1, 2.5), (2 * mustar, 2, 3.5)):
         r = ctx.solve(solve_hybrid, HybridParams(2.5, 3.5, 6.0, 6.0, 1.0, mu))
         conc = (r.mass1 if plane == 1 else r.mass2) / mu
-        e_free = -analysis.rho(p, ctx.cfg) * mu ** (2.0 / (4.0 - p))
+        e_free = analysis.free_plane_energy(p, mu, ctx.cfg)
         defect = abs(r.energy - e_free) / abs(e_free)
         case_ok = conc >= 0.95 and defect <= 0.03
         ok = ok and case_ok
@@ -505,20 +505,16 @@ CRITERIA: tuple[tuple[int, str, Callable], ...] = (
 )
 
 
-def run_suite(fast: bool = False,
-              only: tuple[int, ...] | None = None) -> VerifyReport:
+def run_suite(fast: bool = False) -> VerifyReport:
     """Run the numbered checks and collect their verdicts.
 
     ``fast`` shrinks the solver grid to N=512 (tolerance changes are
-    documented per criterion); ``only`` restricts to a subset of
-    criterion numbers.
+    documented per criterion).
     """
     cfg = SolverConfig(N=512) if fast else SolverConfig()
     ctx = _Context(cfg=cfg, fast=fast)
     results = []
     for number, name, fn in CRITERIA:
-        if only is not None and number not in only:
-            continue
         t0 = time.perf_counter()
         try:
             out = fn(ctx)

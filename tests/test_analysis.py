@@ -110,6 +110,30 @@ class TestRho:
     def test_default_config_is_default(self):
         assert rho(3.0) == rho(3.0, SolverConfig())
 
+    FINE = SolverConfig(N=8192, grading=1.0025)
+
+    def test_reference_too_deep_for_the_grid_moves_to_a_smaller_mass(self, cfg):
+        # at mass 16, p = 3.98 has omega = 1.8e11: the default grid's
+        # first cell is 0.56 decay lengths, and rho came out 14x too small
+        d = rho_detail(3.98, cfg)
+        assert 1.0 < d.reference_mass < 16.0
+        ref = solve_planar(3.98, d.reference_mass, cfg)
+        assert math.sqrt(ref.omega) * ref.state.grid.h[0] <= 0.05
+        assert math.isclose(d.value, rho(3.98, self.FINE), rel_tol=1e-4)
+        assert math.isclose(critical_mass(2.5, 3.98, cfg),
+                            critical_mass(2.5, 3.98, self.FINE), rel_tol=1e-6)
+
+    @pytest.mark.parametrize("p,rel", [(3.9, 1e-3), (3.95, 5e-3)])
+    def test_coarse_grid_reference_stays_resolved(self, p, rel):
+        # at N = 512 the mass-16 references had r1 sqrt(omega) = 0.084
+        # and 0.64, and rho was 2% and 76% low
+        assert math.isclose(rho(p, SolverConfig(N=512)), rho(p, self.FINE),
+                            rel_tol=rel)
+
+    def test_reference_out_of_band_after_three_passes_raises(self):
+        with pytest.raises(RuntimeError, match=r"p=3\.96 .* at mass 13\.0.*omega 44\."):
+            rho(3.96, SolverConfig(N=512))
+
 
 class TestCriticalMass:
     def test_equal_powers_rejected(self, cfg):
@@ -119,6 +143,10 @@ class TestCriticalMass:
     def test_equal_coefficients_give_unit_mass(self, cfg, monkeypatch):
         monkeypatch.setattr(analysis, "rho", lambda p, c=None: 0.37)
         assert critical_mass(2.5, 3.5, cfg) == pytest.approx(1.0, rel=1e-15)
+
+    def test_free_plane_energy_is_the_scaling_law(self, cfg):
+        assert analysis.free_plane_energy(3.5, 2.0, cfg) == -rho(3.5, cfg) * 2.0**4
+        assert analysis.free_plane_energy(3.0, 0.5) == -rho(3.0) * 0.25
 
     def test_root_property(self, cfg):
         mustar = critical_mass(2.5, 3.5, cfg)

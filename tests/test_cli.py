@@ -24,7 +24,6 @@ from hybrid_nls.analysis import SweepTable, critical_mass, sweep
 from hybrid_nls.cli import main
 from hybrid_nls.solver import SolverConfig, omega_star_grid, solve_planar
 from hybrid_nls.energy import HybridParams
-from hybrid_nls.verify import run_suite
 
 # small grid keeps every solve in these tests fast; the physics checks
 # live in test_acceptance.py at full resolution
@@ -40,6 +39,12 @@ def read_csv(path):
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.reader(fh))
 
+
+def run_criterion(number):
+    """One criterion's verdict, on the context ``run_suite(fast=True)``
+    builds: ``(ok, details)`` or ``(ok, details, notes)``."""
+    (fn,) = [fn for n, _, fn in verify.CRITERIA if n == number]
+    return fn(verify._Context(cfg=SolverConfig(N=512), fast=True))
 
 
 def options_table():
@@ -593,7 +598,7 @@ class TestVerify:
             return dataclasses.replace(r, energy=r.energy - 1e-3 * abs(r.energy))
 
         monkeypatch.setattr(verify, "_solve_two_plane", lower)
-        assert run_suite(fast=True, only=(3,)).failed_numbers == (3,)
+        assert not run_criterion(3)[0]
 
     def test_criterion_7_names_a_failed_sweep_row(self, monkeypatch):
         real = analysis.solve_hybrid
@@ -604,9 +609,9 @@ class TestVerify:
             return real(P, cfg)
 
         monkeypatch.setattr(analysis, "solve_hybrid", sabotaged)
-        (result,) = run_suite(fast=True, only=(7,)).results
-        assert not result.passed
-        assert "sigma2=4.0: synthetic row failure" in result.details
+        ok, details, *_ = run_criterion(7)
+        assert not ok
+        assert "sigma2=4.0: synthetic row failure" in details
 
     def test_theta_sign_flip_flags_closed_form_criteria(self, monkeypatch):
         orig = sf.theta
@@ -616,8 +621,7 @@ class TestVerify:
 
         monkeypatch.setattr(sf, "theta", flipped)
         monkeypatch.setattr(en, "theta", flipped)
-        rep = run_suite(fast=True, only=(14,))
-        assert rep.failed_numbers == (14,)
+        assert not run_criterion(14)[0]
         # the grid assembly sees the flipped vertex constant, the
         # closed form does not: at the closed-form level the charge
         # block is no longer positive definite, and the grid descent

@@ -1123,12 +1123,18 @@ class TestLinearSolver:
         want = dpttrs(d, e, b)[0]
         assert np.any((want != 0.0) & (np.abs(want) < np.finfo(float).tiny))
         lengths = []
+        real = solver.pttrf
 
-        def spy(d_, e_, b_):
-            lengths.append(len(d_))
-            return dpttrs(d_, e_, b_)
+        def spy(d_, e_):
+            mult, tri = real(d_, e_)
 
-        monkeypatch.setattr(solver, "dpttrs", spy)
+            def counted(rhs):
+                lengths.append(len(rhs))
+                return tri(rhs)
+
+            return mult, counted
+
+        monkeypatch.setattr(solver, "pttrf", spy)
         got = _linear_solver(grid, shift, 0.0, None)(b[None, :])
         assert (lengths[0] < b.size) if traps else (lengths == [b.size])
         np.testing.assert_array_equal(got[0], want)
