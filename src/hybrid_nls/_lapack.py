@@ -67,13 +67,17 @@ def _vector(a, size: int) -> np.ndarray:
     return a
 
 
-def _factor(routine, name: str, failure: str, n: int, *arrays) -> None:
-    """Factor in place the order-n matrix the arrays hold."""
+def _factor(routine, name: str, failure: str, n: int, *arrays) -> list[int]:
+    """Factor in place the order-n matrix the arrays hold; returns their
+    addresses, which the solve passes on every call and which stay valid
+    while the solve holds the arrays (its ``factor``)."""
     ints = _INTS(n)
     at = ctypes.addressof(ints)
-    routine(at, *map(_at, arrays), at + 24)
+    ats = [_at(a) for a in arrays]
+    routine(at, *ats, at + 24)
     if ints[3]:
         raise ArithmeticError(f"{name} info {ints[3]}: the matrix is {failure}")
+    return ats
 
 
 def _rhs(b, low: int, high: int) -> tuple[np.ndarray, _INTS, int]:
@@ -96,12 +100,14 @@ def pttrf(d, e) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
     factor is the first n pivots and n-1 multipliers.
     """
     d, e = _vector(d, np.size(d)), _vector(e, np.size(d) - 1)
-    _factor(_PTTRF, "dpttrf", "not positive definite", d.size, d, e)
+    ats = _factor(_PTTRF, "dpttrf", "not positive definite", d.size, d, e)
 
     def solve(b) -> np.ndarray:
         x, ints, at = _rhs(b, 1, d.size)
-        _PTTRS(at, at + 8, _at(d), _at(e), _at(x.T), at + 16, at + 24)
+        _PTTRS(at, at + 8, *ats, _at(x.T), at + 16, at + 24)
         return x
+
+    solve.factor = d, e
 
     view = e.view()
     view.flags.writeable = False
@@ -114,12 +120,13 @@ def gttrf(dl, d, du) -> Callable[[np.ndarray], np.ndarray]:
     d = _vector(d, np.size(d))
     dl, du = (_vector(a, d.size - 1) for a in (dl, du))
     du2, ipiv = np.zeros(max(d.size - 2, 0)), np.zeros(d.size, dtype=np.int64)
-    _factor(_GTTRF, "dgttrf", "singular", d.size, dl, d, du, du2, ipiv)
+    ats = _factor(_GTTRF, "dgttrf", "singular", d.size, dl, d, du, du2, ipiv)
 
     def solve(b) -> np.ndarray:
         x, ints, at = _rhs(b, d.size, d.size)
-        _GTTRS(b"N", at, at + 8, _at(dl), _at(d), _at(du), _at(du2), _at(ipiv),
-               _at(x.T), at + 16, at + 24, 1)
+        _GTTRS(b"N", at, at + 8, *ats, _at(x.T), at + 16, at + 24, 1)
         return x
+
+    solve.factor = dl, d, du, du2, ipiv
 
     return solve

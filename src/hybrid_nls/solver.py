@@ -8,7 +8,21 @@ charge block (1x1, or the 2x2 block coupled by beta) on the charges,
 with no profile-charge entries.  So it is factored as one SPD
 tridiagonal shared by the planes (LAPACK dpttrf, refactored when the
 shift moves) and a charge block inverted in closed form; each iteration
-solves its two right-hand sides in one call of the factor's solve.
+solves its right-hand sides in one call of the factor's solve.
+
+Where the first cell resolves the state's decay length, h0 *
+sqrt|omega_hat| <= _FIRST_CELL_FACTOR as _auto_grading asks of the
+linear rate, a step solves one right-hand side per plane: the Lagrangian
+residual r = g + (omega_hat/2) dM, which pairs to zero with the state,
+so p = A^-1 r is tangent as it stands and <r, p> > 0 is the energy's
+slope along the retracted path (the preconditioned residual of Antoine,
+Levitt and Tang, J. Comput. Phys. 343, 2017).  Elsewhere a step solves
+the gradient g and the mass gradient dM and projects A^-1 g onto the
+tangent space in the A metric (the Sobolev gradient of Henning and
+Peterseim, SIAM J. Numer. Anal. 58, 2020), two right-hand sides per
+plane.  The residual step everywhere lost four certified census draws,
+whose first cells span 0.35-0.74 decay lengths, to ``no_progress``, and
+the R = 1e6, N = 512 box hybrid (first cell about 60) with them.
 
 That preconditioner leaves out the |u|^p curvature, and where that term
 dominates (a strong interaction at large mass, or p near 2) the descent
@@ -20,11 +34,12 @@ block and the mass constraint.  The gate, the fallback and the
 progress stop are in _descend, the factorization in _newton_solver.
 The endgame takes the sigma = 6, mu = 2 mu* hybrid from 138 to 46
 iterations.  Convergence still depends on the mesh: at N=8192 the
-default grading 1.01 makes first cells near 1e-20, and only 1 of the
-benchmark's 640 warm-pool solves converges (337 stop ``degenerate``,
-on a preconditioned direction that does not descend, 276
-``no_progress`` and 26 ``line_search``).  Pull the grading toward 1 as
-N grows, as refine_config does: at grading 1.0025 all 640 converge.
+default grading 1.01 makes first cells near 1e-20, and only 25 of the
+benchmark's 640 warm-pool solves converge (539 stop ``no_progress``,
+73 ``line_search`` and 3 ``stalled``; with the projected step
+everywhere 1 converged, and 337 stopped ``degenerate`` on a direction
+that did not descend).  Pull the grading toward 1 as N grows, as
+refine_config does: at grading 1.0025 all 640 converge.
 
 That solve (dpttrs) covers only the leading block the right-hand sides
 reach, and the Newton solve the leading block the state reaches.  Deep
@@ -58,11 +73,12 @@ within _DUPLICATE = 0.1 of a converged state an earlier start finished
 without lying below it in energy.  A later start's preconditioner begins
 at the multiplier the last converged start found, not at the linear
 level, 10x or more off for 458 of the warm pool's 1,596 joined starts.
-Run alone, a joined start ends within 4.5e-5 of the state it joined on
+Run alone, a joined start ends within 5.7e-5 of the state it joined on
 the benchmark's 647 solves; two distinct converged states lie at least
-0.80 apart.  The warm pool took 22,422 iterations over all starts (its
-joined starts 5,420, against 10,617 from the linear level), and 50,743
-when every start ran to its end.
+0.80 apart.  The warm pool takes 21,398 iterations over all starts, its
+joined starts 5,145 of them.  With the projected step everywhere it
+took 22,422 (joined starts 5,420, against 10,617 from the linear
+level), and 50,743 when every start ran to its end.
 
 At beta = 0 only the two single-plane problems are solved: the ground
 state then sits on one plane (the argument is in solve_hybrid).
@@ -118,7 +134,8 @@ __all__ = [
 #: comfortable margin without outrunning the grid resolution.
 _RATE_MARGIN = math.e
 
-#: smallest cell target: this many lengths 1/sqrt(lam) per first cell
+#: smallest cell target: this many lengths 1/sqrt(lam) per first cell;
+#: the descent takes its one-solve step where |omega_hat| meets it too
 _FIRST_CELL_FACTOR = 0.05
 
 _ARMIJO = 1e-4
@@ -564,6 +581,17 @@ def _tangent_direction(solve, flat):
     return (pvec, slope) if slope > 0.0 and np.isfinite(slope) else None
 
 
+def _residual_direction(solve, flat, omega_hat):
+    """Solve the one right-hand side r = gradient + (omega_hat/2) * mass
+    gradient, the Lagrangian residual, which pairs to 0 with the state;
+    returns (A^-1 r, <r, A^-1 r>), or None when that slope is not
+    positive and finite."""
+    r = flat[0] + 0.5 * omega_hat * flat[1]
+    pvec = solve(r[None])[0]
+    slope = float(r @ pvec)
+    return (pvec, slope) if slope > 0.0 and np.isfinite(slope) else None
+
+
 def _descend(pd, p, sigmas, beta, mu, cfg, phi, q, near=(), shift=None):
     """Projected descent from one start, with a Newton endgame; returns a
     run dict.
@@ -581,15 +609,24 @@ def _descend(pd, p, sigmas, beta, mu, cfg, phi, q, near=(), shift=None):
     refactored with a mass shift that tracks the running multiplier
     estimate, so the metric stays matched to the linear part even when
     the final omega sits far from the decomposition rate (the chargeless
-    planar problem being the extreme case).  Where the nonlinear term
-    dominates the Hessian that metric contracts slowly.  So once a start
-    is in a basin but crawling (the scaled projected-gradient norm fell
-    by less than _CRAWL per iteration over the last _WINDOW iterations
-    while omega_hat stayed within _OMEGA_DRIFT relative, and it is still
-    more than _NOISE_BAND times its tolerance), it takes Newton steps for
-    the rest of its descent: the same projection with ``_newton_solver``
+    planar problem being the extreme case).  Where the first cell
+    resolves the decay length 1/sqrt|omega_hat| (see the module
+    docstring), the step solves the Lagrangian residual alone
+    (``_residual_direction``, one column per plane); elsewhere it
+    projects the solved gradient against the solved mass gradient
+    (``_tangent_direction``, two columns per plane).  The projected
+    step is also the fallback of a residual step whose slope is not
+    positive and finite, which the SPD solve leaves only to a zero
+    residual, an underflow or a non-finite state.
+
+    Where the nonlinear term dominates the Hessian that metric contracts
+    slowly.  So once a start is in a basin but crawling (the scaled
+    projected-gradient norm fell by less than _CRAWL per iteration over
+    the last _WINDOW iterations while omega_hat stayed within
+    _OMEGA_DRIFT relative, and it is still more than _NOISE_BAND times
+    its tolerance), it takes Newton steps for the rest of its descent: the same projection with ``_newton_solver``
     in place of the preconditioner, first trial step 1.  The
-    preconditioned direction is the fallback for a step whose Newton
+    preconditioned step is the fallback for a step whose Newton
     factor fails or whose Newton direction does not descend.  Switched
     on from the first iteration, Newton steps sent a quarter of the
     benchmark's 640 warm-pool solves to other critical points, hence the
@@ -600,9 +637,10 @@ def _descend(pd, p, sigmas, beta, mu, cfg, phi, q, near=(), shift=None):
     ``stalled`` (_STALL_LIMIT steps in a row each lowered the energy by
     at most _ENERGY_TOL relative), ``no_progress`` (the Newton-mode
     rule), ``line_search`` (no step down to _STEP_FLOOR passed Armijo),
-    ``max_iters`` or ``degenerate`` (the preconditioned direction does
-    not descend; 337 of the warm pool's 640 solves stop so at N=8192,
-    grading 1.01, see the module docstring).
+    ``max_iters`` or ``degenerate`` (the projected step does not
+    descend).  The residual step always descends, so on the warm pool
+    at N=8192, grading 1.01, no solve stops ``degenerate``, where 337 of
+    640 did with the projected step everywhere (module docstring).
 
     ``near`` holds the converged runs of earlier starts.  From its first
     iteration, after the convergence test, the descent also stops, stop
@@ -618,7 +656,7 @@ def _descend(pd, p, sigmas, beta, mu, cfg, phi, q, near=(), shift=None):
     """
     k, n = phi.shape
     nin = n - 2
-    w = pd.grid.w_trapz
+    w, h0 = pd.grid.w_trapz, pd.grid.h[0]
     charged = sigmas is not None
     stride = nin + (1 if charged else 0)
     sig_theta = pd.theta + (np.array(sigmas) if charged else 0.0)
@@ -724,6 +762,8 @@ def _descend(pd, p, sigmas, beta, mu, cfg, phi, q, near=(), shift=None):
             except ArithmeticError:
                 pass
         s_try = 1.0 if found else step * _STEP_GROW
+        if found is None and h0 * math.sqrt(abs(omega_hat)) <= _FIRST_CELL_FACTOR:
+            found = _residual_direction(lin_solve, flat, omega_hat)
         if found is None:
             found = _tangent_direction(lin_solve, flat)
         if found is None:
@@ -797,7 +837,7 @@ def _solve_on_grid(pd, p, sigmas, beta, mu, cfg):
     converged run begins at shift max(|omega_hat|, 1e-10) of the last
     one (the refactor rule's floor), any other start at pd.lam.  Measured
     over the benchmark's 640 warm-pool and 7 fine_hard solves: a joined
-    start, run alone from its shift, ends at most 4.5e-5 from the state
+    start, run alone from its shift, ends at most 5.7e-5 from the state
     it joined, and the closest two distinct converged states are 0.80
     apart.
     """

@@ -179,8 +179,12 @@ def test_solves_keep_their_factor_alive():
     lu_solve = gttrf(dl, dg, du)
     del mult, d, e, dl, dg, du
     gc.collect()
+    # the solves pass addresses taken at factorization: arrays freed
+    # there would hand their memory to these
+    junk = [np.full(2048, np.nan) for _ in range(64)]
     np.testing.assert_array_equal(solve(b), scipy_lapack.dpttrs(wd, we, b)[0])
     np.testing.assert_array_equal(lu_solve(b), want)
+    del junk  # held across both solves
 
 
 def test_solves_never_write_b():

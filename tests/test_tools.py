@@ -1,6 +1,7 @@
 """Tests of the measurement scripts under tools/."""
 
 import importlib.util
+import json
 import operator
 from pathlib import Path
 
@@ -83,3 +84,50 @@ def test_k0_coefficients_are_the_tools():
     # specfun holds the constants tools/k0_coefficients.py computes
     for name, values in _load("k0_coefficients").coefficients().items():
         assert getattr(specfun, name) == values, name
+
+
+def test_draw_census_recipe_and_classes():
+    dc = _load("draw_census")
+    params = dc.draws()
+    assert len(params) == 300 and params[:2] == dc.draws(2)
+    for p1, p2, s1, s2, beta, mu in params:
+        assert 2.05 <= min(p1, p2) and max(p1, p2) <= 3.95
+        assert -3.0 <= min(s1, s2) and max(s1, s2) <= 20.0
+        assert 0.0 <= beta <= 2.5 and 1e-3 <= mu <= 1e3
+    s = dc.census(hybrid_nls, params[:4])
+    assert [r["draw"] for r in s["draws"]] == [0, 1, 2, 3]
+    assert sum(s["counts"].values()) == 4
+    for r in s["draws"]:
+        assert r["converged"] == (r["class"] != "unconverged")
+        assert r["converged"] == (r["stop_reason"] == "converged")
+
+
+def test_draw_census_compare_fails_only_on_a_lost_flag(capsys):
+    dc = _load("draw_census")
+
+    def entry(*rows):
+        draws = [{"draw": i, "class": c, "converged": c != "unconverged",
+                  "stop_reason": "converged" if c != "unconverged" else "no_progress",
+                  "energy": -1.0} for i, c in enumerate(rows)]
+        counts = {c: rows.count(c) for c in dc.CLASSES}
+        return {"draw_census": {"counts": counts, "draws": draws}}
+
+    data = {"a": entry("certified", "unconverged", "uncertified"),
+            "b": entry("certified", "certified", "certified")}
+    assert dc.compare(data, "a", "b") == 0
+    out = capsys.readouterr().out
+    assert "draw 1: unconverged" in out and "draw 2: uncertified" in out
+    assert "draw 0" not in out
+    data["c"] = entry("unconverged", "unconverged", "uncertified")
+    assert dc.compare(data, "a", "c") == 1
+
+
+def test_census_records_take_one_line_each():
+    dumps = _load("iteration_census")._dumps
+    data = {"x": {"warm_pool": {"ops": [{"key": "a", "starts": [{"n": 1}]}],
+                                "total_iters": 3},
+                  "draw_census": {"draws": [{"draw": 0}, {"draw": 1}]}}}
+    text = dumps(data)
+    assert json.loads(text) == data
+    assert '{"key": "a", "starts": [{"n": 1}]}' in text
+    assert '{"draw": 0}' in text and '{"draw": 1}' in text

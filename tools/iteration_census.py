@@ -33,10 +33,11 @@ tree, one process each, naming the file it writes:
         --src /path/to/parent/src
     python tools/iteration_census.py BENCH_x.json --compare parent change
 
-Each run replaces its label's entry in the file (a path relative to the
-repo root) and keeps the others.  ``--compare`` prints the ``converged``
-flags and the energies that differ between two entries, and exits 1
-when a ``converged`` flag differs.
+Each run replaces what it records in its label's entry of the file (a
+path relative to the repo root) and keeps the rest, such as the draws
+that ``tools/draw_census.py`` stores there.  ``--compare`` prints the
+``converged`` flags and the energies that differ between two entries,
+and exits 1 when a ``converged`` flag differs.
 """
 
 from __future__ import annotations
@@ -209,18 +210,20 @@ def compare(data: dict, old: str, new: str) -> int:
 
 
 def _dumps(data: dict) -> str:
-    """Indented JSON in which each operation record takes one line."""
+    """Indented JSON in which each record of a list of records (an
+    operation, a census draw) takes one line."""
     rows = {}
 
-    def stub(ops):
-        tags = [f"@op{len(rows) + i}@" for i in range(len(ops))]
-        rows.update((f'"{t}"', json.dumps(op, sort_keys=True)) for t, op in zip(tags, ops))
+    def stub(v):
+        if isinstance(v, dict):
+            return {k: stub(x) for k, x in v.items()}
+        if not (isinstance(v, list) and v and all(isinstance(x, dict) for x in v)):
+            return v
+        tags = [f"@op{len(rows) + i}@" for i in range(len(v))]
+        rows.update((f'"{t}"', json.dumps(x, sort_keys=True)) for t, x in zip(tags, v))
         return tags
 
-    shallow = {label: {k: ({**v, "ops": stub(v["ops"])} if k in SETS else v)
-                       for k, v in entry.items()}
-               for label, entry in data.items()}
-    text = json.dumps(shallow, indent=1, sort_keys=True)
+    text = json.dumps(stub(data), indent=1, sort_keys=True)
     return re.sub(r'"@op\d+@"', lambda m: rows[m.group(0)], text) + "\n"
 
 
@@ -257,7 +260,7 @@ def main(argv=None) -> int:
         "fine_hard": census(fine, hybrid_nls, solver),
     }
     data = json.loads(out.read_text()) if out.is_file() else {}
-    data[args.label] = entry
+    data.setdefault(args.label, {}).update(entry)
     out.write_text(_dumps(data))
     for name in SETS:
         s = entry[name]
