@@ -475,6 +475,18 @@ class TestCoupledHybrid:
         assert r.energy < -7e12
         assert r.mass1 > 0.99 * 10.0
 
+    def test_sigma_1_3_half_critical_mass_finds_the_plane_2_state(self):
+        # the default starts reach the 13-start answer, plane 2 holding
+        # 0.930 of the mass; an earlier descent step stopped at a local
+        # minimum here, E = -3.0881 with plane 2 holding 0.038
+        from hybrid_nls.analysis import critical_mass
+
+        cfg = SolverConfig(N=2048)
+        mu = critical_mass(2.5, 3.5, cfg) / 2
+        r = solve_hybrid(HybridParams(2.5, 3.5, 1.3, 1.3, 1.0, mu), cfg)
+        assert r.energy <= -3.109  # pinned, N=2048: -3.1092679
+        assert r.mass2 >= 0.9 * mu
+
     def test_multistart_sets_agree(self, cfg):
         P = HybridParams(2.5, 3.5, 0.0, 0.0, 1.0, 1.0)
         r1 = solve_hybrid(P, dataclasses.replace(cfg, starts=(0.2, 0.5, 0.8)))

@@ -24,7 +24,6 @@ def _load(name):
 def census_run():
     """The census of the first warm-pool rotation at N=512, with every
     ``_descend`` call it makes, rerun or not, as (args, keywords, run)."""
-    census = _load("iteration_census")
     from perfbench import workloads as wl
 
     (rotation,) = wl.warm_pool(N=512)[:1]
@@ -36,7 +35,7 @@ def census_run():
 
     solver._descend = recorded
     try:
-        s = census.census(rotation, hybrid_nls, solver)
+        s = _load("census").iterations(rotation, hybrid_nls, solver)
         assert solver._descend is recorded  # the wrappers are taken off again
     finally:
         solver._descend = descend
@@ -87,14 +86,14 @@ def test_k0_coefficients_are_the_tools():
 
 
 def test_draw_census_recipe_and_classes():
-    dc = _load("draw_census")
+    dc = _load("census")
     params = dc.draws()
     assert len(params) == 300 and params[:2] == dc.draws(2)
     for p1, p2, s1, s2, beta, mu in params:
         assert 2.05 <= min(p1, p2) and max(p1, p2) <= 3.95
         assert -3.0 <= min(s1, s2) and max(s1, s2) <= 20.0
         assert 0.0 <= beta <= 2.5 and 1e-3 <= mu <= 1e3
-    s = dc.census(hybrid_nls, params[:4])
+    s = dc.classes(hybrid_nls, params[:4])
     assert [r["draw"] for r in s["draws"]] == [0, 1, 2, 3]
     assert sum(s["counts"].values()) == 4
     for r in s["draws"]:
@@ -102,28 +101,88 @@ def test_draw_census_recipe_and_classes():
         assert r["converged"] == (r["stop_reason"] == "converged")
 
 
+def _entry(classes, energies=None, pool=(True, True)):
+    """A recorded census entry: draws of the given classes and energies,
+    and pool and ``fine_hard`` ops with the given ``converged`` flags."""
+    def op(key, flag):
+        return {"key": key, "converged": flag, "energy": -2.0,
+                "stop_reason": "converged" if flag else "no_progress"}
+
+    energies = energies or [-1.0] * len(classes)
+    draws = [{"draw": i, "class": c, "converged": c != "unconverged",
+              "stop_reason": "converged" if c != "unconverged" else "no_progress",
+              "energy": e} for i, (c, e) in enumerate(zip(classes, energies))]
+    counts = {c: classes.count(c) for c in _load("census").CLASSES}
+    entry = {"draw_census": {"counts": counts, "draws": draws}}
+    for name in ("warm_pool", "fine_hard"):
+        entry[name] = {"ops": [op(f"op{i}", f) for i, f in enumerate(pool)],
+                       "total_iters": 10, "winner_iters": 5, "joined": 0,
+                       "starts": 3, "joined_iters": 0, "max_rerun_distance": None}
+    return entry
+
+
 def test_draw_census_compare_fails_only_on_a_lost_flag(capsys):
-    dc = _load("draw_census")
-
-    def entry(*rows):
-        draws = [{"draw": i, "class": c, "converged": c != "unconverged",
-                  "stop_reason": "converged" if c != "unconverged" else "no_progress",
-                  "energy": -1.0} for i, c in enumerate(rows)]
-        counts = {c: rows.count(c) for c in dc.CLASSES}
-        return {"draw_census": {"counts": counts, "draws": draws}}
-
-    data = {"a": entry("certified", "unconverged", "uncertified"),
-            "b": entry("certified", "certified", "certified")}
+    dc = _load("census")
+    data = {"a": _entry(["certified", "unconverged", "uncertified"]),
+            "b": _entry(["certified", "certified", "certified"])}
     assert dc.compare(data, "a", "b") == 0
     out = capsys.readouterr().out
     assert "draw 1: unconverged" in out and "draw 2: uncertified" in out
     assert "draw 0" not in out
-    data["c"] = entry("unconverged", "unconverged", "uncertified")
+    data["c"] = _entry(["unconverged", "unconverged", "uncertified"])
     assert dc.compare(data, "a", "c") == 1
 
 
+def test_census_compare_exit_status(tmp_path, capsys):
+    # a pool or fine_hard flag that differs, or a draw flag lost, fails the
+    # compare; moved energies and gained flags are listed but pass
+    main = _load("census").main
+    old = _entry(["certified", "unconverged", "box"])
+    data = {"old": old,
+            "pool": _entry(["certified", "unconverged", "box"], pool=(True, False)),
+            "lost": _entry(["unconverged", "unconverged", "box"]),
+            "gained": _entry(["certified", "certified", "box"],
+                             energies=[-1.0, -1.5, -1.0 * (1 + 1e-9)])}
+    path = tmp_path / "census.json"
+    path.write_text(json.dumps(data))
+
+    def run(new):
+        capsys.readouterr()
+        code = main([str(path), "--compare", "old", new])
+        return code, capsys.readouterr().out
+
+    code, out = run("pool")
+    assert code == 1 and "warm_pool op1: converged" in out and "fine_hard op1" in out
+    assert "2 pool and fine_hard converged flags differ" in out
+    code, out = run("lost")
+    assert code == 1 and "draw 0: certified" in out
+    assert "1 draw converged flags turned False" in out
+    code, out = run("gained")
+    assert code == 0
+    assert "draw 1: unconverged" in out and "draw 2: box" in out and "draw 0" not in out
+    assert "draw: 2 of 3 energies moved by more than 1e-10 relative" in out
+    assert "warm_pool: 0 of 2 energies moved" in out
+    code, out = run("old")
+    assert code == 0 and "draw: 0 of 3 energies moved" in out
+
+
+def test_census_environment_without_scipy(monkeypatch):
+    census = _load("census")
+    version = census.importlib.metadata.version
+
+    def installed(name):
+        if name == "scipy":
+            raise census.importlib.metadata.PackageNotFoundError(name)
+        return version(name)
+
+    monkeypatch.setattr(census.importlib.metadata, "version", installed)
+    env = census.environment()
+    assert env["scipy"] is None and env["numpy"] == version("numpy")
+    json.dumps(env)
+
+
 def test_census_records_take_one_line_each():
-    dumps = _load("iteration_census")._dumps
+    dumps = _load("census")._dumps
     data = {"x": {"warm_pool": {"ops": [{"key": "a", "starts": [{"n": 1}]}],
                                 "total_iters": 3},
                   "draw_census": {"draws": [{"draw": 0}, {"draw": 1}]}}}

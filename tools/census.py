@@ -1,12 +1,15 @@
-"""Iteration census of the benchmark's library operations.
+"""The census of the benchmark's multistarts and of 300 parameter draws.
 
-Runs each of the 640 operations of the ``warm_solves`` pool and the 7
-``fine_hard`` operations once, in pool order, and records per operation
-the winning start's iterations, the iterations summed over every start,
-the energy, the ``converged`` flag and the stop reason.  The operations
-come from ``perfbench/workloads.py``, which this script only reads.
-Times are not recorded: they drift with the host, and ``perfbench``'s
-alternating pairs measure them.
+One run records two parts into its label's entry of a ``BENCH_*.json``.
+
+The iteration census runs each of the 640 operations of the
+``warm_solves`` pool and the 7 ``fine_hard`` operations once, in pool
+order, and records per operation the winning start's iterations, the
+iterations summed over every start, the energy, the ``converged`` flag
+and the stop reason.  The operations come from
+``perfbench/workloads.py``, which this script only reads.  Times are not
+recorded: they drift with the host, and ``perfbench``'s alternating
+pairs measure them.
 
 Each start of a multistart gets one record, with its outcome.  A
 ``finished`` start carries its stop reason and its iterations.  A
@@ -25,19 +28,35 @@ stop ``duplicate``.  A start run alone is a ``_descend`` call with the
 same arguments and keywords less ``near``, so it keeps the preconditioner
 shift it began at.  The distances are the tree's own batched mass,
 ``solver._mass``, and the wrappers use the signatures in which the
-solver's internals take one ``PlaneData``.  Run the census once per
-tree, one process each, naming the file it writes:
+solver's internals take one ``PlaneData``.
 
-    OPENBLAS_NUM_THREADS=1 python tools/iteration_census.py BENCH_x.json --label change
-    OPENBLAS_NUM_THREADS=1 python tools/iteration_census.py BENCH_x.json --label parent \\
+The draw census draws 300 parameter sets from
+``numpy.random.default_rng(0)``, each as p1, p2 ~ U(2.05, 3.95),
+sigma1, sigma2 ~ U(-3, 20), beta ~ U(0, 2.5) and mu = 10^U(-3, 3), in
+that order, and solves each with ``solve_hybrid`` at
+``SolverConfig(N=512)``.  Each draw falls in one class:
+
+* ``certified``: ``converged``, ``el_residual`` <= 1e-2 and omega > 0;
+* ``unconverged``: not ``converged``;
+* ``box``: ``converged`` with omega <= 0, a state of the box;
+* ``uncertified``: ``converged`` with omega > 0 but ``el_residual``
+  above 1e-2.
+
+Run the census once per tree, one process each, naming the file it
+writes (a path relative to the repo root):
+
+    OPENBLAS_NUM_THREADS=1 python tools/census.py BENCH_x.json --label change
+    OPENBLAS_NUM_THREADS=1 python tools/census.py BENCH_x.json --label parent \\
         --src /path/to/parent/src
-    python tools/iteration_census.py BENCH_x.json --compare parent change
+    python tools/census.py BENCH_x.json --compare parent change
 
-Each run replaces what it records in its label's entry of the file (a
-path relative to the repo root) and keeps the rest, such as the draws
-that ``tools/draw_census.py`` stores there.  ``--compare`` prints the
-``converged`` flags and the energies that differ between two entries,
-and exits 1 when a ``converged`` flag differs.
+Each run replaces ``warm_pool``, ``fine_hard`` and ``draw_census`` in
+its label's entry and keeps the rest of the file.  ``--compare`` lists
+each operation and each draw whose class, ``converged`` flag or stop
+reason differs, or whose energy moved by more than 1e-10 relative, and
+counts the moved energies.  It exits 1 when a pool or ``fine_hard``
+``converged`` flag differs, or when a draw's ``converged`` flag turns
+False.
 """
 
 from __future__ import annotations
@@ -54,8 +73,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
 SETS = ("warm_pool", "fine_hard")
+CLASSES = ("certified", "unconverged", "box", "uncertified")
+MOVED = 1e-10  # relative energy change that counts as moved
+
+
+def _version(package: str) -> str | None:
+    try:
+        return importlib.metadata.version(package)
+    except importlib.metadata.PackageNotFoundError:
+        return None
 
 
 def environment() -> dict:
@@ -66,8 +96,8 @@ def environment() -> dict:
         cpu = None
     return {
         "python": platform.python_version(),
-        "numpy": importlib.metadata.version("numpy"),
-        "scipy": importlib.metadata.version("scipy"),
+        "numpy": _version("numpy"),
+        "scipy": _version("scipy"),
         "nproc": len(os.sched_getaffinity(0)),
         "cpu": cpu.group(1).strip() if cpu else "unknown",
         "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
@@ -117,7 +147,7 @@ def _starts(calls, solver, pd, mu, rerun) -> tuple[list[dict], float | None]:
     return records, min(pairs, default=None)
 
 
-def census(ops, hybrid_nls, solver) -> dict:
+def iterations(ops, hybrid_nls, solver) -> dict:
     """Run ``ops`` in order; per op its iterations, starts and answer."""
     calls, starts, separations = [], [], []
     descend, on_grid = solver._descend, solver._solve_on_grid
@@ -179,34 +209,81 @@ def census(ops, hybrid_nls, solver) -> dict:
     }
 
 
+def draws(n: int = 300, seed: int = 0) -> list[tuple[float, ...]]:
+    """The census's (p1, p2, sigma1, sigma2, beta, mu), in draw order."""
+    rng = np.random.default_rng(seed)
+    return [(rng.uniform(2.05, 3.95), rng.uniform(2.05, 3.95),
+             rng.uniform(-3.0, 20.0), rng.uniform(-3.0, 20.0),
+             rng.uniform(0.0, 2.5), 10.0 ** rng.uniform(-3.0, 3.0))
+            for _ in range(n)]
+
+
+def classify(report) -> str:
+    if not report.converged:
+        return "unconverged"
+    if not report.omega > 0.0:
+        return "box"
+    return "certified" if report.el_residual <= 1e-2 else "uncertified"
+
+
+def classes(hybrid_nls, params) -> dict:
+    """Solve every draw; its record and the count of each class."""
+    cfg = hybrid_nls.SolverConfig(N=512)
+    records = []
+    for i, args in enumerate(params):
+        r = hybrid_nls.solve_hybrid(hybrid_nls.HybridParams(*args), cfg)
+        records.append({"draw": i, "class": classify(r), "converged": r.converged,
+                        "stop_reason": r.stop_reason, "energy": r.energy,
+                        "omega": r.omega, "el_residual": r.el_residual,
+                        "iterations": r.iterations})
+    counts = {c: sum(r["class"] == c for r in records) for c in CLASSES}
+    return {"counts": counts, "draws": records}
+
+
+def _differ(name, old, new, key) -> list[tuple[dict, dict]]:
+    """Print each record of ``new`` whose class, flag or stop differs
+    from its record in ``old``, or whose energy moved, and the count of
+    moved energies; the (old, new) pairs printed."""
+    a = {r[key]: r for r in old}
+    pairs, moved = [], 0
+    for r in new:
+        o = a[r[key]]
+        rel = abs(r["energy"] - o["energy"]) / abs(o["energy"])
+        moved += rel > MOVED
+        if rel <= MOVED and all(r.get(k) == o.get(k) for k in
+                                ("class", "converged", "stop_reason")):
+            continue
+        pairs.append((o, r))
+        state = [f"{x.get('class', 'converged' if x['converged'] else 'unconverged')} "
+                 f"({x.get('stop_reason')}, E = {x['energy']!r})" for x in (o, r)]
+        print(f"{name} {r[key]}: {state[0]} -> {state[1]} ({rel:.2e} relative)")
+    print(f"{name}: {moved} of {len(a)} energies moved by more than {MOVED:g} relative")
+    return pairs
+
+
 def compare(data: dict, old: str, new: str) -> int:
-    """Print the ops whose ``converged`` flag, stop reason or energy
-    differs; the number of flipped ``converged`` flags."""
+    """Print the operations and draws that differ between two entries;
+    the number of pool and ``fine_hard`` ``converged`` flags that differ
+    plus the number of draw ``converged`` flags that turned False."""
     flips = 0
     for name in SETS:
-        a = {r["key"]: r for r in data[old][name]["ops"]}
-        moved = 0
-        for r in data[new][name]["ops"]:
-            o = a[r["key"]]
-            rel = abs(r["energy"] - o["energy"]) / abs(o["energy"])
-            if r["converged"] != o["converged"]:
-                flips += 1
-                print(f"{name} {r['key']}: converged {o['converged']} -> {r['converged']}")
-            if r.get("stop_reason", o.get("stop_reason")) != o.get("stop_reason"):
-                print(f"{name} {r['key']}: stop {o.get('stop_reason')} -> {r['stop_reason']}")
-            if rel > 1e-10:
-                moved += 1
-                print(f"{name} {r['key']}: energy {o['energy']!r} -> {r['energy']!r} "
-                      f"({rel:.2e} relative)")
-        print(f"{name}: {moved} of {len(a)} energies moved by more than 1e-10 relative")
+        pairs = _differ(name, data[old][name]["ops"], data[new][name]["ops"], "key")
+        flips += sum(o["converged"] != r["converged"] for o, r in pairs)
         for label in (old, new):
             s = data[label][name]
             print(f"{name} {label}: total iterations {s['total_iters']}, winner "
                   f"{s['winner_iters']}, joined {s['joined']} of {s['starts']} starts "
                   f"({s['joined_iters']} iterations), max rerun distance "
                   f"{s['max_rerun_distance']}")
-    print(f"{flips} converged flags differ")
-    return flips
+    pairs = _differ("draw", data[old]["draw_census"]["draws"],
+                    data[new]["draw_census"]["draws"], "draw")
+    lost = sum(o["converged"] and not r["converged"] for o, r in pairs)
+    for label in (old, new):
+        counts = data[label]["draw_census"]["counts"]
+        print(f"draws {label}: " + ", ".join(f"{counts[c]} {c}" for c in CLASSES))
+    print(f"{flips} pool and fine_hard converged flags differ; "
+          f"{lost} draw converged flags turned False")
+    return flips + lost
 
 
 def _dumps(data: dict) -> str:
@@ -252,12 +329,13 @@ def main(argv=None) -> int:
 
     warm = [op for rot in wl.warm_pool() for op in rot]
     fine = wl.fine_cases()
-    census(fine[:1], hybrid_nls, solver)  # warm-up: imports, caches
+    iterations(fine[:1], hybrid_nls, solver)  # warm-up: imports, caches
     entry = {
         "commit": _commit(src),
         "environment": environment(),
-        "warm_pool": census(warm, hybrid_nls, solver),
-        "fine_hard": census(fine, hybrid_nls, solver),
+        "warm_pool": iterations(warm, hybrid_nls, solver),
+        "fine_hard": iterations(fine, hybrid_nls, solver),
+        "draw_census": classes(hybrid_nls, draws()),
     }
     data = json.loads(out.read_text()) if out.is_file() else {}
     data.setdefault(args.label, {}).update(entry)
@@ -268,6 +346,8 @@ def main(argv=None) -> int:
               f"{s['winner_iters']}, total {s['total_iters']}, unconverged "
               f"{s['unconverged']}, joined {s['joined']} of "
               f"{s['starts']} starts")
+    counts = entry["draw_census"]["counts"]
+    print(f"{args.label} draws: " + ", ".join(f"{counts[c]} {c}" for c in CLASSES))
     return 0
 
 
