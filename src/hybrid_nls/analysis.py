@@ -16,7 +16,6 @@ import numpy as np
 from .energy import HybridParams, check_power
 from .grid import RadialField
 from .solver import (
-    _FIRST_CELL_FACTOR,
     GroundStateReport,
     SolverConfig,
     solve_hybrid,
@@ -44,7 +43,7 @@ __all__ = [
 # A free-plane profile whose decay rate drops below this value is wider
 # than the default box can hold without visible truncation bias, so the
 # reference solve moves to a larger mass where the state is compact; one
-# whose first cell spans over _FIRST_CELL_FACTOR decay lengths, a smaller.
+# whose rate its grid does not resolve (grid.RESOLUTION), to a smaller.
 _RATE_FLOOR = 0.02
 _RATE_TARGET = 0.3
 
@@ -171,8 +170,8 @@ def rho_detail(p: float, cfg: SolverConfig | None = None, solve=None) -> RhoDeta
     mu_ref = 1.0
     for attempt in range(3):
         report = (solve or solve_planar)(p, mu_ref, cfg=cfg)
-        omega, cell = report.omega, report.state.grid.h[0]
-        if omega >= _RATE_FLOOR and omega * cell * cell <= _FIRST_CELL_FACTOR**2:
+        omega = report.omega
+        if omega >= _RATE_FLOOR and report.state.grid.resolves(omega):
             break
         if attempt == 2:
             raise RuntimeError(f"free-plane reference for p={p} is out of band "

@@ -23,6 +23,8 @@ Two weight vectors are precomputed per grid:
 The first cell is special: quadrature of |u|^p with a logarithmically
 singular u is done by an 8-point Gauss-Laguerre rule in the variable
 r = r_1 e^{-z/2} (see :func:`origin_cell_rule`), never by trapezoid.
+That rule is accurate for |a + b log r|^p, so it needs a first cell
+across which the state's decay is small (:data:`RESOLUTION`).
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
+    "RESOLUTION",
     "RadialGrid",
     "RadialField",
     "make_grid",
@@ -43,6 +46,12 @@ __all__ = [
     "radial_laplacian",
     "origin_cell_rule",
 ]
+
+#: A first cell h0 resolves a decay rate lam >= 0 when h0 * sqrt(lam) <=
+#: RESOLUTION: across it a profile decaying as exp(-sqrt(lam) r) changes
+#: by at most 5%.  Read by the solver's grading and step choice and by
+#: ``analysis.rho_detail``.
+RESOLUTION = 0.05
 
 
 @dataclass(frozen=True)
@@ -69,6 +78,16 @@ class RadialGrid:
         """Box, cell count and grading: equal for equal meshes, whichever
         object holds them (a :class:`HybridState`'s two grids must match)."""
         return (round(self.R, 12), self.n_cells, round(self.grading, 12))
+
+    @staticmethod
+    def cell_resolves(h0: float, rate: float) -> bool:
+        """Whether a first cell of width ``h0`` resolves ``rate`` (see
+        :data:`RESOLUTION`); rate 0 has no decay and is always resolved."""
+        return rate == 0.0 or h0 <= RESOLUTION / math.sqrt(rate)
+
+    def resolves(self, rate: float) -> bool:
+        """Whether this grid's first cell resolves ``rate``."""
+        return self.cell_resolves(self.h[0], rate)
 
 
 @dataclass

@@ -1,87 +1,17 @@
 """Ground-state solvers for the planar, single-plane and two-plane problems.
 
-The minimization runs a projected descent on the mass sphere, with
-linearly preconditioned steps and a Newton endgame.  The preconditioner
-is the positive-definite linear part of the energy Hessian: radial
-stiffness + shift * mass diagonal on each plane's profile, and the
-charge block (1x1, or the 2x2 block coupled by beta) on the charges,
-with no profile-charge entries.  So it is factored as one SPD
-tridiagonal shared by the planes (LAPACK dpttrf, refactored when the
-shift moves) and a charge block inverted in closed form; each iteration
-solves its right-hand sides in one call of the factor's solve.
+Every problem is solved by one projected descent on the mass sphere,
+``_descend``.  Each rule is stated, with its reason, in the function
+that applies it:
 
-Where the first cell resolves the state's decay length, h0 *
-sqrt|omega_hat| <= _FIRST_CELL_FACTOR as _auto_grading asks of the
-linear rate, a step solves one right-hand side per plane: the Lagrangian
-residual r = g + (omega_hat/2) dM, which pairs to zero with the state,
-so p = A^-1 r is tangent as it stands and <r, p> > 0 is the energy's
-slope along the retracted path (the preconditioned residual of Antoine,
-Levitt and Tang, J. Comput. Phys. 343, 2017).  Elsewhere a step solves
-the gradient g and the mass gradient dM and projects A^-1 g onto the
-tangent space in the A metric (the Sobolev gradient of Henning and
-Peterseim, SIAM J. Numer. Anal. 58, 2020), two right-hand sides per
-plane.  The residual step everywhere lost four certified census draws,
-whose first cells span 0.35-0.74 decay lengths, to ``no_progress``, and
-the R = 1e6, N = 512 box hybrid (first cell about 60) with them.
-
-That preconditioner leaves out the |u|^p curvature, and where that term
-dominates (a strong interaction at large mass, or p near 2) the descent
-contracts by only 0.91-0.94 per iteration.  A start that is in a basin
-but crawling switches to Newton steps on the full constrained Hessian,
-which has the same shape: per plane a tridiagonal (now indefinite,
-LU-factored by dgttrf) bordered by its charge column, plus the charge
-block and the mass constraint.  The gate, the fallback and the
-progress stop are in _descend, the factorization in _newton_solver.
-The endgame takes the sigma = 6, mu = 2 mu* hybrid from 138 to 46
-iterations.  Convergence still depends on the mesh: at N=8192 the
-default grading 1.01 makes first cells near 1e-20, and only 25 of the
-benchmark's 640 warm-pool solves converge (539 stop ``no_progress``,
-73 ``line_search`` and 3 ``stalled``; with the projected step
-everywhere 1 converged, and 337 stopped ``degenerate`` on a direction
-that did not descend).  Pull the grading toward 1 as N grows, as
-refine_config does: at grading 1.0025 all 640 converge.
-
-That solve (dpttrs) covers only the leading block the right-hand sides
-reach, and the Newton solve the leading block the state reaches.  Deep
-states underflow to exact zeros well inside the box, and carrying the
-solve into that tail runs the forward sweep through subnormal numbers,
-where a multiplier above 1/2 traps it at the smallest subnormal.  The
-cut changes the solution only below e^-80 of its value at the last
-nonzero right-hand-side node, and up to that node not at all; the
-right-hand sides are scanned for it only when the factor can trap (the
-rule and the argument are in _linear_solver).
-
-Steps are safeguarded by Armijo backtracking on the true energy, and
-the iterate is retracted to the constraint set after every step (charge
-clamp at zero, then a joint rescale of profiles and charges).  Each
-evaluated point, the start and every trial, gets one energy-kernel call
-and so one |u|^p power pass: the accepted trial's pieces give the next
-iteration's gradient, multiplier estimate and convergence test, and are
-dropped once that gradient is assembled.
-
-Convergence is declared on the W-metric projected-gradient norm, scaled
-by sqrt(mu) * max(1, |omega_hat|): the gradient grows with the state, as
-sqrt(mu), and with omega_hat, so small masses and deep, tightly bound
-states are held to the same *relative* stationarity as shallow ones at
-mass 1.  Every run records why it stopped (``stop``; the winner's is the
-report's ``stop_reason``).
-
-Each solve is a multistart over mass splits, and the starts mostly
-reach one state.  So the starts run one after another
-(_solve_on_grid), and a start stops, stop ``duplicate``, once it lies
-within _DUPLICATE = 0.1 of a converged state an earlier start finished
-without lying below it in energy.  A later start's preconditioner begins
-at the multiplier the last converged start found, not at the linear
-level, 10x or more off for 458 of the warm pool's 1,596 joined starts.
-Run alone, a joined start ends within 5.7e-5 of the state it joined on
-the benchmark's 647 solves; two distinct converged states lie at least
-0.80 apart.  The warm pool takes 21,398 iterations over all starts, its
-joined starts 5,145 of them.  With the projected step everywhere it
-took 22,422 (joined starts 5,420, against 10,617 from the linear
-level), and 50,743 when every start ran to its end.
-
-At beta = 0 only the two single-plane problems are solved: the ground
-state then sits on one plane (the argument is in solve_hybrid).
+* the preconditioner and its tail cut: ``_linear_solver``;
+* the step choice, the shift, the line search, the Newton gate and the
+  stop test: ``_descend``;
+* the Newton endgame's Hessian and its tail cut: ``_newton_solver``;
+* the multistart, its joined starts and inherited multiplier:
+  ``_solve_on_grid``; the winner among its runs: ``_lowest``;
+* the grading that resolves the linear level: ``_auto_grading``;
+* the beta = 0 shortcut: ``solve_hybrid``.
 """
 
 from __future__ import annotations
@@ -108,13 +38,7 @@ from .energy import (
     plane_data,
     total_field,
 )
-from .grid import (
-    RadialField,
-    RadialGrid,
-    check_mesh,
-    first_cell,
-    make_grid,
-)
+from .grid import RadialField, RadialGrid, check_mesh, first_cell, make_grid
 from .specfun import lambda_for_theta
 
 __all__ = [
@@ -134,49 +58,36 @@ __all__ = [
 #: comfortable margin without outrunning the grid resolution.
 _RATE_MARGIN = math.e
 
-#: smallest cell target: this many lengths 1/sqrt(lam) per first cell;
-#: the descent takes its one-solve step where |omega_hat| meets it too
-_FIRST_CELL_FACTOR = 0.05
-
+# the descent's rules, each stated in _descend
 _ARMIJO = 1e-4
-#: first trial step of the line search
 _STEP_SIZE = 1.0
 _STEP_GROW = 1.3
 _STEP_FLOOR = 1e-14
 _STALL_LIMIT = 50
-#: a step that lowers the energy by at most this much relative stalls
 _ENERGY_TOL = 1e-10
-#: Newton endgame: a start whose scaled projected-gradient norm fell by
-#: less than _CRAWL per iteration over the last _WINDOW iterations, with
-#: omega_hat within _OMEGA_DRIFT relative over them, takes Newton steps
-#: from then on ...
 _WINDOW = 5
 _CRAWL = 0.8
 _OMEGA_DRIFT = 0.01
-#: ... unless that norm is within this factor of its tolerance.  There the
-#: norm's roundoff floor sets its ratio, not the contraction: on the
-#: N=32768, grading 1.000625 mesh, ulp-level noise in phi alone gives a
-#: norm of about twice the default tolerance, and no step can beat that
 _NOISE_BAND = 10.0
-#: ... and stops without progress once that norm has not fallen by this
-#: factor over its last _WINDOW Newton-mode iterations
 _PROGRESS = 0.5
+_DUPLICATE = 0.1
 #: starts whose energies agree to this relative gap reached the same state
 _TIE = 1e-12
-#: a start stops once it lies within this distance sqrt(mass(U - U_f) / mu)
-#: of a converged state U_f that an earlier start finished
-_DUPLICATE = 0.1
-#: the preconditioner solve stops this many nats of multiplier decay past
-#: the last nonzero right-hand-side node ...
+# the tail cut of the linear and Newton solves, stated in _linear_solver
 _CUT_NATS = 80.0
-#: ... and looks for that node only when the factor's multipliers can
-#: reach subnormal numbers (exp(-708) is the smallest normal double)
 _TRAP_NATS = 700.0
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Discretization and descent parameters shared by all solvers."""
+    """Discretization and descent parameters shared by all solvers.
+
+    ``_auto_grading`` raises ``grading`` where the linear level needs a
+    finer first cell.  The default does not follow N: tied to N it
+    failed criterion 13's steep triple (1.28e-3 against its 1e-3 cap).
+    ``starts`` are the multistart's plane-1 mass shares, stored as a
+    tuple of floats so that equal configs hash alike.
+    """
 
     R: float = 40.0
     N: int = 2048
@@ -191,6 +102,11 @@ class SolverConfig:
             raise ValueError(f"grad_tol must be > 0, got {self.grad_tol}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
+        try:
+            object.__setattr__(self, "starts", tuple(map(float, self.starts)))
+        except TypeError:
+            raise ValueError("starts must be a sequence of numbers, "
+                             f"got {self.starts!r}") from None
         if len(self.starts) == 0:
             raise ValueError("at least one start is required")
         if any(not (0.0 <= s <= 1.0) for s in self.starts):
@@ -268,20 +184,20 @@ def refine_config(cfg: SolverConfig) -> SolverConfig:
 
 
 def _auto_grading(R: float, n: int, g_default: float, lam: float) -> float:
-    """Increase the grading until the first cell resolves scale 1/sqrt(lam)."""
-    target = _FIRST_CELL_FACTOR / math.sqrt(lam)
-    if first_cell(R, n, g_default) <= target:
+    """Increase the grading until the first cell resolves the rate lam."""
+
+    def resolves(g: float) -> bool:
+        return RadialGrid.cell_resolves(first_cell(R, n, g), lam)
+
+    if resolves(g_default):
         return g_default
     lo, hi = max(g_default, 1.0 + 1e-9), 1.2
-    if first_cell(R, n, hi) > target:
+    if not resolves(hi):
         raise ValueError(
             f"rate {lam:.3e} is too deep for an N={n} grid; increase N")
     for _ in range(100):
         mid = 0.5 * (lo + hi)
-        if first_cell(R, n, mid) > target:
-            lo = mid
-        else:
-            hi = mid
+        lo, hi = (lo, mid) if resolves(mid) else (mid, hi)
     return hi
 
 
@@ -308,38 +224,37 @@ def _linear_solver(
 ) -> Callable[[np.ndarray], np.ndarray]:
     """Factor the quadratic form  kinetic + shift*mass + charge block.
 
-    Degrees of freedom are the interior profile nodes 1..N-1 of each
-    plane (node 0 is the ghost tied to node 1, node N is pinned), plus
-    one charge per plane when ``sigmas`` is given, laid out plane by
-    plane.  In decomposition coordinates the form has no profile-charge
-    cross terms: every plane shares one SPD tridiagonal block, factored
-    once as L D L^T, and the charge block (s+th for one plane,
-    [[s1+th, -beta], [-beta, s2+th]] for two) is inverted in closed form.
+    The descent's preconditioner: the positive-definite linear part of
+    the energy Hessian, without the |u|^p curvature.  Degrees of freedom
+    are the interior profile nodes 1..N-1 of each plane (node 0 is the
+    ghost tied to node 1, node N is pinned), plus one charge per plane
+    when ``sigmas`` is given, laid out plane by plane.  In decomposition
+    coordinates the form has no profile-charge cross terms: every plane
+    shares one SPD tridiagonal block, factored once as L D L^T, and the
+    charge block (s+th for one plane, [[s1+th, -beta], [-beta, s2+th]]
+    for two) is inverted in closed form.  The returned solve takes
+    right-hand sides as the rows of a (m, planes*stride) array and
+    solves them all in one LAPACK call.  Raises ArithmeticError when
+    either block is not positive definite.
 
-    The returned solve takes right-hand sides as the rows of a
-    (m, planes*stride) array and solves all of them, every plane's
-    profile at once, in one LAPACK call.  Raises ArithmeticError when
-    the tridiagonal block or the charge block is not positive definite.
-
-    Only the leading M x M block that the right-hand sides reach is
-    solved, and the profile entries past M are set to 0: pttrf's solve
-    takes M rows and solves that block with its factor, the first M
-    pivots and M-1 multipliers.  M is the last node where any
+    Tail cut: only the leading M x M block is solved, and the profile
+    entries past M are set to 0.  M is the last node where any
     right-hand side is nonzero, extended until the product of the
-    multipliers |e_i| has fallen by e^-_CUT_NATS.  Past the last nonzero
-    node the solution decays like that product, so the cut changes it
-    only below e^-80 of its value at that node, and the change reaches
-    that node and every node before it damped by e^-80 once more, far
-    below an ulp.  The cut matters for deep states, whose profiles
-    underflow to exact zeros well inside the box: without it the
-    forward sweep carries the solution into subnormal numbers, and once
-    there a multiplier above 1/2 holds it at the smallest subnormal
-    under round-to-nearest for the rest of the grid, each step a
-    slow-path multiply.  So the right-hand sides are scanned only when
-    the factor can trap, that is when some |e_i| > 1/2 sits more than
-    _TRAP_NATS of decay from node 0; otherwise M is every node.  Any
-    SPD preconditioner leaves the descent correct, because convergence
-    is judged on the full projected gradient.
+    multipliers |e_i| has fallen by e^-_CUT_NATS.  Past that node the
+    solution decays like that product, so the cut changes it only below
+    e^-80 of its value there, and up to there damped by e^-80 once more,
+    far below an ulp.  Deep states underflow to exact zeros well inside
+    the box, and without the cut the forward sweep carries the solution
+    into subnormal numbers, where a multiplier above 1/2 holds it at the
+    smallest subnormal under round-to-nearest, each step a slow-path
+    multiply (8.3 ms against 1.4 ms per solve at N = 32768).  The
+    right-hand sides are scanned for M only when the factor can trap,
+    that is when some |e_i| > 1/2 sits more than _TRAP_NATS of decay
+    from node 0, near exp(-708), the smallest normal double (a
+    constant-rate cut without that gate was 4-12% slower); otherwise M
+    is every node.  Any SPD preconditioner leaves
+    the descent correct, because convergence is judged on the full
+    projected gradient.
     """
     cu = grid.c_h1  # per cell; interior node j sits between cells j-1, j
     diag = shift * grid.w_trapz[1:-1] + cu[1:]
@@ -384,7 +299,7 @@ def _linear_solver(
 def _newton_solver(pd, phi, q, p, omega, sigmas, beta):
     """Factor the Hessian of E + (omega/2)*mass at the state (phi, q).
 
-    The descent's Newton step.  Same unknowns, layout and call as
+    The Newton endgame's step.  Same unknowns, layout and call as
     ``_linear_solver``'s solve; projecting its two solutions against the
     mass gradient, as the descent does, eliminates the mass border.
     Each plane's profile block is stiffness + omega*W minus the |u|^p
@@ -398,11 +313,12 @@ def _newton_solver(pd, phi, q, p, omega, sigmas, beta):
     graded mesh.  Without it the sigma = 6, mu = 2 mu* hybrid at
     N=32768 stops without progress.
 
-    Only the leading M nodes are solved, as in ``_linear_solver``: M is
-    the node after the last where phi (or, with charges, G) is nonzero,
-    extended until the tail operator stiffness + omega*W (no curvature
-    and no border there) has decayed by e^-_CUT_NATS, at the
-    constant-coefficient rate 2 asinh(h sqrt(omega)/2) nats per cell.
+    The tail is cut as in ``_linear_solver``: M is the node after the
+    last where phi (or, with charges, G) is nonzero, extended until the
+    tail operator stiffness + omega*W (no curvature and no border there)
+    has decayed by e^-_CUT_NATS, at the constant-coefficient rate
+    2 asinh(h sqrt(omega)/2) nats per cell.  Without the cut the
+    ``fine_hard`` operation ``n8192_g1.01`` took 96 ms against 56 ms.
     Raises ArithmeticError when a factor is singular.
     """
     k, n = phi.shape
@@ -567,10 +483,11 @@ def _mass(phi, q, pd):
 
 
 def _tangent_direction(solve, flat):
-    """Solve the two right-hand sides (gradient, mass gradient) and
-    project the first solution onto the mass sphere's tangent space in
-    the solve's metric; returns (direction, slope), or None when the
-    result is not a descent direction."""
+    """The projected step: solve the two right-hand sides (gradient,
+    mass gradient) and project the first solution onto the mass sphere's
+    tangent space in the solve's metric, the Sobolev gradient of Henning
+    and Peterseim (SIAM J. Numer. Anal. 58, 2020); returns (direction,
+    slope), or None when the result is not a descent direction."""
     gvec, dmvec = flat
     dvec, nvec = solve(flat)
     denom = float(dmvec @ nvec)
@@ -582,10 +499,12 @@ def _tangent_direction(solve, flat):
 
 
 def _residual_direction(solve, flat, omega_hat):
-    """Solve the one right-hand side r = gradient + (omega_hat/2) * mass
-    gradient, the Lagrangian residual, which pairs to 0 with the state;
-    returns (A^-1 r, <r, A^-1 r>), or None when that slope is not
-    positive and finite."""
+    """The residual step: solve the one right-hand side r = gradient +
+    (omega_hat/2) * mass gradient, the Lagrangian residual.  r pairs to
+    0 with the state, so A^-1 r is tangent as it stands and <r, A^-1 r>
+    is the energy's slope along the retracted path (Antoine, Levitt and
+    Tang, J. Comput. Phys. 343, 2017); returns (A^-1 r, slope), or None
+    when that slope is not positive and finite."""
     r = flat[0] + 0.5 * omega_hat * flat[1]
     pvec = solve(r[None])[0]
     slope = float(r @ pvec)
@@ -600,63 +519,69 @@ def _descend(pd, p, sigmas, beta, mu, cfg, phi, q, near=(), shift=None):
     (k, n), and ``q`` their charges, shape (k,).  ``sigmas`` is None for
     the chargeless planar problem, whose charge stays zero.  ``p`` is
     the power, one scalar or one per row; None switches the |u|^p term
-    off, and the descent then minimizes the linear energy Q/2.  The
-    start's tolerance is ``cfg.grad_tol`` on the projected-gradient norm
-    scaled by sqrt(mu) * max(1, |omega_hat|), the running multiplier
-    estimate; the rules below read that scaled norm.
+    off, and the descent then minimizes the linear energy Q/2.  Raises
+    ValueError when the start cannot be scaled onto the sphere of mass
+    ``mu``.
 
-    Each step starts as a preconditioned step: the linear-part solve is
-    refactored with a mass shift that tracks the running multiplier
-    estimate, so the metric stays matched to the linear part even when
-    the final omega sits far from the decomposition rate (the chargeless
-    planar problem being the extreme case).  Where the first cell
-    resolves the decay length 1/sqrt|omega_hat| (see the module
-    docstring), the step solves the Lagrangian residual alone
-    (``_residual_direction``, one column per plane); elsewhere it
-    projects the solved gradient against the solved mass gradient
-    (``_tangent_direction``, two columns per plane).  The projected
-    step is also the fallback of a residual step whose slope is not
-    positive and finite, which the SPD solve leaves only to a zero
-    residual, an underflow or a non-finite state.
+    Stop test: the W-metric projected-gradient norm is at most
+    ``cfg.grad_tol`` * sqrt(mu) * max(1, |omega_hat|), omega_hat being
+    the running multiplier estimate.  The gradient grows with the state,
+    as sqrt(mu), and with omega_hat, so small masses and deep states are
+    held to the same relative stationarity as shallow ones at mass 1;
+    the rules below read the norm so scaled.
 
-    Where the nonlinear term dominates the Hessian that metric contracts
-    slowly.  So once a start is in a basin but crawling (the scaled
-    projected-gradient norm fell by less than _CRAWL per iteration over
-    the last _WINDOW iterations while omega_hat stayed within
-    _OMEGA_DRIFT relative, and it is still more than _NOISE_BAND times
-    its tolerance), it takes Newton steps for the rest of its descent: the same projection with ``_newton_solver``
-    in place of the preconditioner, first trial step 1.  The
-    preconditioned step is the fallback for a step whose Newton
-    factor fails or whose Newton direction does not descend.  Switched
-    on from the first iteration, Newton steps sent a quarter of the
-    benchmark's 640 warm-pool solves to other critical points, hence the
-    gate.  In Newton mode a start that has not cut its norm by _PROGRESS
-    over its last _WINDOW iterations stops.
+    Preconditioner: ``_linear_solver`` at the mass shift ``shift``
+    (pd.lam by default), refactored at |omega_hat| once that leaves a
+    factor-3 band around the shift, at most every 10 iterations, so that
+    it tracks omega (a fixed shift took 102,397 warm-pool iterations
+    against 50,909; a refactor every iteration fails criterion 5).
 
-    The run dict's ``stop`` says why the descent ended: ``converged``,
-    ``stalled`` (_STALL_LIMIT steps in a row each lowered the energy by
-    at most _ENERGY_TOL relative), ``no_progress`` (the Newton-mode
-    rule), ``line_search`` (no step down to _STEP_FLOOR passed Armijo),
-    ``max_iters`` or ``degenerate`` (the projected step does not
-    descend).  The residual step always descends, so on the warm pool
-    at N=8192, grading 1.01, no solve stops ``degenerate``, where 337 of
-    640 did with the projected step everywhere (module docstring).
+    Step: where the grid's first cell resolves |omega_hat| the residual
+    step (``_residual_direction``, one column per plane), elsewhere the
+    projected step (``_tangent_direction``, two columns), which is also
+    the fallback of a residual step whose slope is not positive and
+    finite.  The residual step everywhere leaves census draws 11, 45,
+    189, 266 and 285 unconverged, and the R = 1e6 box hybrid.  Armijo
+    backtracking on the true energy starts from _STEP_SIZE, then from
+    _STEP_GROW times the last accepted step (a fixed first step of 1
+    took 77,193 iterations against 50,909).  Each evaluated point gets
+    one energy-kernel call, so one |u|^p power pass, and the accepted
+    trial's pieces give the next iteration's gradient.
 
-    ``near`` holds the converged runs of earlier starts.  From its first
-    iteration, after the convergence test, the descent also stops, stop
-    ``duplicate``, when it lies within _DUPLICATE, in the distance
-    sqrt(mass(U - U_f) / mu), of one of their states U_f and its energy
-    is not below that run's (within _TIE relative): it is on its way to
-    U_f.  So a start that meets its tolerance is ``converged``, never
-    ``duplicate``, and with no ``near`` runs the check never fires.
-    ``shift`` is the first factor's mass shift, pd.lam by default; the
-    run dict's ``omega_hat`` is the final multiplier estimate.
-    Raises ValueError when the start cannot be scaled onto the sphere
-    of mass ``mu``.
+    Newton endgame: the preconditioner leaves out the |u|^p curvature,
+    and where that term dominates (a strong interaction at large mass,
+    or p near 2) the descent contracts by only 0.91-0.94 per iteration;
+    the endgame takes the sigma = 6, mu = 2 mu* hybrid from 138 to 46
+    iterations.  Once a start's scaled norm fell by less than _CRAWL
+    per iteration over the last _WINDOW iterations, with omega_hat
+    within _OMEGA_DRIFT relative over them and the norm more than
+    _NOISE_BAND times its tolerance, the start takes Newton steps
+    (``_newton_solver``, first trial step 1) to its end, falling back to
+    the preconditioned step when the factor fails or the direction does
+    not descend.  Newton from the first iteration sent a quarter of the
+    warm pool's 640 solves to other critical points.  Without the drift
+    condition both sigma = 6 ``fine_hard`` solves stop at E = -43.17 in
+    place of -109.90.  Inside the noise band the norm's roundoff floor
+    sets its ratio: on the N = 32768, grading 1.000625 mesh ulp noise
+    in phi alone is twice the default tolerance.  Without the crawl
+    condition 21 tier-1 tests fail.
+
+    ``stop`` says why the descent ended: ``converged``; ``duplicate``
+    (after the stop test, the iterate lies within _DUPLICATE, in the
+    distance sqrt(mass(U - U_f) / mu), of the state U_f of a converged
+    run in ``near``, and its energy is not below that run's within
+    _TIE); ``stalled`` (_STALL_LIMIT steps in a row each lowered the
+    energy by at most _ENERGY_TOL relative); ``no_progress`` (in Newton
+    mode the norm did not fall by _PROGRESS over _WINDOW iterations;
+    without this stop the deep single (3.86, -0.27, 61.3) runs all
+    50,000 iterations); ``line_search`` (no step down to _STEP_FLOOR
+    passed Armijo); ``degenerate`` (the projected step does not
+    descend); ``max_iters``.  The run dict's ``omega_hat`` is the final
+    multiplier estimate.
     """
     k, n = phi.shape
     nin = n - 2
-    w, h0 = pd.grid.w_trapz, pd.grid.h[0]
+    w = pd.grid.w_trapz
     charged = sigmas is not None
     stride = nin + (1 if charged else 0)
     sig_theta = pd.theta + (np.array(sigmas) if charged else 0.0)
@@ -762,7 +687,7 @@ def _descend(pd, p, sigmas, beta, mu, cfg, phi, q, near=(), shift=None):
             except ArithmeticError:
                 pass
         s_try = 1.0 if found else step * _STEP_GROW
-        if found is None and h0 * math.sqrt(abs(omega_hat)) <= _FIRST_CELL_FACTOR:
+        if found is None and pd.grid.resolves(abs(omega_hat)):
             found = _residual_direction(lin_solve, flat, omega_hat)
         if found is None:
             found = _tangent_direction(lin_solve, flat)
@@ -826,20 +751,19 @@ def _solve_on_grid(pd, p, sigmas, beta, mu, cfg):
     """Sequential multistart over ``cfg.starts``; returns the ``_lowest``
     of the finished runs.
 
-    The starts run in order, each given the converged runs finished
-    before it as ``_descend``'s ``near``.  A start that joins one of
-    those states (stop ``duplicate``) is dropped; every other run is
-    finished, and only the finished runs go into ``_lowest``, so the
-    winner never is a joined start.  Only converged runs are joined:
-    joining unconverged ones as well flipped one draw of the 300-draw
-    census from ``converged`` to ``no_progress`` and left 12 deep
-    ``no_progress`` draws 2-86% higher in energy.  A start after a
-    converged run begins at shift max(|omega_hat|, 1e-10) of the last
-    one (the refactor rule's floor), any other start at pd.lam.  Measured
-    over the benchmark's 640 warm-pool and 7 fine_hard solves: a joined
-    start, run alone from its shift, ends at most 5.7e-5 from the state
-    it joined, and the closest two distinct converged states are 0.80
-    apart.
+    The starts mostly reach one state.  So they run in order, each given
+    the converged runs finished before it as ``_descend``'s ``near``,
+    and a start that joins one of those states (stop ``duplicate``) is
+    dropped: the winner never is a joined start.  With the projected
+    step everywhere the warm pool took 22,422 iterations so, and 50,743
+    with every start run to its end.  Over the benchmark's
+    647 solves a joined start, run alone, ends at most 5.7e-5 from the
+    state it joined, and two distinct converged states lie at least 0.80
+    apart.  Joining unconverged runs as well flipped a census draw from
+    ``converged`` to ``no_progress``.  A start after a converged run
+    begins at the shift max(|omega_hat|, 1e-10) of the last one, the
+    refactor rule's floor, where the linear level pd.lam was 10x or more
+    off for 458 of the warm pool's 1,596 joined starts.
     """
     runs = []
     for s in cfg.starts:
@@ -865,13 +789,9 @@ def _sample_profiles(grid, u1, u2) -> dict[str, list[float]]:
     # repeats is np.unique, whose first call imports numpy.ma
     idx = np.geomspace(1, n - 2, 64).astype(int)
     idx = idx[np.r_[True, idx[1:] != idx[:-1]]]
-    t1 = total_field(u1).values
-    t2 = total_field(u2).values
-    return {
-        "r": [float(x) for x in grid.r[idx]],
-        "u1": [float(x) for x in t1[idx]],
-        "u2": [float(x) for x in t2[idx]],
-    }
+    return {"r": grid.r[idx].tolist(),
+            "u1": total_field(u1).values[idx].tolist(),
+            "u2": total_field(u2).values[idx].tolist()}
 
 
 def _build_report(pd, run, P, side=None, *, vertex=True):
@@ -925,8 +845,6 @@ def solve_single(p: float, sigma: float, mu: float,
                  cfg: SolverConfig | None = None) -> GroundStateReport:
     """Ground state of one plane with its point charge at mass mu."""
     cfg = cfg if cfg is not None else SolverConfig()
-    if not math.isfinite(sigma):
-        raise ValueError("sigma must be finite")
     P = HybridParams(p, p, sigma, 0.0, 0.0, mu)
     pd = _setup(lambda_for_theta(-sigma), cfg)
     run = _solve_on_grid(pd, p, (sigma,), 0.0, mu, cfg)

@@ -77,6 +77,13 @@ class TestRho:
         assert rho_detail(2.5, cfg) == first
         assert rho(2.5, cfg) == first.value
 
+    def test_list_of_starts_keys_the_cache(self):
+        # the config's starts are hashed into rho's cache key
+        listed = SolverConfig(N=512, starts=[0.1, 0.9])
+        assert rho(3.0, listed) == rho(3.0, SolverConfig(N=512, starts=(0.1, 0.9)))
+        with pytest.raises(ValueError):
+            SolverConfig(N=512, starts=0.5)
+
     def test_cache_keeps_numbers_not_reports(self):
         # a held reference report would keep its state, plane and grid:
         # about 26 KB per power at N = 256

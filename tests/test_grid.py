@@ -11,7 +11,9 @@ import pytest
 from scipy.integrate import quad
 
 from hybrid_nls.grid import (
+    RESOLUTION,
     RadialField,
+    RadialGrid,
     eval_at_origin,
     first_cell,
     make_grid,
@@ -95,6 +97,21 @@ class TestMakeGrid:
         bad[3] = np.inf
         with pytest.raises(ValueError):
             RadialField(g, bad)
+
+
+class TestResolution:
+    def test_boundary(self):
+        assert RESOLUTION == 0.05
+        assert RadialGrid.cell_resolves(0.05, 1.0)
+        assert not RadialGrid.cell_resolves(math.nextafter(0.05, 1.0), 1.0)
+        assert RadialGrid.cell_resolves(1e6, 0.0)
+
+    def test_grid_reads_its_first_cell(self, default_grid):
+        h0 = default_grid.h[0]
+        rate = (RESOLUTION / h0) ** 2
+        for r in (0.0, 0.5 * rate, math.nextafter(rate, 2.0 * rate), 2.0 * rate, 1.0):
+            assert default_grid.resolves(r) == RadialGrid.cell_resolves(h0, r)
+        assert default_grid.resolves(0.5 * rate) and not default_grid.resolves(2.0 * rate)
 
 
 class TestEvalAtOrigin:

@@ -37,12 +37,13 @@ from hybrid_nls.energy import (
     plane_data,
     q_form_sigma,
 )
-from hybrid_nls.grid import make_grid
+from hybrid_nls.grid import RadialGrid, first_cell, make_grid
 from hybrid_nls.solver import (
     _RATE_MARGIN,
     _TIE,
     GroundStateReport,
     SolverConfig,
+    _auto_grading,
     _grid_for,
     _linear_solver,
     _lowest,
@@ -129,11 +130,22 @@ class TestConfigContract:
             {"starts": ()},
             {"N": 8192, "grading": 1.2},
             {"grading": 1.9},
+            {"starts": 0.5},
+            {"starts": None},
+            {"starts": [None]},
+            {"starts": [0.5, "x"]},
         ],
     )
     def test_rejects_bad_values(self, kw):
         with pytest.raises(ValueError):
             SolverConfig(**kw)
+
+    def test_starts_are_stored_as_a_tuple_of_floats(self):
+        c = SolverConfig(starts=[0.1, np.float64(0.5), 1])
+        assert c.starts == (0.1, 0.5, 1.0) and type(c.starts) is tuple
+        assert all(type(s) is float for s in c.starts)
+        assert c == SolverConfig(starts=(0.1, 0.5, 1.0))
+        assert hash(c) == hash(SolverConfig(starts=(0.1, 0.5, 1.0)))
 
     def test_frozen(self, cfg):
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -146,6 +158,26 @@ class TestConfigContract:
         assert fine.R == cfg.R
         assert fine.starts == cfg.starts
         assert fine.grad_tol == cfg.grad_tol
+
+
+class TestAutoGrading:
+    """The grading that resolves the linear level, pinned bit for bit."""
+
+    def test_default_grid_resolves_rate_one(self):
+        assert _auto_grading(40.0, 2048, 1.01, 1.0) == 1.01
+
+    def test_deep_rate_takes_the_bisection(self):
+        lam = _RATE_MARGIN * omega_star(HybridParams(3, 3, -0.5, 2, 2, 1))
+        g = _auto_grading(40.0, 2048, 1.01, lam)
+        assert g == 1.010192265227707
+        # the smallest grading that resolves lam: one ulp less does not
+        assert RadialGrid.cell_resolves(first_cell(40.0, 2048, g), lam)
+        assert not RadialGrid.cell_resolves(
+            first_cell(40.0, 2048, math.nextafter(g, 1.0)), lam)
+
+    def test_too_deep_rate_is_refused(self):
+        with pytest.raises(ValueError, match=r"rate 1\.000e\+200 is too deep for an N=2048"):
+            _auto_grading(40.0, 2048, 1.01, 1e200)
 
 
 class TestOmegaStarClosedForm:

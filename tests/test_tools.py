@@ -190,3 +190,46 @@ def test_census_records_take_one_line_each():
     assert json.loads(text) == data
     assert '{"key": "a", "starts": [{"n": 1}]}' in text
     assert '{"draw": 0}' in text and '{"draw": 1}' in text
+
+
+LINES_FIXTURE = '''"""Module docstring,
+two lines."""
+
+import math  # a comment
+
+
+# a comment line
+class Shape:
+    """Class docstring."""
+
+    side = 2.0
+
+    def area(self):
+        """Method docstring,
+
+        three lines."""
+        return self.side ** 2
+
+
+async def fetch():
+    """One line."""
+    text = """a string that is
+    not a docstring"""
+    return text
+'''
+
+
+def test_count_lines_fixture(tmp_path, capsys):
+    tool = _load("count_lines")
+    # code lines: import, class, side, def, return, async def, the two
+    # lines of the string, return; docstring lines: 2 + 1 + 3 + 1
+    assert tool.count(LINES_FIXTURE) == (24, 9, 7)
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "b.py").write_text(LINES_FIXTURE)
+    (tmp_path / "pkg" / "a.py").write_text("x = 1\n\n")
+    assert tool.main([str(tmp_path / "pkg")]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[0].split() == ["raw", "code", "doc", "path"]
+    assert [r.split()[-1].rsplit("/", 1)[-1] for r in rows[1:]] == ["a.py", "b.py", "total"]
+    assert rows[-1].split()[:3] == ["26", "10", "7"]
+
