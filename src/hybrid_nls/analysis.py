@@ -327,12 +327,6 @@ def sweep(P: HybridParams, mode: str, values,
                       references=refs, errors=tuple(errors))
 
 
-def _field_values(f) -> np.ndarray:
-    if isinstance(f, RadialField):
-        return f.values
-    return np.asarray(f, dtype=np.float64)
-
-
 def monotone_radial_check(f) -> tuple[bool, int]:
     """Count increases along the radial direction.
 
@@ -340,7 +334,7 @@ def monotone_radial_check(f) -> tuple[bool, int]:
     than a 1e-12 relative slack.  Accepts a RadialField or a plain
     sequence of node values.
     """
-    v = _field_values(f)
+    v = f.values if isinstance(f, RadialField) else np.asarray(f, np.float64)
     viol = int(np.sum(v[1:] > v[:-1] + 1e-12 * np.abs(v[:-1])))
     return viol == 0, viol
 
@@ -355,7 +349,9 @@ def rearrange_decreasing(f: RadialField) -> RadialField:
     level set (up to mesh resolution) and the squared integral exactly,
     and it reproduces an already-decreasing field bit for bit.
     """
-    v = _field_values(f)
+    if not isinstance(f, RadialField):
+        raise TypeError("expected a RadialField")
+    v = f.values
     if np.any(v < 0.0):
         raise ValueError("rearrangement expects a nonnegative field")
     if np.all(v[1:] <= v[:-1]):

@@ -33,10 +33,6 @@ __all__ = ["main", "cmd_solve", "cmd_sweep", "cmd_baseline", "cmd_verify"]
 SCHEMA_VERSION = 4
 
 _FORMATS = ("json", "csv", "svg")
-#: options that set HybridParams fields of the same name
-_PARAM_KEYS = ("p1", "p2", "sigma1", "sigma2", "beta", "mu")
-#: options that set SolverConfig fields of the same name
-_SOLVER_KEYS = ("R", "N", "grading", "grad_tol", "max_iters", "starts")
 #: config-file entries whose JSON list is read as the flag's comma text
 _LIST_KEYS = ("starts", "values", "p", "mustar", "formats")
 #: config-file entries that must hold text
@@ -110,15 +106,14 @@ def _build_parsers() -> tuple[_Parser, _Parser]:
     output.add_argument("--out", help="output directory")
     output.add_argument("--formats", type=_formats, default="json,csv",
                         help="comma-separated subset of json,csv,svg")
-    for name in ("R", "grading", "grad-tol"):
-        solver.add_argument(f"--{name}", type=float)
-    for name in ("N", "max-iters"):
-        solver.add_argument(f"--{name}", type=int)
-    solver.add_argument("--starts", type=_floats,
-                        help="comma-separated descent start weights")
-    solver.set_defaults(**{k: getattr(SolverConfig, k) for k in _SOLVER_KEYS})
-    for name, default in zip(_PARAM_KEYS, (3.0, 3.0, 0.0, 0.0, 1.0, 1.0)):
-        model.add_argument(f"--{name}", type=float, default=default)
+    for f in dataclasses.fields(SolverConfig):  # typed as their defaults
+        kind = ({"type": _floats, "help": "comma-separated descent start "
+                 "weights"} if f.name == "starts" else {"type": type(f.default)})
+        solver.add_argument("--" + f.name.replace("_", "-"), default=f.default,
+                            **kind)
+    for f, default in zip(dataclasses.fields(HybridParams),
+                          (3.0, 3.0, 0.0, 0.0, 1.0, 1.0)):
+        model.add_argument(f"--{f.name}", type=float, default=default)
     model.add_argument("--mu-relative", type=float,
                        help="target mass as a multiple of the critical mass")
 
@@ -211,10 +206,12 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
     """
     opts = vars(args)
     try:
-        args.solver = SolverConfig(**{k: opts[k] for k in _SOLVER_KEYS
-                                      if k in opts})
+        args.solver = SolverConfig(**{f.name: opts[f.name] for f in
+                                      dataclasses.fields(SolverConfig)
+                                      if f.name in opts})
         if "mu" in opts:
-            args.params = HybridParams(*(opts[k] for k in _PARAM_KEYS))
+            args.params = HybridParams(**{f.name: opts[f.name] for f in
+                                          dataclasses.fields(HybridParams)})
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     args.out = args.out or os.environ.get("HYBRID_NLS_OUT") or "."
@@ -255,6 +252,9 @@ def _write(args: argparse.Namespace, fmt: str, text: str,
 
 
 def _write_json(args: argparse.Namespace, payload: dict) -> None:
+    """Write ``payload`` under the format tag and the command's name."""
+    payload = {"schema_version": SCHEMA_VERSION, "command": args.command,
+               **payload}
     _write(args, "json", json.dumps(payload, indent=2, sort_keys=True,
                                     allow_nan=False) + "\n")
 
@@ -302,8 +302,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
     P = _apply_mu_relative(args)
     report = solve_hybrid(P, args.solver)
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "solve",
         "params": dataclasses.asdict(P),
         "solver": dataclasses.asdict(args.solver),
         "mass_carrier": _mass_carrier(report, P.mu),
@@ -357,8 +355,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                    [[r[c] for c in table.COLUMNS] for r in rows])
     if "json" in args.formats:
         _write_json(args, {
-            "schema_version": SCHEMA_VERSION,
-            "command": "sweep",
             "mode": args.mode,
             "params": dataclasses.asdict(P),
             "solver": dataclasses.asdict(args.solver),
@@ -399,8 +395,6 @@ def cmd_baseline(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     payload: dict = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "baseline",
         "solver": dataclasses.asdict(solver),
         "rho": {},
         "reference_mass": {},
@@ -454,8 +448,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for line in report.lines():
         print(line)
     if "json" in args.formats:
-        _write_json(args, {"schema_version": SCHEMA_VERSION,
-                           "command": "verify", **report.as_dict()})
+        _write_json(args, report.as_dict())
     if report.all_passed:
         return 0
     print("failed criteria: "

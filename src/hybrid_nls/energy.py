@@ -132,16 +132,14 @@ class HybridParams:
 
 @dataclass
 class HybridState:
-    """Two charged fields sharing one grid."""
+    """Two charged fields sharing one grid object."""
 
     u1: ChargedField
     u2: ChargedField
 
     def __post_init__(self) -> None:
         if self.u1.grid is not self.u2.grid:
-            g1, g2 = self.u1.grid, self.u2.grid
-            if g1.signature() != g2.signature():
-                raise ValueError("both planes must live on the same grid")
+            raise ValueError("both planes must live on the same grid")
 
     @property
     def grid(self) -> RadialGrid:

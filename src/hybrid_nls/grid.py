@@ -54,12 +54,14 @@ __all__ = [
 RESOLUTION = 0.05
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RadialGrid:
     """Graded radial mesh on [0, R] with precomputed quadrature data.
 
     ``r`` holds the N+1 nodes with r[0] = 0 and r[N] = R.  Instances are
-    immutable; fields are documented in the module docstring.
+    immutable; fields are documented in the module docstring.  A grid
+    compares and hashes by identity: planes share a mesh when they hold
+    one grid object.
     """
 
     r: np.ndarray
@@ -74,11 +76,6 @@ class RadialGrid:
     def n_nodes(self) -> int:
         return self.n_cells + 1
 
-    def signature(self) -> tuple:
-        """Box, cell count and grading: equal for equal meshes, whichever
-        object holds them (a :class:`HybridState`'s two grids must match)."""
-        return (round(self.R, 12), self.n_cells, round(self.grading, 12))
-
     @staticmethod
     def cell_resolves(h0: float, rate: float) -> bool:
         """Whether a first cell of width ``h0`` resolves ``rate`` (see
@@ -90,9 +87,10 @@ class RadialGrid:
         return self.cell_resolves(self.h[0], rate)
 
 
-@dataclass
+@dataclass(eq=False)
 class RadialField:
-    """Real values of a radial function sampled on the grid nodes."""
+    """Real values of a radial function sampled on the grid nodes;
+    compared by identity, as its grid is."""
 
     grid: RadialGrid
     values: np.ndarray
@@ -161,13 +159,9 @@ def make_grid(R: float, n: int, grading: float = 1.01) -> RadialGrid:
     check_mesh(R, n, grading)
 
     m = n // 2
-    if grading == 1.0:
-        h = np.full(n, R / n)
-    else:
-        ratios = grading ** np.arange(m, dtype=np.float64)
-        denom = ratios.sum() + (n - m) * grading**m
-        h0 = R / denom
-        h = np.concatenate([h0 * ratios, np.full(n - m, h0 * grading**m)])
+    ratios = grading ** np.arange(m, dtype=np.float64)
+    h0 = R / (ratios.sum() + (n - m) * grading**m)
+    h = np.concatenate([h0 * ratios, np.full(n - m, h0 * grading**m)])
 
     r = np.concatenate([[0.0], np.cumsum(h)])
     r[-1] = R  # absorb cumsum rounding at the far end

@@ -405,21 +405,20 @@ def _newton_solver(pd, phi, q, p, omega, sigmas, beta):
 def omega_star_grid(P: HybridParams, cfg: SolverConfig | None = None) -> float:
     """Grid value of the coupling threshold: -min Q(U)/mass(U).
 
-    Independently of the secular closed form, runs the same descent as
-    the nonlinear solvers (``_descend``) with the |u|^p term off, so it
-    minimizes the energy Q/2 on the unit-mass sphere of the discretized
-    two-plane space from the middle start, and returns -Q(U) at the
-    minimizer.  Because it shares every quadrature and every line of
-    the descent with the nonlinear solvers, the inequality
+    Independently of the secular closed form, runs the nonlinear
+    solvers' multistart (``_solve_on_grid``) from the middle start alone
+    with the |u|^p term off, so it minimizes the energy Q/2 on the
+    unit-mass sphere of the discretized two-plane space, and returns
+    -Q(U) at the minimizer.  Because it shares every quadrature and
+    every line of the descent with the nonlinear solvers, the inequality
     omega > omega_star_grid holds for their converged ground states
     without discretization-bias caveats.  Raises RuntimeError when the
     descent stops unconverged.
     """
     cfg = cfg if cfg is not None else SolverConfig()
     pd = _setup(omega_star(P), cfg)
-    sigmas = (P.sigma1, P.sigma2)
-    phi, q = _initial_guess(pd, sigmas, P.beta, 1.0, 0.5)
-    run = _descend(pd, None, sigmas, P.beta, 1.0, cfg, phi, q)
+    run = _solve_on_grid(pd, None, (P.sigma1, P.sigma2), P.beta, 1.0,
+                         dataclasses.replace(cfg, starts=(0.5,)))
     if not run["converged"]:
         raise RuntimeError(
             f"linear descent stopped unconverged ({run['stop']}) after "

@@ -404,6 +404,9 @@ def _c12_action_identities(ctx: _Context):
             acts.i_omega / P.p2 + acts.b_omega,
         ):
             worst_id = max(worst_id, abs(acts.s_omega - combo) / scale)
+    # The Nehari clause cannot fail: extract_omega is the omega that zeroes
+    # I_omega, from the same _state_pieces action_functionals sums, so the
+    # ratio measures rounding, not convergence (ROADMAP item 3).
     worst_nehari = 0.0
     # one plane with its charge: the state the beta = 0 hybrid reports
     for P2, r in ((_COUPLED, ctx.solve(solve_hybrid, _COUPLED)),

@@ -393,6 +393,11 @@ class TestRearrangeDecreasing:
         g = rearrange_decreasing(f)
         assert np.array_equal(g.values, f.values)
 
+    def test_plain_array_refused(self):
+        # node values alone carry no measure to rearrange against
+        with pytest.raises(TypeError, match="RadialField"):
+            rearrange_decreasing(np.array([1.0, 2.0, 0.0]))
+
     def test_negative_values_rejected(self):
         grid = make_grid(10.0, 128, 1.02)
         with pytest.raises(ValueError):

@@ -383,6 +383,7 @@ class TestSweep:
         assert len(rows) == 4
         assert len({len(r) for r in rows}) == 1
         s = read_json(tmp_path / "summary.json")
+        assert (s["schema_version"], s["command"]) == (4, "sweep")
         assert s["verdicts"]["mass1_fraction_monotone"] == "nondecreasing"
         assert s["verdicts"]["concentration"] == "plane1"
         assert s["verdicts"]["all_converged"] is True
@@ -511,6 +512,7 @@ class TestBaseline:
                      "--out", str(tmp_path), *FAST])
         assert code == 0
         b = read_json(tmp_path / "baseline.json")
+        assert (b["schema_version"], b["command"]) == (4, "baseline")
         assert b["rho"]["3"] > 0.0
         assert b["scaling"]["3"]["rel_err"] <= 0.02
         entry = b["mu_star"]["2.5:3.5"]
@@ -577,6 +579,7 @@ class TestVerify:
         # the strong-interaction energy clause is a known physical
         # limitation at interaction strength 6; everything else passes
         d = read_json(tmp_path / "verify.json")
+        assert (d["schema_version"], d["command"]) == (4, "verify")
         failed = [r["number"] for r in d["results"] if not r["passed"]]
         assert failed == [8]
         assert code == 1

@@ -120,7 +120,8 @@ class TestTypes:
             u.lam = 1.0
         # a plane built on another grid object is refused, even an equal one
         twin = make_grid(30.0, 256, 1.02)
-        assert twin.signature() == small_grid.signature()
+        assert (twin.R, twin.n_cells, twin.grading) == (
+            small_grid.R, small_grid.n_cells, small_grid.grading)
         for grid in (twin, default_grid):
             with pytest.raises(ValueError, match="grid"):
                 ChargedField(phi, 0.1, plane_data(grid, 2.5))
@@ -128,10 +129,14 @@ class TestTypes:
     def test_state_grid_compatibility(self, small_grid, default_grid):
         z1 = ChargedField(RadialField(small_grid, np.zeros(small_grid.n_nodes)),
                           0.0, plane_data(small_grid, 1.0))
-        z2 = ChargedField(RadialField(default_grid, np.zeros(default_grid.n_nodes)),
-                          0.0, plane_data(default_grid, 1.0))
-        with pytest.raises(ValueError):
-            HybridState(z1, z2)
+        # a twin of small_grid (equal arguments, another object) is refused
+        # like a different mesh: both planes hold one grid object
+        twin = make_grid(30.0, 256, 1.02)
+        for grid in (default_grid, twin):
+            z2 = ChargedField(RadialField(grid, np.zeros(grid.n_nodes)),
+                              0.0, plane_data(grid, 1.0))
+            with pytest.raises(ValueError, match="same grid"):
+                HybridState(z1, z2)
 
 
 class TestMass:

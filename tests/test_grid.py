@@ -89,6 +89,31 @@ class TestMakeGrid:
             assert np.all(g.w_trapz >= 0.0)
             assert np.all(simpson_weights(g.r) >= 0.0)
 
+    @pytest.mark.parametrize("R, n", [(40.0, 1024), (10.0, 64), (12.0, 129),
+                                      (1e6, 512)])
+    def test_uniform_mesh_is_the_geometric_formula_at_ratio_one(self, R, n):
+        # uniform cells R/n, built directly: the geometric formula gives
+        # them bit for bit at ratio 1
+        h = np.full(n, R / n)
+        r = np.concatenate([[0.0], np.cumsum(h)])
+        r[-1] = R
+        h = np.diff(r)
+        w = np.zeros(n + 1)
+        w[1:] += np.pi * r[1:] * h
+        w[:-1] += np.pi * r[:-1] * h
+        c = 2.0 * np.pi * (0.5 * (r[:-1] + r[1:])) / h
+        g = make_grid(R, n, 1.0)
+        for got, want in ((g.r, r), (g.h, h), (g.w_trapz, w), (g.c_h1, c)):
+            assert np.array_equal(got, want)
+
+    def test_grids_and_fields_compare_by_identity(self):
+        g, twin = make_grid(10.0, 64, 1.02), make_grid(10.0, 64, 1.02)
+        assert g == g and g != twin
+        assert hash(g) != hash(twin) and len({g, g, twin}) == 2
+        f = RadialField(g, np.ones(g.n_nodes))
+        assert f == f and f != RadialField(g, np.ones(g.n_nodes))
+        assert hash(f) == hash(f)
+
     def test_field_validation(self):
         g = make_grid(10.0, 64, 1.0)
         with pytest.raises(ValueError):

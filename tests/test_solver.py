@@ -1230,6 +1230,16 @@ class TestOmegaStarGridOracle:
         with pytest.raises(RuntimeError, match="after 2 iterations"):
             omega_star_grid(P, SolverConfig(N=256, max_iters=2))
 
+    @pytest.mark.parametrize("s1, s2, beta, n, level", [
+        (0.0, 1.0, 1.0, 2048, 2975.9411641467304),  # the README hybrid
+        (-1.0, 1.0, 2.0, 4096, 2013972809153.8828),  # criterion 13's steep triple
+    ])
+    def test_level_is_the_recorded_one(self, s1, s2, beta, n, level):
+        # recorded when the level ran its own one-start descent, before it
+        # went through the multistart: the same call, so the same bits
+        P = HybridParams(3.0, 3.0, s1, s2, beta, 1.0)
+        assert omega_star_grid(P, SolverConfig(N=n)) == level
+
 
 class TestLinearSolver:
     LAM = 50.0
