@@ -30,7 +30,7 @@ from .verify import run_suite
 
 __all__ = ["main", "cmd_solve", "cmd_sweep", "cmd_baseline", "cmd_verify"]
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 _FORMATS = ("json", "csv", "svg")
 #: config-file entries whose JSON list is read as the flag's comma text

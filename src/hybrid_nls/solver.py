@@ -11,7 +11,8 @@ that applies it:
 * the multistart, its joined starts and inherited multiplier:
   ``_solve_on_grid``; the winner among its runs: ``_lowest``;
 * the grading that resolves the linear level: ``_auto_grading``;
-* the beta = 0 shortcut: ``solve_hybrid``.
+* the beta = 0 shortcut: ``solve_hybrid``;
+* what makes a report certified: ``certify``.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import collections
 import dataclasses
 import math
+import operator
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -44,6 +46,9 @@ from .specfun import lambda_for_theta
 __all__ = [
     "SolverConfig",
     "GroundStateReport",
+    "Certificate",
+    "Check",
+    "certify",
     "solve_planar",
     "solve_single",
     "solve_hybrid",
@@ -97,6 +102,12 @@ class SolverConfig:
     starts: tuple[float, ...] = (0.1, 0.5, 0.9)
 
     def __post_init__(self) -> None:
+        for name in ("N", "max_iters"):
+            try:
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, "
+                                 f"got {getattr(self, name)!r}") from None
         check_mesh(self.R, self.N, self.grading)
         if not self.grad_tol > 0:
             raise ValueError(f"grad_tol must be > 0, got {self.grad_tol}")
@@ -113,9 +124,70 @@ class SolverConfig:
             raise ValueError("every start must lie in [0, 1]")
 
 
+#: the largest ``el_residual`` of a certified state
+_STATIONARITY_CAP = 1e-2
+
+
+@dataclass(frozen=True)
+class Check:
+    """One named test of a report: the value measured, the cap it is
+    held to and whether it passed (``certify`` states each rule)."""
+
+    name: str
+    value: float
+    cap: float
+    passed: bool
+
+
+@dataclass(frozen=True)
+class Certificate:
+    """Whether a report is a ground state of the problem, not just the
+    end of a descent: its stop test and its named checks, in order."""
+
+    converged: bool
+    checks: tuple[Check, ...]
+
+    @property
+    def failed(self) -> str | None:
+        """``"converged"`` when the descent stopped short, else the name
+        of the first failed check; None for a certified report."""
+        if not self.converged:
+            return "converged"
+        return next((c.name for c in self.checks if not c.passed), None)
+
+    @property
+    def certified(self) -> bool:
+        return self.failed is None
+
+    def __getitem__(self, name: str) -> Check:
+        return next(c for c in self.checks if c.name == name)
+
+    def as_dict(self) -> dict:
+        return {"certified": self.certified,
+                "checks": [dataclasses.asdict(c) for c in self.checks]}
+
+
+def certify(converged: bool, omega: float, el_res: float) -> Certificate:
+    """The certificate of a report with these numbers.  Its checks, each
+    written so that a NaN fails it:
+
+    * ``bound_state``: omega > 0.  A state with omega <= 0 lies at or
+      above the bottom of the continuous spectrum; on the unbounded
+      planes it would spread out, so only the box holds it.
+    * ``stationarity``: ``el_residual`` <= 1e-2, the field equation met
+      to 1% of the scale of its terms.
+    """
+    cap = _STATIONARITY_CAP
+    return Certificate(converged, (
+        Check("bound_state", omega, 0.0, omega > 0.0),
+        Check("stationarity", el_res, cap, el_res <= cap),
+    ))
+
+
 @dataclass
 class GroundStateReport:
-    """Converged-state summary returned by the solve_* entry points."""
+    """What a solve_* entry point found: the winning start's state, its
+    numbers and its certificate, converged or not."""
 
     energy: float
     mass1: float
@@ -126,9 +198,11 @@ class GroundStateReport:
     el_residual: float
     boundary_residuals: tuple[float, float]
     iterations: int
+    #: the winning start's stop test passed; ``certificate`` says more
     converged: bool
     #: why the winning start's descent ended (see ``_descend``)
     stop_reason: str
+    certificate: Certificate
     profile_samples: dict[str, list[float]]
     #: endpoint branches when the uncoupled problem ties (both one-sided
     #: configurations reach the same energy); None otherwise
@@ -139,6 +213,7 @@ class GroundStateReport:
     def as_dict(self) -> dict:
         d = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)
              if f.name not in ("branches", "state")}
+        d["certificate"] = self.certificate.as_dict()
         if self.branches is not None:
             d["branches"] = [b.as_dict() for b in self.branches]
         return d
@@ -419,7 +494,7 @@ def omega_star_grid(P: HybridParams, cfg: SolverConfig | None = None) -> float:
     pd = _setup(omega_star(P), cfg)
     run = _solve_on_grid(pd, None, (P.sigma1, P.sigma2), P.beta, 1.0,
                          dataclasses.replace(cfg, starts=(0.5,)))
-    if not run["converged"]:
+    if run["stop"] != "converged":
         raise RuntimeError(
             f"linear descent stopped unconverged ({run['stop']}) after "
             f"{run['iterations']} iterations (projected-gradient norm "
@@ -725,7 +800,6 @@ def _descend(pd, p, sigmas, beta, mu, cfg, phi, q, near=(), shift=None):
         "q": q,
         "energy": energy,
         "iterations": iterations,
-        "converged": stop == "converged",
         "stop": stop,
         "grad_norm": pg_norm,
         "omega_hat": omega_hat,
@@ -739,7 +813,7 @@ def _lowest(runs: list[dict]) -> dict:
     minimum would let roundoff choose the reported state.  Converged or
     not makes no difference: an unconverged run's energy still bounds
     the minimum from above, so a converged run above it is not the
-    ground state.  The winner's ``converged`` goes into the report.
+    ground state.  The winner's stop goes into the report.
     """
     best = min(runs, key=lambda r: r["energy"])
     e = best["energy"]
@@ -766,7 +840,7 @@ def _solve_on_grid(pd, p, sigmas, beta, mu, cfg):
     """
     runs = []
     for s in cfg.starts:
-        near = [r for r in runs if r["converged"]]
+        near = [r for r in runs if r["stop"] == "converged"]
         shift = max(abs(near[-1]["omega_hat"]), 1e-10) if near else pd.lam
         run = _descend(pd, p, sigmas, beta, mu, cfg,
                        *_initial_guess(pd, sigmas, beta, mu, s),
@@ -809,6 +883,8 @@ def _build_report(pd, run, P, side=None, *, vertex=True):
         raise RuntimeError(
             f"mass constraint violated in final state: {total!r} vs {P.mu!r}")
     omega = extract_omega(U, P)
+    el_res = el_residual(U, P, omega)
+    converged = run["stop"] == "converged"
     bres = boundary_residual(U, P) if vertex else (0.0, 0.0)
     return GroundStateReport(
         energy=run["energy"],
@@ -817,11 +893,12 @@ def _build_report(pd, run, P, side=None, *, vertex=True):
         q1=U.u1.q,
         q2=U.u2.q,
         omega=omega,
-        el_residual=el_residual(U, P, omega),
+        el_residual=el_res,
         boundary_residuals=bres,
         iterations=run["iterations"],
-        converged=run["converged"],
+        converged=converged,
         stop_reason=run["stop"],
+        certificate=certify(converged, omega, el_res),
         profile_samples=_sample_profiles(grid, U.u1, U.u2),
         state=U,
     )

@@ -69,10 +69,17 @@ class TestSolve:
                      *FAST])
         assert code == 0
         d = read_json(tmp_path / "report.json")
-        assert d["schema_version"] == 4
+        assert d["schema_version"] == 5
         assert d["command"] == "solve"
         assert d["converged"] is True
         assert d["stop_reason"] == "converged"
+        cert = d["certificate"]
+        assert cert["certified"] is True
+        assert cert["checks"] == [
+            {"name": "bound_state", "value": d["omega"], "cap": 0.0,
+             "passed": True},
+            {"name": "stationarity", "value": d["el_residual"], "cap": 1e-2,
+             "passed": True}]
         assert d["q1"] > 0.0
         assert d["q1"] == pytest.approx(d["q2"], rel=1e-8)
         rows = read_csv(tmp_path / "profiles.csv")
@@ -134,6 +141,7 @@ class TestSolve:
         assert code == 1
         d = read_json(tmp_path / "report.json")
         assert d["converged"] is False
+        assert d["certificate"]["certified"] is False
 
     def test_report_bit_identical_across_runs(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -383,7 +391,7 @@ class TestSweep:
         assert len(rows) == 4
         assert len({len(r) for r in rows}) == 1
         s = read_json(tmp_path / "summary.json")
-        assert (s["schema_version"], s["command"]) == (4, "sweep")
+        assert (s["schema_version"], s["command"]) == (5, "sweep")
         assert s["verdicts"]["mass1_fraction_monotone"] == "nondecreasing"
         assert s["verdicts"]["concentration"] == "plane1"
         assert s["verdicts"]["all_converged"] is True
@@ -512,7 +520,7 @@ class TestBaseline:
                      "--out", str(tmp_path), *FAST])
         assert code == 0
         b = read_json(tmp_path / "baseline.json")
-        assert (b["schema_version"], b["command"]) == (4, "baseline")
+        assert (b["schema_version"], b["command"]) == (5, "baseline")
         assert b["rho"]["3"] > 0.0
         assert b["scaling"]["3"]["rel_err"] <= 0.02
         entry = b["mu_star"]["2.5:3.5"]
@@ -579,7 +587,7 @@ class TestVerify:
         # the strong-interaction energy clause is a known physical
         # limitation at interaction strength 6; everything else passes
         d = read_json(tmp_path / "verify.json")
-        assert (d["schema_version"], d["command"]) == (4, "verify")
+        assert (d["schema_version"], d["command"]) == (5, "verify")
         failed = [r["number"] for r in d["results"] if not r["passed"]]
         assert failed == [8]
         assert code == 1

@@ -48,6 +48,7 @@ from hybrid_nls.solver import (
     _linear_solver,
     _lowest,
     _solve_two_plane,
+    certify,
     extract_omega,
     omega_star,
     omega_star_grid,
@@ -139,6 +140,18 @@ class TestConfigContract:
     def test_rejects_bad_values(self, kw):
         with pytest.raises(ValueError):
             SolverConfig(**kw)
+
+    @pytest.mark.parametrize("name,value", [("N", 512.7), ("max_iters", 2.5)])
+    def test_rejects_non_integral_counts(self, name, value):
+        # N = 512.7 solved on a 512-cell grid; max_iters = 2.5 raised
+        # TypeError inside the descent
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            SolverConfig(**{name: value})
+
+    def test_numpy_integer_counts_are_stored_as_int(self):
+        c = SolverConfig(N=np.int64(512), max_iters=np.int32(7))
+        assert type(c.N) is type(c.max_iters) is int
+        assert c == SolverConfig(N=512, max_iters=7)
 
     def test_starts_are_stored_as_a_tuple_of_floats(self):
         c = SolverConfig(starts=[0.1, np.float64(0.5), 1])
@@ -428,8 +441,8 @@ class TestUncoupledShortcut:
     def test_plane_choice_goes_by_energy(self):
         # an unconverged descent's energy still bounds its plane's minimum
         # from above, so a converged plane above it is not the ground state
-        runs = [{"energy": -1.0, "converged": True},
-                {"energy": -2.0, "converged": False}]
+        runs = [{"energy": -1.0, "stop": "converged"},
+                {"energy": -2.0, "stop": "stalled"}]
         assert _lowest(runs) is runs[1]
         runs[1]["energy"] = -1.0 - 1e-13
         assert _lowest(runs) is runs[0]
@@ -474,19 +487,19 @@ class TestCoupledHybrid:
     def test_multistart_tie_goes_to_the_first_start(self):
         # starts that reach one state differ by an ulp or two; the report
         # must not flip with the last bit of the arithmetic
-        runs = [{"energy": -1.0, "converged": True, "iterations": 18},
-                {"energy": -1.0 - 1e-15, "converged": True, "iterations": 17}]
+        runs = [{"energy": -1.0, "stop": "converged", "iterations": 18},
+                {"energy": -1.0 - 1e-15, "stop": "converged", "iterations": 17}]
         assert _lowest(runs) is runs[0]
-        runs.append({"energy": -1.0 - 1e-9, "converged": True, "iterations": 9})
+        runs.append({"energy": -1.0 - 1e-9, "stop": "converged", "iterations": 9})
         assert _lowest(runs) is runs[2]
 
     def test_lower_unconverged_start_beats_converged_ones(self):
         # an unconverged start's energy bounds the minimum from above, so
         # a converged start above it is a higher critical point
-        runs = [{"energy": -1.0, "converged": True},
-                {"energy": -2.0, "converged": False},
-                {"energy": -2.0 - 1e-13, "converged": False},
-                {"energy": -1.5, "converged": True}]
+        runs = [{"energy": -1.0, "stop": "converged"},
+                {"energy": -2.0, "stop": "stalled"},
+                {"energy": -2.0 - 1e-13, "stop": "stalled"},
+                {"energy": -1.5, "stop": "converged"}]
         assert _lowest(runs) is runs[1]
 
     def test_one_sided_start_beats_converged_saddle(self):
@@ -537,6 +550,50 @@ class TestCoupledHybrid:
         assert bb <= 0.6 * ba
 
 
+class TestCertificate:
+    """A report is certified when its descent converged and every check
+    passed; the first failure names the cause."""
+
+    CFG = SolverConfig(N=512)
+
+    def test_readme_hybrid_is_certified(self):
+        r = solve_hybrid(HybridParams(3.0, 3.0, 0.0, 1.0, 1.0, 1.0), self.CFG)
+        cert = r.certificate
+        assert cert.certified and cert.failed is None
+        assert [c.name for c in cert.checks] == ["bound_state", "stationarity"]
+        assert cert["bound_state"].value == r.omega
+        assert cert["stationarity"].value == r.el_residual
+
+    def test_state_of_the_box_fails_bound_state(self):
+        r = solve_planar(3.9, 1.0, self.CFG)
+        assert r.converged and rel(r.omega, -2.99e-3) < 1e-2
+        assert not r.certificate.certified
+        assert r.certificate.failed == "bound_state"
+        assert not r.certificate["bound_state"].passed
+
+    def test_unstationary_state_fails_stationarity(self):
+        # plane 1 holds 2.5e-12 of the mass, and the field equation is
+        # met only to 67% of its scale
+        r = solve_hybrid(HybridParams(3.0, 3.0, 200.0, 200.0, 0.5, 1.0), self.CFG)
+        assert r.converged and r.omega > 0.0 and r.mass1 < 1e-11
+        assert rel(r.el_residual, 0.671) < 1e-2
+        assert not r.certificate.certified
+        assert r.certificate.failed == "stationarity"
+
+    @pytest.mark.parametrize("omega,el_res,failed", [
+        (1.0, 1e-2, None),
+        (0.0, 0.0, "bound_state"),
+        (math.nan, 0.0, "bound_state"),
+        (-1.0, 1.0, "bound_state"),
+        (1.0, 1.0000001e-2, "stationarity"),
+        (1.0, math.nan, "stationarity"),
+    ])
+    def test_first_failed_check_in_order(self, omega, el_res, failed):
+        assert certify(True, omega, el_res).failed == failed
+        assert certify(False, omega, el_res).failed == "converged"
+        assert not certify(False, omega, el_res).certified
+
+
 class TestReportContract:
     def test_masses_sum_to_constraint(self, cfg):
         for P in (
@@ -573,6 +630,8 @@ class TestReportContract:
         assert "state" not in back
         assert len(back["branches"]) == 2
         assert [b["stop_reason"] for b in back["branches"]] == ["converged"] * 2
+        assert back["certificate"] == r.certificate.as_dict()
+        assert back["certificate"]["certified"] is True
         assert isinstance(r, GroundStateReport)
 
     def test_iteration_accounting(self, planar3):
@@ -600,7 +659,7 @@ class TestDescentHandoff:
             omega_star(HybridParams(3.0, 3.0, s1, s2, beta, 1.0)), cfg)
         start = solver._initial_guess(pd, sigmas, beta, 1.0, 0.5)
         run = solver._descend(pd, p, sigmas, beta, 1.0, cfg, *start)
-        assert run["converged"] and run["iterations"] > 2
+        assert run["stop"] == "converged" and run["iterations"] > 2
         phi, q = run["phi"], run["q"]
         energy = _kernels.plane_energy(
             phi, q, p, pd.theta + np.array(sigmas), pd)[0]
@@ -671,7 +730,7 @@ class TestScreenedMultistart:
         phi = np.tile(bump, (len(guess[1]), 1))
         q = np.zeros(len(guess[1]))
         far = {"phi": phi * math.sqrt(mu / solver._mass(phi, q, pd)), "q": q,
-               "energy": -1e300, "converged": True}
+               "energy": -1e300, "stop": "converged"}
         whole = solver._descend(*args, *guess)
         assert _state_distance(pd, mu, whole, far) >= 1.0
         self._same_run(solver._descend(*args, *guess, near=[far]), whole)
@@ -775,7 +834,7 @@ class TestScreenedMultistart:
         assert held is ends[0]
         assert _state_distance(pd, P.mu, run, held) <= solver._DUPLICATE
         whole = descend(*args, shift=kwargs["shift"])
-        assert whole["converged"]
+        assert whole["stop"] == "converged"
         assert _state_distance(pd, P.mu, whole, held) < 1e-6
         assert rel(whole["energy"], held["energy"]) < 1e-12
         assert r.energy == min(e["energy"] for e in ends)
@@ -848,7 +907,7 @@ class TestInheritedShift:
         # run alone from either shift, the start ends on the state it joined
         for shift in (kwargs["shift"], pd.lam):
             whole = descend(*args, shift=shift)
-            assert whole["converged"]
+            assert whole["stop"] == "converged"
             assert _state_distance(pd, 1.526, whole, held) < 1e-4
             assert rel(whole["energy"], held["energy"]) < 1e-10
 

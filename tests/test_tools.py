@@ -101,6 +101,17 @@ def test_draw_census_recipe_and_classes():
         assert r["converged"] == (r["stop_reason"] == "converged")
 
 
+def test_draw_class_is_the_first_failed_test():
+    classify = _load("census").classify
+    cfg = hybrid_nls.SolverConfig(N=512)
+    HP = hybrid_nls.HybridParams
+    assert classify(hybrid_nls.solve_hybrid(HP(3, 3, 0, 1, 1, 1), cfg)) == "certified"
+    assert classify(hybrid_nls.solve_planar(3.9, 1.0, cfg)) == "box"
+    assert classify(hybrid_nls.solve_hybrid(HP(3, 3, 200, 200, 0.5, 1), cfg)) == "uncertified"
+    short = hybrid_nls.SolverConfig(N=512, max_iters=2)
+    assert classify(hybrid_nls.solve_planar(3.0, 1.0, short)) == "unconverged"
+
+
 def _entry(classes, energies=None, pool=(True, True)):
     """A recorded census entry: draws of the given classes and energies,
     and pool and ``fine_hard`` ops with the given ``converged`` flags."""

@@ -34,13 +34,13 @@ The draw census draws 300 parameter sets from
 ``numpy.random.default_rng(0)``, each as p1, p2 ~ U(2.05, 3.95),
 sigma1, sigma2 ~ U(-3, 20), beta ~ U(0, 2.5) and mu = 10^U(-3, 3), in
 that order, and solves each with ``solve_hybrid`` at
-``SolverConfig(N=512)``.  Each draw falls in one class:
+``SolverConfig(N=512)``.  Each draw's class is the first test its
+report's ``certificate`` fails (``solver.certify``):
 
-* ``certified``: ``converged``, ``el_residual`` <= 1e-2 and omega > 0;
-* ``unconverged``: not ``converged``;
-* ``box``: ``converged`` with omega <= 0, a state of the box;
-* ``uncertified``: ``converged`` with omega > 0 but ``el_residual``
-  above 1e-2.
+* ``certified``: none;
+* ``unconverged``: the stop test, ``converged``;
+* ``box``: the check ``bound_state``, a state of the box;
+* ``uncertified``: the check ``stationarity``.
 
 Run the census once per tree, one process each, naming the file it
 writes (a path relative to the repo root):
@@ -49,6 +49,9 @@ writes (a path relative to the repo root):
     OPENBLAS_NUM_THREADS=1 python tools/census.py BENCH_x.json --label parent \\
         --src /path/to/parent/src
     python tools/census.py BENCH_x.json --compare parent change
+
+A tree whose reports carry no ``certificate`` (``report.json`` schema 4
+or older) is recorded with that tree's own ``tools/census.py``.
 
 Each run replaces ``warm_pool``, ``fine_hard`` and ``draw_census`` in
 its label's entry and keeps the rest of the file.  ``--compare`` lists
@@ -77,7 +80,10 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 SETS = ("warm_pool", "fine_hard")
-CLASSES = ("certified", "unconverged", "box", "uncertified")
+#: a draw's class by the first test its certificate fails
+CLASS_OF = {None: "certified", "converged": "unconverged",
+            "bound_state": "box", "stationarity": "uncertified"}
+CLASSES = tuple(CLASS_OF.values())
 MOVED = 1e-10  # relative energy change that counts as moved
 
 
@@ -142,7 +148,7 @@ def _starts(calls, solver, pd, mu, rerun) -> tuple[list[dict], float | None]:
         records.append({"outcome": "joined", "iterations": run["iterations"],
                         "distance": dist(run, joined),
                         "rerun_distance": dist(rerun(args, kw), joined)})
-    done = [f for f in finals if f["converged"]]
+    done = [f for f in finals if f["stop"] == "converged"]
     pairs = [dist(a, b) for i, a in enumerate(done) for b in done[i + 1:]]
     return records, min(pairs, default=None)
 
@@ -219,11 +225,7 @@ def draws(n: int = 300, seed: int = 0) -> list[tuple[float, ...]]:
 
 
 def classify(report) -> str:
-    if not report.converged:
-        return "unconverged"
-    if not report.omega > 0.0:
-        return "box"
-    return "certified" if report.el_residual <= 1e-2 else "uncertified"
+    return CLASS_OF[report.certificate.failed]
 
 
 def classes(hybrid_nls, params) -> dict:
