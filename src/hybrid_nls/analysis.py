@@ -57,7 +57,9 @@ _SOLVE_ERRORS = (RuntimeError, ValueError, ArithmeticError)
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One solve of a parameter sweep."""
+    """One solve of a parameter sweep: its report's numbers, its stop
+    test and its certificate's verdict (a row built without one is not
+    certified)."""
 
     value: float
     energy: float
@@ -67,6 +69,7 @@ class SweepRow:
     q2: float
     omega: float
     converged: bool
+    certified: bool = False
 
 
 @dataclass(frozen=True)
@@ -112,6 +115,7 @@ class SweepTable:
         out: dict[str, object] = {
             "mass1_fraction_monotone": _monotone(fracs),
             "all_converged": bool(self.rows) and all(r.converged for r in self.rows),
+            "all_certified": bool(self.rows) and all(r.certified for r in self.rows),
         }
         refs = self.references
         if self.rows:
@@ -149,7 +153,8 @@ class RhoDetail:
 
 def _row_from_report(value: float, r: GroundStateReport) -> SweepRow:
     return SweepRow(float(value),
-                    **{c: getattr(r, c) for c in SweepTable.COLUMNS[1:]})
+                    **{c: getattr(r, c) for c in SweepTable.COLUMNS[1:-1]},
+                    certified=r.certificate.certified)
 
 
 #: rho_detail's answers by (p, cfg), oldest first: numbers, not reports

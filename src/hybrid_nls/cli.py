@@ -6,7 +6,7 @@ error.  An optional flat JSON file (``--config``) is read as flags: its
 entries become ``--key=value`` tokens placed after the command and
 before the command-line flags, so one parser reads both and the flags
 win.  Exit codes are uniform across commands: 0 success, 1 numeric
-failure (non-convergence, failed sweep rows, failed verification
+failure (an uncertified state, failed sweep rows, failed verification
 criteria), 2 usage or configuration error, which includes an output
 path that cannot be made or written.
 """
@@ -331,8 +331,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
         _write(args, "svg", svg)
     print(f"energy {report.energy:.12g}  mass ({report.mass1:.6g}, "
           f"{report.mass2:.6g})  charges ({report.q1:.6g}, {report.q2:.6g})  "
-          f"omega {report.omega:.6g}  converged {report.converged}")
-    return 0 if report.converged else 1
+          f"omega {report.omega:.6g}  converged {report.converged}  "
+          f"certified {report.certificate.certified}")
+    return 0 if report.certificate.certified else 1
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -377,10 +378,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for r in table.rows:
         print(f"{args.mode}={r.value:g}: energy {r.energy:.9g}  "
               f"mass1 {r.mass1:.6g}  mass2 {r.mass2:.6g}  "
-              f"converged {r.converged}")
+              f"converged {r.converged}  certified {r.certified}")
     for e in table.errors:
         print(f"row {e['value']}: failed: {e['error']}", file=sys.stderr)
-    return 0 if verdicts["all_converged"] and not table.errors else 1
+    return 0 if verdicts["all_certified"] and not table.errors else 1
 
 
 def cmd_baseline(args: argparse.Namespace) -> int:

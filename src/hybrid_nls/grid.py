@@ -24,7 +24,8 @@ The first cell is special: quadrature of |u|^p with a logarithmically
 singular u is done by an 8-point Gauss-Laguerre rule in the variable
 r = r_1 e^{-z/2} (see :func:`origin_cell_rule`), never by trapezoid.
 That rule is accurate for |a + b log r|^p, so it needs a first cell
-across which the state's decay is small (:data:`RESOLUTION`).
+across which the state's decay is small (:data:`RESOLUTION`), but not
+vanishingly so (:data:`FINEST`).
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ import numpy as np
 
 __all__ = [
     "RESOLUTION",
+    "FINEST",
     "RadialGrid",
     "RadialField",
     "make_grid",
@@ -52,6 +54,13 @@ __all__ = [
 #: by at most 5%.  Read by the solver's grading and step choice and by
 #: ``analysis.rho_detail``.
 RESOLUTION = 0.05
+
+#: A first cell h0 is over-graded for a decay rate lam > 0 when h0 *
+#: sqrt(lam) < FINEST, the other end of the band whose top is
+#: RESOLUTION.  The README hybrid at N = 8192 stalls at h0 * sqrt(lam)
+#: <= 1e-8 and converges in 18 iterations from 3e-8 up; 1e-7 keeps a
+#: factor 3 of that.  Read by the solver's grading.
+FINEST = 1e-7
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,6 +90,12 @@ class RadialGrid:
         """Whether a first cell of width ``h0`` resolves ``rate`` (see
         :data:`RESOLUTION`); rate 0 has no decay and is always resolved."""
         return rate == 0.0 or h0 <= RESOLUTION / math.sqrt(rate)
+
+    @staticmethod
+    def cell_over_graded(h0: float, rate: float) -> bool:
+        """Whether a first cell of width ``h0`` is too fine for ``rate``
+        (see :data:`FINEST`); rate 0 sets no scale and never is."""
+        return rate > 0.0 and h0 * math.sqrt(rate) < FINEST
 
     def resolves(self, rate: float) -> bool:
         """Whether this grid's first cell resolves ``rate``."""

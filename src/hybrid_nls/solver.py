@@ -10,7 +10,8 @@ that applies it:
 * the Newton endgame's Hessian and its tail cut: ``_newton_solver``;
 * the multistart, its joined starts and inherited multiplier:
   ``_solve_on_grid``; the winner among its runs: ``_lowest``;
-* the grading that resolves the linear level: ``_auto_grading``;
+* the grading that keeps the linear level in the grid's band:
+  ``_auto_grading``;
 * the beta = 0 shortcut: ``solve_hybrid``;
 * what makes a report certified: ``certify``.
 """
@@ -75,7 +76,7 @@ _CRAWL = 0.8
 _OMEGA_DRIFT = 0.01
 _NOISE_BAND = 10.0
 _PROGRESS = 0.5
-_DUPLICATE = 0.1
+_DUPLICATE = 0.3
 #: starts whose energies agree to this relative gap reached the same state
 _TIE = 1e-12
 # the tail cut of the linear and Newton solves, stated in _linear_solver
@@ -88,8 +89,10 @@ class SolverConfig:
     """Discretization and descent parameters shared by all solvers.
 
     ``_auto_grading`` raises ``grading`` where the linear level needs a
-    finer first cell.  The default does not follow N: tied to N it
-    failed criterion 13's steep triple (1.28e-3 against its 1e-3 cap).
+    finer first cell, and lowers it where the first cell is over-graded
+    for that level (``grid.FINEST``), as 1.01 is at N = 8192 for the
+    README hybrid.  The default does not follow N: tied to N it failed
+    criterion 13's steep triple (1.28e-3 against its 1e-3 cap).
     ``starts`` are the multistart's plane-1 mass shares, stored as a
     tuple of floats so that equal configs hash alike.
     """
@@ -259,21 +262,39 @@ def refine_config(cfg: SolverConfig) -> SolverConfig:
 
 
 def _auto_grading(R: float, n: int, g_default: float, lam: float) -> float:
-    """Increase the grading until the first cell resolves the rate lam."""
+    """The grading nearest ``g_default`` whose first cell h0 keeps the
+    rate lam in the grid's band, FINEST <= h0 sqrt(lam) <= RESOLUTION.
+
+    A first cell too coarse to resolve lam raises the grading to the
+    smallest that does.  One over-graded for lam lowers it toward 1, to
+    the largest that is not: at N = 8192 the default 1.01 makes the
+    README hybrid's first cell 1.9e-20, and every start stalled there.
+    A grading inside the band comes back unchanged.
+    """
 
     def resolves(g: float) -> bool:
         return RadialGrid.cell_resolves(first_cell(R, n, g), lam)
 
+    def coarse_enough(g: float) -> bool:
+        return not RadialGrid.cell_over_graded(first_cell(R, n, g), lam)
+
+    if not coarse_enough(g_default):
+        return _bisect(coarse_enough, 1.0, g_default)
     if resolves(g_default):
         return g_default
-    lo, hi = max(g_default, 1.0 + 1e-9), 1.2
-    if not resolves(hi):
+    if not resolves(1.2):
         raise ValueError(
             f"rate {lam:.3e} is too deep for an N={n} grid; increase N")
+    return _bisect(resolves, 1.2, max(g_default, 1.0 + 1e-9))
+
+
+def _bisect(ok: Callable[[float], bool], good: float, bad: float) -> float:
+    """Bisect between ``good``, where ``ok`` holds, and ``bad``, where it
+    does not, to the last point on ``good``'s side."""
     for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        lo, hi = (lo, mid) if resolves(mid) else (mid, hi)
-    return hi
+        mid = 0.5 * (good + bad)
+        good, bad = (mid, bad) if ok(mid) else (good, mid)
+    return good
 
 
 def _grid_for(lam: float, cfg: SolverConfig) -> RadialGrid:
@@ -644,11 +665,13 @@ def _descend(pd, p, sigmas, beta, mu, cfg, phi, q, near=(), shift=None):
     (after the stop test, the iterate lies within _DUPLICATE, in the
     distance sqrt(mass(U - U_f) / mu), of the state U_f of a converged
     run in ``near``, and its energy is not below that run's within
-    _TIE); ``stalled`` (_STALL_LIMIT steps in a row each lowered the
-    energy by at most _ENERGY_TOL relative); ``no_progress`` (in Newton
-    mode the norm did not fall by _PROGRESS over _WINDOW iterations;
-    without this stop the deep single (3.86, -0.27, 61.3) runs all
-    50,000 iterations); ``line_search`` (no step down to _STEP_FLOOR
+    _TIE; 0.3 is under half the smallest distance measured between two
+    distinct converged states, 0.80, and took the warm pool from 21,398
+    iterations at 0.1 to 19,816); ``stalled`` (_STALL_LIMIT steps in a
+    row each lowered the energy by at most _ENERGY_TOL relative);
+    ``no_progress`` (in Newton mode the norm did not fall by _PROGRESS
+    over _WINDOW iterations; without this stop the deep single (3.86,
+    -0.27, 61.3) runs all 50,000 iterations); ``line_search`` (no step down to _STEP_FLOOR
     passed Armijo); ``degenerate`` (the projected step does not
     descend); ``max_iters``.  The run dict's ``omega_hat`` is the final
     multiplier estimate.

@@ -143,6 +143,19 @@ class TestSolve:
         assert d["converged"] is False
         assert d["certificate"]["certified"] is False
 
+    def test_uncertified_state_exits_1(self, tmp_path, capsys):
+        # converged, but plane 1 holds 2.5e-12 of the mass and the field
+        # equation misses by 0.67 (the certificate's stationarity check)
+        code = main(["solve", "--sigma1", "200", "--sigma2", "200",
+                     "--beta", "0.5", "--mu", "1", "--out", str(tmp_path),
+                     *FAST])
+        assert code == 1
+        assert capsys.readouterr().out.rstrip().endswith(
+            "converged True  certified False")
+        d = read_json(tmp_path / "report.json")
+        assert d["converged"] is True
+        assert d["certificate"]["certified"] is False
+
     def test_report_bit_identical_across_runs(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
@@ -398,6 +411,27 @@ class TestSweep:
         assert s["references"]["single_plane_1"] < 0.0
         assert s["errors"] == []
         xml.dom.minidom.parse(str(tmp_path / "sweep.svg"))
+
+    def test_sweep_rows_carry_their_certificate(self, tmp_path):
+        code = main(["sweep", "--mode", "sigma2", "--p1", "3", "--p2", "3",
+                     "--sigma1", "0", "--beta", "0.0625", "--mu", "1",
+                     "--values", "1,2", "--out", str(tmp_path), *FAST])
+        assert code == 0
+        rows = read_csv(tmp_path / "sweep.csv")
+        assert rows[0][-2:] == ["converged", "certified"]
+        assert [r[-1] for r in rows[1:]] == ["True", "True"]
+        assert read_json(tmp_path / "summary.json")["verdicts"]["all_certified"] is True
+
+    def test_uncertified_row_fails_the_sweep(self, tmp_path):
+        code = main(["sweep", "--mode", "sigma_common", "--p1", "3",
+                     "--p2", "3", "--beta", "0.5", "--mu", "1",
+                     "--values", "0,200", "--out", str(tmp_path), *FAST])
+        assert code == 1
+        s = read_json(tmp_path / "summary.json")
+        assert [(r["converged"], r["certified"]) for r in s["rows"]] == [
+            (True, True), (True, False)]
+        assert s["verdicts"]["all_converged"] is True
+        assert s["verdicts"]["all_certified"] is False
 
     def test_common_sigma_sweep_concentrates_by_mass(self, tmp_path):
         code = main(["sweep", "--mode", "sigma_common", "--p1", "2.5",

@@ -11,6 +11,7 @@ import pytest
 from scipy.integrate import quad
 
 from hybrid_nls.grid import (
+    FINEST,
     RESOLUTION,
     RadialField,
     RadialGrid,
@@ -130,6 +131,12 @@ class TestResolution:
         assert RadialGrid.cell_resolves(0.05, 1.0)
         assert not RadialGrid.cell_resolves(math.nextafter(0.05, 1.0), 1.0)
         assert RadialGrid.cell_resolves(1e6, 0.0)
+
+    def test_floor(self):
+        assert FINEST == 1e-7
+        assert not RadialGrid.cell_over_graded(1e-7, 1.0)
+        assert RadialGrid.cell_over_graded(math.nextafter(1e-7, 0.0), 1.0)
+        assert not RadialGrid.cell_over_graded(1e-300, 0.0)
 
     def test_grid_reads_its_first_cell(self, default_grid):
         h0 = default_grid.h[0]

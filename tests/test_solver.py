@@ -192,6 +192,34 @@ class TestAutoGrading:
         with pytest.raises(ValueError, match=r"rate 1\.000e\+200 is too deep for an N=2048"):
             _auto_grading(40.0, 2048, 1.01, 1e200)
 
+    def test_over_graded_cell_takes_the_bisection_down(self):
+        # the README hybrid's rate at N = 8192: grading 1.01 makes its
+        # first cell 1.9e-20
+        g = _auto_grading(40.0, 8192, 1.01, 8089.0)
+        assert g == 1.0038961351750317
+        # the largest grading that is not over-graded: one ulp more is
+        assert not RadialGrid.cell_over_graded(first_cell(40.0, 8192, g), 8089.0)
+        assert RadialGrid.cell_over_graded(
+            first_cell(40.0, 8192, math.nextafter(g, 2.0)), 8089.0)
+
+    README = HybridParams(3, 3, 0, 1, 1, 1)
+    SWEEP_ROW = HybridParams(3, 3, 0, 8, 0.0625, 1)
+
+    @pytest.mark.parametrize("n,grading,lam", [
+        (8192, 1.0025, (16.0 / 40.0) ** 2),  # fine_hard sigma6_n8192
+        (32768, 1.000625, _RATE_MARGIN * lambda_for_theta(0.0)),  # single_n32768
+        (8192, 1.0025, _RATE_MARGIN * omega_star(README)),  # n8192_refined
+        (32768, 1.000625, _RATE_MARGIN * omega_star(README)),  # n32768_refined
+        (8192, 1.0025, _RATE_MARGIN * omega_star(SWEEP_ROW)),  # cold_cli sweep
+        (2048, 1.01, (16.0 / 40.0) ** 2),  # the default grid's smallest rate
+    ])
+    def test_grading_inside_the_band_is_kept(self, n, grading, lam):
+        assert _auto_grading(40.0, n, grading, lam) == grading
+
+    def test_readme_hybrid_at_n8192_is_certified_at_the_default_grading(self):
+        r = solve_hybrid(self.README, SolverConfig(N=8192))
+        assert r.converged and r.certificate.certified
+
 
 class TestOmegaStarClosedForm:
     @pytest.mark.parametrize(
@@ -787,9 +815,9 @@ class TestScreenedMultistart:
         assert rel(r.energy, -0.007976890972858195) < 1e-6
 
     def test_loose_screen_still_finds_the_ground_state(self, monkeypatch):
-        # at five times the join distance start 0.5 joins 0.1's state
-        # sooner (after 9 iterations at the default), and 0.9 still
-        # finishes, on the ground state
+        # at a join distance of 0.5 start 0.5 joins 0.1's state sooner
+        # (after 5 iterations at the default 0.3, 6 at 0.1), and 0.9
+        # still finishes, on the ground state
         monkeypatch.setattr(solver, "_DUPLICATE", 0.5)
         runs = []
         descend = solver._descend
@@ -903,7 +931,7 @@ class TestInheritedShift:
         assert kwargs["shift"] == abs(held["omega_hat"]) < pd.lam / 100
         at_lam = descend(*args, near=kwargs["near"], shift=pd.lam)
         assert at_lam["stop"] == "duplicate"
-        assert (run["iterations"], at_lam["iterations"]) == (4, 11)
+        assert (run["iterations"], at_lam["iterations"]) == (3, 11)
         # run alone from either shift, the start ends on the state it joined
         for shift in (kwargs["shift"], pd.lam):
             whole = descend(*args, shift=shift)
