@@ -187,9 +187,10 @@ def rho_detail(p: float, cfg: SolverConfig | None = None, solve=None) -> RhoDeta
         else:
             # box pressure beats the binding at this mass; no usable scale
             mu_ref *= 16.0
-    if not report.converged:
+    if not report.certificate.certified:
         raise RuntimeError(
-            f"free-plane solve for p={p} did not converge at mass {mu_ref}")
+            f"free-plane solve for p={p} is not certified at mass {mu_ref} "
+            f"(failed {report.certificate.failed})")
     value = -report.energy / mu_ref**exponent
     if value <= 0.0:
         raise RuntimeError(

@@ -7,7 +7,7 @@ that applies it:
 * the preconditioner and its tail cut: ``_linear_solver``;
 * the step choice, the shift, the line search, the Newton gate and the
   stop test: ``_descend``;
-* the Newton endgame's Hessian and its tail cut: ``_newton_solver``;
+* the Newton endgame's Hessian: ``_newton_solver``;
 * the multistart, its joined starts and inherited multiplier:
   ``_solve_on_grid``; the winner among its runs: ``_lowest``;
 * the grading that keeps the linear level in the grid's band:
@@ -79,7 +79,7 @@ _PROGRESS = 0.5
 _DUPLICATE = 0.3
 #: starts whose energies agree to this relative gap reached the same state
 _TIE = 1e-12
-# the tail cut of the linear and Newton solves, stated in _linear_solver
+# the tail cut of the linear solve, stated in _linear_solver
 _CUT_NATS = 80.0
 _TRAP_NATS = 700.0
 
@@ -406,31 +406,15 @@ def _newton_solver(pd, phi, q, p, omega, sigmas, beta):
     G, and the charges' k x k Schur complement is inverted.  Each
     solve takes one step of iterative refinement: the convergence test
     weighs the residual by 1/w, and w is tiny near the origin of a
-    graded mesh.  Without it the sigma = 6, mu = 2 mu* hybrid at
-    N=32768 stops without progress.
-
-    The tail is cut as in ``_linear_solver``: M is the node after the
-    last where phi (or, with charges, G) is nonzero, extended until the
-    tail operator stiffness + omega*W (no curvature and no border there)
-    has decayed by e^-_CUT_NATS, at the constant-coefficient rate
-    2 asinh(h sqrt(omega)/2) nats per cell.  Without the cut the
-    ``fine_hard`` operation ``n8192_g1.01`` took 96 ms against 56 ms.
-    Raises ArithmeticError when a factor is singular.
+    graded mesh.  Without it the ``fine_hard`` solve ``sigma6_n8192``,
+    the sigma = 6, mu = 2 mu* hybrid at N = 8192, stops without
+    progress.  Raises ArithmeticError when a factor is singular.
     """
     k, n = phi.shape
     nin = n - 2
     w, cu, G, lam = pd.grid.w_trapz, pd.grid.c_h1, pd.G, pd.lam
     charged = sigmas is not None
     stride = nin + (1 if charged else 0)
-    live = (phi[:, 1:-1] != 0.0).any(axis=0)
-    if charged:
-        live |= G[1:-1] != 0.0
-    nz = np.flatnonzero(live)
-    last = min(int(nz[-1]) + 1 if nz.size else 0, nin - 1)
-    m = nin
-    if omega > 0.0 and last < nin - 1:
-        nats = np.cumsum(2.0 * np.arcsinh(0.5 * math.sqrt(omega) * pd.grid.h[last + 1:-1]))
-        m = min(nin, last + 2 + int(np.searchsorted(nats, _CUT_NATS)))
 
     # curvature of the |u|^p term, weights included: (p-1)|u|^(p-2) w
     g0 = pd.g0
@@ -442,20 +426,19 @@ def _newton_solver(pd, phi, q, p, omega, sigmas, beta):
         pm = _exponent(p)
         a = (pm - 1.0) * np.abs(u) ** (pm - 2.0) * pd.w_in
         a0 = (pm - 1.0) * np.abs(u0) ** (pm - 2.0) * pd.w0
-    sl = slice(1, m + 1)
-    diag = omega * w[sl] + cu[1:m + 1] - a[:, sl]
-    diag[:, 1:] += cu[1:m]
+    diag = omega * w[1:-1] + cu[1:] - a[:, 1:-1]
+    diag[:, 1:] += cu[1:-1]
     diag[:, 0] -= a0.sum(axis=1)
-    off = np.zeros((k, m))
-    off[:, :-1] = -cu[1:m]
+    off = np.zeros((k, nin))
+    off[:, :-1] = -cu[1:-1]
     off = off.ravel()[:-1]
     tri = gttrf(off, diag.ravel(), off)
 
-    def tri_solve(b):  # (r, k, m) -> (r, k, m)
-        return tri(b.reshape(len(b), k * m).T).T.reshape(b.shape)
+    def tri_solve(b):  # (r, k, nin) -> (r, k, nin)
+        return tri(b.reshape(len(b), k * nin).T).T.reshape(b.shape)
 
     if charged:
-        border = (omega - lam) * pd.wG[sl] - a[:, sl] * G[sl]
+        border = (omega - lam) * pd.wG[1:-1] - a[:, 1:-1] * G[1:-1]
         border[:, 0] -= (a0 * g0).sum(axis=1)
         cblock = -beta * (1.0 - np.eye(k))
         cblock[np.diag_indices(k)] = (
@@ -468,24 +451,24 @@ def _newton_solver(pd, phi, q, p, omega, sigmas, beta):
             raise ArithmeticError("Newton charge block is singular") from exc
 
     def solve_once(rows):
-        out = np.zeros_like(rows)
-        x = tri_solve(rows[:, :, :m])
+        out = np.empty_like(rows)
+        x = tri_solve(rows[:, :, :nin])
         if charged:
             y = (rows[:, :, nin] - (x * border).sum(-1)) @ schur_inv.T
             x -= np.einsum("rj,jin->rin", y, ycol)
             out[:, :, nin] = y
-        out[:, :, :m] = x
+        out[:, :, :nin] = x
         return out
 
-    def apply(z):  # the Hessian times z, over the solved block
-        x = z[:, :, :m]
-        hz = np.zeros_like(z)
-        hz[:, :, :m] = diag * x
-        hz[:, :, :m - 1] -= cu[1:m] * x[:, :, 1:]
-        hz[:, :, 1:m] -= cu[1:m] * x[:, :, :-1]
+    def apply(z):  # the Hessian times z
+        x = z[:, :, :nin]
+        hz = np.empty_like(z)
+        hz[:, :, :nin] = diag * x
+        hz[:, :, :nin - 1] -= cu[1:-1] * x[:, :, 1:]
+        hz[:, :, 1:nin] -= cu[1:-1] * x[:, :, :-1]
         if charged:
             y = z[:, :, nin]
-            hz[:, :, :m] += y[:, :, None] * border
+            hz[:, :, :nin] += y[:, :, None] * border
             hz[:, :, nin] = (x * border).sum(-1) + y @ cblock.T
         return hz
 

@@ -235,8 +235,9 @@ def _c6_charge_ordering(ctx: _Context):
     pairs = []
     for s2 in (0.5, 1.0, 2.0):
         r = ctx.solve(solve_hybrid, HybridParams(3.0, 3.0, 0.0, s2, 1.0, 1.0))
-        if not r.converged:
-            return False, f"solve at sigma2={s2} did not converge"
+        if not r.certificate.certified:
+            return False, (f"solve at sigma2={s2} is not certified "
+                           f"(failed {r.certificate.failed})")
         pairs.append((r.q1, r.q2))
     ok = all(q2 < q1 for q1, q2 in pairs)
     return ok, ("q2/q1 ratios " + ", ".join(f"{q2 / q1:.3f}" for q1, q2 in pairs)
@@ -257,7 +258,7 @@ def _c7_mass_migration(ctx: _Context):
         verdicts["mass1_fraction_monotone"] == "nondecreasing"
         and fracs[-1] >= 0.99
         and e_gap <= 0.01
-        and verdicts["all_converged"]
+        and verdicts["all_certified"]
     )
     return ok, (f"mass fractions {', '.join(f'{x:.5f}' for x in fracs)}; "
                 f"final energy defect {e_gap:.2e} (cap 1e-2) at beta={beta}")

@@ -28,7 +28,7 @@ from hybrid_nls.analysis import (
 )
 from hybrid_nls.energy import HybridParams, total_field
 from hybrid_nls.grid import RadialField, make_grid
-from hybrid_nls.solver import SolverConfig, solve_hybrid, solve_planar
+from hybrid_nls.solver import SolverConfig, certify, solve_hybrid, solve_planar
 
 from quadrature import h1_seminorm_sq
 from test_solver import RHO_CONTINUUM
@@ -76,6 +76,16 @@ class TestRho:
         monkeypatch.setattr(analysis, "solve_planar", no_solve)
         assert rho_detail(2.5, cfg) == first
         assert rho(2.5, cfg) == first.value
+
+    def test_uncertified_reference_raises(self, monkeypatch):
+        # a converged reference that fails a check is no free-plane state
+        def uncertified(p, mu, cfg=None):
+            r = solve_planar(p, mu, cfg)
+            return dataclasses.replace(r, certificate=certify(True, r.omega, 1.0))
+
+        monkeypatch.setattr(analysis, "_RHO_CACHE", {})
+        with pytest.raises(RuntimeError, match="not certified.*failed stationarity"):
+            rho_detail(3.0, SolverConfig(N=512), uncertified)
 
     def test_list_of_starts_keys_the_cache(self):
         # the config's starts are hashed into rho's cache key

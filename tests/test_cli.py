@@ -22,7 +22,7 @@ import hybrid_nls.verify as verify
 from hybrid_nls import _svgplot, solver
 from hybrid_nls.analysis import SweepTable, critical_mass, sweep
 from hybrid_nls.cli import main
-from hybrid_nls.solver import SolverConfig, omega_star_grid, solve_planar
+from hybrid_nls.solver import SolverConfig, certify, omega_star_grid, solve_planar
 from hybrid_nls.energy import HybridParams
 
 # small grid keeps every solve in these tests fast; the physics checks
@@ -657,6 +657,22 @@ class TestVerify:
         ok, details, *_ = run_criterion(7)
         assert not ok
         assert "sigma2=4.0: synthetic row failure" in details
+
+    @pytest.mark.parametrize("number,module", [(6, verify), (7, analysis)])
+    def test_criteria_6_and_7_refuse_uncertified_solves(self, number, module,
+                                                       monkeypatch):
+        # converged, but failing stationarity: not a state to judge by
+        real = module.solve_hybrid
+
+        def uncertified(P, cfg):
+            r = real(P, cfg)
+            return dataclasses.replace(r, certificate=certify(True, r.omega, 1.0))
+
+        monkeypatch.setattr(module, "solve_hybrid", uncertified)
+        ok, details, *_ = run_criterion(number)
+        assert not ok
+        if number == 6:
+            assert "failed stationarity" in details
 
     def test_theta_sign_flip_flags_closed_form_criteria(self, monkeypatch):
         orig = sf.theta
