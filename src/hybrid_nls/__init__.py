@@ -24,7 +24,6 @@ from hybrid_nls.analysis import (
     critical_mass,
     mass_split_infimum,
     monotone_radial_check,
-    rearrange_decreasing,
     rho,
     rho_detail,
     sweep,
@@ -94,7 +93,6 @@ __all__ = [
     "omega_star",
     "omega_star_grid",
     "plane_data",
-    "rearrange_decreasing",
     "refine_config",
     "rho",
     "rho_detail",

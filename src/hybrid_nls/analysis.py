@@ -2,8 +2,8 @@
 
 Free-plane energy coefficients and the critical mass, the endpoint
 mass-split oracle, parameter sweeps toward the strong-interaction
-limits, and radial monotonicity / rearrangement utilities used by the
-verification suite.
+limits, and the radial monotonicity count used by the verification
+suite.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ __all__ = [
     "sweep",
     "sweep_params",
     "monotone_radial_check",
-    "rearrange_decreasing",
 ]
 
 # A free-plane profile whose decay rate drops below this value is wider
@@ -47,6 +46,8 @@ __all__ = [
 _RATE_FLOOR = 0.02
 _RATE_TARGET = 0.3
 
+#: nodes of ``mass_split_infimum``'s scan over the split
+MASS_SPLIT_NODES = 4001
 #: the HybridParams fields each sweep mode sets to the swept value
 _SWEPT_FIELDS = {"sigma2": ("sigma2",), "sigma_common": ("sigma1", "sigma2"),
                  "beta": ("beta",), "mu": ("mu",)}
@@ -239,17 +240,16 @@ def critical_mass(p1: float, p2: float, cfg: SolverConfig | None = None) -> floa
 
 
 def mass_split_infimum(p1: float, p2: float, mu: float, rho1: float,
-                       rho2: float, n_grid: int = 4001) -> tuple[float, float]:
+                       rho2: float) -> tuple[float, float]:
     """Brute-force minimum of the decoupled two-plane energy over splits.
 
-    Scans g(m) = -rho1 m^(2/(4-p1)) - rho2 (mu-m)^(2/(4-p2)) on a uniform
-    grid of m in [0, mu]; returns (minimum value, minimizing m).
+    Scans g(m) = -rho1 m^(2/(4-p1)) - rho2 (mu-m)^(2/(4-p2)) on the
+    :data:`MASS_SPLIT_NODES` uniform nodes of m in [0, mu]; returns
+    (minimum value, minimizing m).
     """
-    if n_grid < 1000:
-        raise ValueError(f"n_grid must be at least 1000, got {n_grid}")
     if mu <= 0.0:
         raise ValueError(f"mu must be positive, got {mu}")
-    m = np.linspace(0.0, mu, int(n_grid))
+    m = np.linspace(0.0, mu, MASS_SPLIT_NODES)
     g = -rho1 * m ** (2.0 / (4.0 - p1)) - rho2 * (mu - m) ** (2.0 / (4.0 - p2))
     k = int(np.argmin(g))
     return float(g[k]), float(m[k])
@@ -343,47 +343,3 @@ def monotone_radial_check(f) -> tuple[bool, int]:
     v = f.values if isinstance(f, RadialField) else np.asarray(f, np.float64)
     viol = int(np.sum(v[1:] > v[:-1] + 1e-12 * np.abs(v[:-1])))
     return viol == 0, viol
-
-
-def rearrange_decreasing(f: RadialField) -> RadialField:
-    """Decreasing rearrangement with respect to the grid measure.
-
-    Sorts the level structure of ``f`` onto the same mesh: the sorted
-    node values form a step function of the cumulative measure, and each
-    node of the result receives the quadratic mean of that step function
-    over the node's own measure slab.  This keeps the measure of every
-    level set (up to mesh resolution) and the squared integral exactly,
-    and it reproduces an already-decreasing field bit for bit.
-    """
-    if not isinstance(f, RadialField):
-        raise TypeError("expected a RadialField")
-    v = f.values
-    if np.any(v < 0.0):
-        raise ValueError("rearrangement expects a nonnegative field")
-    if np.all(v[1:] <= v[:-1]):
-        return RadialField(f.grid, v.copy())
-
-    grid = f.grid
-    w = grid.w_trapz
-    order = np.argsort(-v, kind="stable")
-    sv = v[order]
-    src_hi = np.cumsum(w[order])  # sorted-block ends on the measure axis
-    dst_hi = np.cumsum(w)  # node-slab ends
-    # cut the axis at every end of either kind; each piece lies in one
-    # block and one slab (a slab index past the last node is dropped)
-    cuts = np.sort(np.concatenate((src_hi, dst_hi)))
-    n = len(v)
-    block = np.minimum(np.searchsorted(src_hi, cuts), n - 1)
-    piece = np.diff(cuts, prepend=0.0) * sv[block] ** 2
-    acc = np.bincount(np.searchsorted(dst_hi, cuts), piece, minlength=n + 1)[:n]
-    out = np.empty_like(v)
-    has_w = w > 0.0
-    out[has_w] = np.sqrt(acc[has_w] / w[has_w])
-    # a zero-measure node takes the block value at its edge
-    edge = np.searchsorted(src_hi, dst_hi[~has_w], side="right")
-    out[~has_w] = sv[np.minimum(edge, n - 1)]
-    # the slab means are nonincreasing exactly; clamp the at-most-one-ulp
-    # rounding inversions so the result is a true fixed point of a second
-    # pass
-    np.minimum.accumulate(out[1:], out=out[1:])
-    return RadialField(grid, out)

@@ -611,8 +611,9 @@ def _descend(pd, p, sigmas, beta, mu, cfg, phi, q, near=(), shift=None):
     Preconditioner: ``_linear_solver`` at the mass shift ``shift``
     (pd.lam by default), refactored at |omega_hat| once that leaves a
     factor-3 band around the shift, at most every 10 iterations, so that
-    it tracks omega (a fixed shift took 102,397 warm-pool iterations
-    against 50,909; a refactor every iteration fails criterion 5).
+    it tracks omega (a fixed shift took 15,666 winner iterations over
+    the benchmark's 647 solves against 12,336; a refactor every
+    iteration fails criterion 5).
 
     Step: where the grid's first cell resolves |omega_hat| the residual
     step (``_residual_direction``, one column per plane), elsewhere the
@@ -622,9 +623,9 @@ def _descend(pd, p, sigmas, beta, mu, cfg, phi, q, near=(), shift=None):
     189, 266 and 285 unconverged, and the R = 1e6 box hybrid.  Armijo
     backtracking on the true energy starts from _STEP_SIZE, then from
     _STEP_GROW times the last accepted step (a fixed first step of 1
-    took 77,193 iterations against 50,909).  Each evaluated point gets
-    one energy-kernel call, so one |u|^p power pass, and the accepted
-    trial's pieces give the next iteration's gradient.
+    took 17,918 winner iterations against 12,336).  Each evaluated point
+    gets one energy-kernel call, so one |u|^p power pass, and the
+    accepted trial's pieces give the next iteration's gradient.
 
     Newton endgame: the preconditioner leaves out the |u|^p curvature,
     and where that term dominates (a strong interaction at large mass,
@@ -638,11 +639,12 @@ def _descend(pd, p, sigmas, beta, mu, cfg, phi, q, near=(), shift=None):
     the preconditioned step when the factor fails or the direction does
     not descend.  Newton from the first iteration sent a quarter of the
     warm pool's 640 solves to other critical points.  Without the drift
-    condition both sigma = 6 ``fine_hard`` solves stop at E = -43.17 in
+    condition both sigma = 6 ``fine_hard`` solves stop at E = -47.97 in
     place of -109.90.  Inside the noise band the norm's roundoff floor
     sets its ratio: on the N = 32768, grading 1.000625 mesh ulp noise
     in phi alone is twice the default tolerance.  Without the crawl
-    condition 21 tier-1 tests fail.
+    condition two ``fine_hard`` solves stop ``no_progress``
+    (``single_n32768_refined`` and ``n8192_g1.01``).
 
     ``stop`` says why the descent ended: ``converged``; ``duplicate``
     (after the stop test, the iterate lies within _DUPLICATE, in the
@@ -833,16 +835,16 @@ def _solve_on_grid(pd, p, sigmas, beta, mu, cfg):
     The starts mostly reach one state.  So they run in order, each given
     the converged runs finished before it as ``_descend``'s ``near``,
     and a start that joins one of those states (stop ``duplicate``) is
-    dropped: the winner never is a joined start.  With the projected
-    step everywhere the warm pool took 22,422 iterations so, and 50,743
-    with every start run to its end.  Over the benchmark's
-    647 solves a joined start, run alone, ends at most 5.7e-5 from the
-    state it joined, and two distinct converged states lie at least 0.80
-    apart.  Joining unconverged runs as well flipped a census draw from
-    ``converged`` to ``no_progress``.  A start after a converged run
-    begins at the shift max(|omega_hat|, 1e-10) of the last one, the
-    refactor rule's floor, where the linear level pd.lam was 10x or more
-    off for 458 of the warm pool's 1,596 joined starts.
+    dropped: the winner never is a joined start.  The warm pool takes
+    19,816 iterations so, and 41,851 with every start run to its end.
+    Over the benchmark's 647 solves a joined start, run alone, ends at
+    most 5.7e-5 from the state it joined, and two distinct converged
+    states lie at least 0.80 apart.  Joining unconverged runs as well
+    flipped a census draw from ``converged`` to ``no_progress``.  A
+    start after a converged run begins at the shift
+    max(|omega_hat|, 1e-10) of the last one, the refactor rule's floor;
+    begun at pd.lam, the warm pool took 24,158 iterations (its joined
+    starts 7,890 against 3,563) and ``fine_hard`` 351 against 332.
     """
     runs = []
     for s in cfg.starts:

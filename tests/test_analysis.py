@@ -21,16 +21,14 @@ from hybrid_nls.analysis import (
     critical_mass,
     mass_split_infimum,
     monotone_radial_check,
-    rearrange_decreasing,
     rho,
     rho_detail,
     sweep,
 )
-from hybrid_nls.energy import HybridParams, total_field
+from hybrid_nls.energy import HybridParams
 from hybrid_nls.grid import RadialField, make_grid
 from hybrid_nls.solver import SolverConfig, certify, solve_hybrid, solve_planar
 
-from quadrature import h1_seminorm_sq
 from test_solver import RHO_CONTINUUM
 
 
@@ -198,9 +196,8 @@ class TestMassSplitInfimum:
             p1, p2 = rng.uniform(2.1, 3.9, size=2)
             rho1, rho2 = rng.uniform(0.05, 5.0, size=2)
             mu = rng.uniform(0.2, 8.0)
-            n = 4001
-            value, argmin = mass_split_infimum(p1, p2, mu, rho1, rho2, n)
-            cell = mu / (n - 1)
+            value, argmin = mass_split_infimum(p1, p2, mu, rho1, rho2)
+            cell = mu / (analysis.MASS_SPLIT_NODES - 1)
             assert argmin <= cell or argmin >= mu - cell, (p1, p2, rho1, rho2, mu)
             expect = min(-rho1 * mu ** (2.0 / (4.0 - p1)),
                          -rho2 * mu ** (2.0 / (4.0 - p2)))
@@ -213,8 +210,6 @@ class TestMassSplitInfimum:
         assert argmin in (0.0, 2.0)
 
     def test_grid_size_enforced(self):
-        with pytest.raises(ValueError):
-            mass_split_infimum(2.5, 3.5, 1.0, 1.0, 1.0, n_grid=100)
         with pytest.raises(ValueError):
             mass_split_infimum(2.5, 3.5, -1.0, 1.0, 1.0)
 
@@ -336,127 +331,3 @@ class TestMonotoneCheck:
         f = RadialField(grid, np.exp(-grid.r))
         ok, viol = monotone_radial_check(f)
         assert ok and viol == 0
-
-
-def rearrange_by_cursor(v, w):
-    """Reference rearrangement: walk the sorted blocks with a cursor and
-    accumulate each node slab's squared integral piece by piece."""
-    order = np.argsort(-v, kind="stable")
-    sv = v[order]
-    src_hi = np.cumsum(w[order])
-    n_src = len(sv)
-    out = np.empty_like(v)
-    k = 0  # source block under the cursor
-    pos = 0.0  # cumulative measure consumed so far
-    for j in range(len(v)):
-        wj = w[j]
-        while k < n_src - 1 and src_hi[k] <= pos:
-            k += 1
-        if wj <= 0.0:
-            out[j] = sv[k]
-            continue
-        target = pos + wj
-        acc = 0.0
-        while pos < target and k < n_src:
-            hi = src_hi[k]
-            if hi <= target:
-                acc += (hi - pos) * sv[k] ** 2
-                pos = hi
-                k += 1
-            else:
-                acc += (target - pos) * sv[k] ** 2
-                pos = target
-        if pos < target:  # rounding shortfall past the last block
-            acc += (target - pos) * sv[-1] ** 2
-            pos = target
-        k = min(k, n_src - 1)
-        out[j] = math.sqrt(acc / wj)
-    np.minimum.accumulate(out[1:], out=out[1:])
-    return out
-
-
-class TestRearrangeDecreasing:
-    @pytest.mark.parametrize("R, N, g", [(12.0, 256, 1.02), (40.0, 2048, 1.01),
-                                         (40.0, 32768, 1.000625)])
-    def test_matches_cursor_reference(self, R, N, g):
-        # the closed form sums the same pieces per slab as the loop; the
-        # bound leaves room for last-digit differences
-        grid = make_grid(R, N, g)
-        rng = np.random.default_rng(17)
-        n = grid.n_nodes
-        peak0 = rng.uniform(0.0, 1.0, n)
-        peak0[0] = 2.0  # the largest value on the zero-measure node
-        fields = (rng.uniform(0.0, 2.0, n),  # white noise
-                  np.round(rng.uniform(0.0, 1.0, n) * 7) / 7,  # many ties
-                  np.exp(-((grid.r - 3.0) ** 2)),  # off-centre bump
-                  peak0)
-        for v in fields:
-            got = rearrange_decreasing(RadialField(grid, v)).values
-            ref = rearrange_by_cursor(v, grid.w_trapz)
-            pos = ref > 0.0
-            assert np.array_equal(got[~pos], ref[~pos])
-            assert np.all(np.abs(got[pos] - ref[pos]) <= 1e-14 * ref[pos])
-
-    def test_decreasing_field_is_fixed_point(self):
-        grid = make_grid(10.0, 256, 1.02)
-        f = RadialField(grid, np.exp(-grid.r**2))
-        g = rearrange_decreasing(f)
-        assert np.array_equal(g.values, f.values)
-
-    def test_plain_array_refused(self):
-        # node values alone carry no measure to rearrange against
-        with pytest.raises(TypeError, match="RadialField"):
-            rearrange_decreasing(np.array([1.0, 2.0, 0.0]))
-
-    def test_negative_values_rejected(self):
-        grid = make_grid(10.0, 128, 1.02)
-        with pytest.raises(ValueError):
-            rearrange_decreasing(RadialField(grid, -np.ones(grid.n_nodes)))
-
-    def test_norm_preserved_and_output_sorted(self):
-        grid = make_grid(10.0, 256, 1.02)
-        rng = np.random.default_rng(3)
-        w = grid.w_trapz
-        for _ in range(50):
-            v = rng.uniform(0.0, 2.0, grid.n_nodes)
-            g = rearrange_decreasing(RadialField(grid, v))
-            n0 = float(w @ (v * v))
-            n1 = float(w @ (g.values * g.values))
-            assert abs(n1 - n0) <= 1e-12 * n0
-            ok, viol = monotone_radial_check(g)
-            assert ok, viol
-
-    def test_gradient_energy_does_not_increase(self):
-        grid = make_grid(10.0, 256, 1.02)
-        rng = np.random.default_rng(11)
-        for _ in range(50):
-            # smooth nonnegative bumps: rough white noise has no
-            # meaningful discrete gradient to compare
-            c = rng.uniform(1.0, 6.0)
-            b = rng.uniform(0.5, 2.0)
-            a = rng.uniform(0.2, 2.0)
-            v = a * np.exp(-((grid.r - c) ** 2) / b**2)
-            f = RadialField(grid, v)
-            g = rearrange_decreasing(f)
-            assert h1_seminorm_sq(g) <= h1_seminorm_sq(f) * (1.0 + 1e-3) + 1e-12
-
-    def test_idempotent(self):
-        grid = make_grid(10.0, 256, 1.02)
-        rng = np.random.default_rng(5)
-        v = rng.uniform(0.0, 1.0, grid.n_nodes)
-        g1 = rearrange_decreasing(RadialField(grid, v))
-        g2 = rearrange_decreasing(g1)
-        assert np.array_equal(g1.values, g2.values)
-
-    def test_ground_state_is_fixed_point(self, cfg):
-        r = solve_hybrid(HybridParams(3.0, 3.0, 0.0, 0.5, 1.0, 1.0), cfg)
-        grid = r.state.grid
-        w = grid.w_trapz
-        for u in (r.state.u1, r.state.u2):
-            tot = total_field(u).values.copy()
-            tot[0] = tot[1]  # origin entry is a placeholder, measure zero
-            f = RadialField(grid, np.clip(tot, 0.0, None))
-            g = rearrange_decreasing(f)
-            num = math.sqrt(float(w @ (g.values - f.values) ** 2))
-            den = math.sqrt(float(w @ f.values**2))
-            assert num <= 1e-6 * den

@@ -674,6 +674,32 @@ class TestVerify:
         if number == 6:
             assert "failed stationarity" in details
 
+    @pytest.mark.parametrize("defect,count", [("rise", "monotonicity violations"),
+                                              ("negative", "positivity failures")],
+                             ids=["rise", "negative"])
+    def test_criterion_5_fails_a_broken_profile(self, defect, count, monkeypatch):
+        # plane 1's profile of every hybrid solve gets one interior node
+        # raised 1e-9 above its left neighbour, or made negative with
+        # positive values after it
+        real = verify.solve_hybrid
+
+        def broken(P, cfg):
+            r = real(P, cfg)
+            u = r.state.u1
+            tot = en.total_field(u).values
+            k = int(np.argmax(tot[1:] < 0.5 * tot[1])) + 1  # half the peak
+            assert tot[k - 1] > tot[k] > tot[k + 1] > 0.0
+            target = tot[k - 1] * (1.0 + 1e-9) if defect == "rise" else -tot[k]
+            phi = u.phi.values.copy()
+            phi[k] += target - tot[k]
+            u1 = dataclasses.replace(u, phi=en.RadialField(u.grid, phi))
+            return dataclasses.replace(r, state=dataclasses.replace(r.state, u1=u1))
+
+        monkeypatch.setattr(verify, "solve_hybrid", broken)
+        ok, details, *_ = run_criterion(5)
+        assert not ok
+        assert int(re.search(count + r" (\d+)", details).group(1)) > 0
+
     def test_theta_sign_flip_flags_closed_form_criteria(self, monkeypatch):
         orig = sf.theta
 
