@@ -18,9 +18,9 @@ s = |u|^{p-2} u, takes P as (s u) integrated, and returns with the
 energy the pieces a gradient needs: the cell differences, <phi, G>_w, s
 and its origin-cell values s0.  ``plane_energy_grad`` assembles the
 gradient from those pieces alone, with no power and no second pass over
-the quadratic form.  The descent evaluates each line-search trial with
-``plane_energy``, and the accepted trial's pieces give the next
-iteration's gradient.
+the quadratic form, and consumes them: it weights d and s in place.
+The descent evaluates each line-search trial with ``plane_energy``,
+and the accepted trial's pieces give the next iteration's gradient.
 
 Layout: the planes are stacked as rows.  ``phi`` is a (k, n) array, one
 plane per row, and ``q`` a (k,) array of their charges; every output is
@@ -46,7 +46,7 @@ def _exponent(p):
     return p[:, None] if getattr(p, "ndim", 0) else p
 
 
-def plane_energy(phi, q, p, sig_theta, pd):
+def plane_energy(phi, q, p, sig_theta, pd, work=None):
     """Energy of each row, with the pieces its gradient is built from.
 
     Returns ``(energy, qform, pterm, pieces)``: ``energy`` =
@@ -54,16 +54,23 @@ def plane_energy(phi, q, p, sig_theta, pd):
     full |u|^p integral including the origin cell (zeros when ``p`` is
     None), and ``pieces`` the input of :func:`plane_energy_grad` at this
     point, ``(d, <phi, G>_w, s, s0)`` (``s`` and ``s0`` None when ``p``
-    is None).
+    is None).  ``work``, a float64 buffer of at least 2kn - k entries
+    for a (k, n) ``phi``, holds the cell differences d and the
+    transient |u|^p; the call overwrites it, and d lives there until
+    the pieces are consumed.  Without it the call allocates one.
     """
-    d = phi[:, 1:] - phi[:, :-1]
+    k, n = phi.shape
+    work = np.empty(2 * k * n - k) if work is None else work
+    d = np.subtract(phi[:, 1:], phi[:, :-1],
+                    out=work[k * n:2 * k * n - k].reshape(k, n - 1))
     mpg = phi @ pd.wG
     kin = (d[:, 1:] * d[:, 1:]) @ pd.grid.c_h1[1:]
     qform = kin - q * (2.0 * pd.lam * mpg + q * (pd.lam * pd.gl2 - sig_theta))
     if p is None:
         return 0.5 * qform, qform, np.zeros(len(q)), (d, mpg, None, None)
     pe = _exponent(p) - 2.0
-    u = phi + q[:, None] * pd.G
+    u = np.multiply(q[:, None], pd.G, out=work[:k * n].reshape(k, n))
+    u += phi
     s = np.abs(u)
     s **= pe  # the point's one power pass
     s *= u
@@ -83,23 +90,24 @@ def plane_energy_grad(q, pieces, sig_theta, pd, gphi):
     ``(gq, dmq)`` with ``gq`` = dE/dq excluding any cross-plane coupling
     and ``dmq`` = dmass/dq.  ``sig_theta`` and ``pd`` are those of
     the ``plane_energy`` call; no power is needed, since ``pieces``
-    holds s.
+    holds s.  The pieces are consumed: their arrays d and s are
+    overwritten with the weighted terms, so no (k, n) temporary is made.
     """
     d, mpg, s, s0 = pieces
     lam, w0 = pd.lam, pd.w0
-    gphi[:] = (-lam * q)[:, None] * pd.wG
+    np.multiply((-lam * q)[:, None], pd.wG, out=gphi)
     half_dmq = mpg + q * pd.gl2
     gq = q * sig_theta - lam * half_dmq
     if s is not None:
-        ws = pd.w_in * s
-        gphi -= ws
+        s *= pd.w_in
+        gphi -= s
         gphi[:, 1] -= s0 @ w0
-        gq = gq - ws @ pd.G - (s0 * pd.g0) @ w0
+        gq = gq - s @ pd.G - (s0 * pd.g0) @ w0
 
-    t = pd.grid.c_h1 * d
-    t[:, 0] = 0.0  # cell 0 carries no stiffness (ghost tie)
-    gphi[:, 1:] += t
-    gphi[:, :-1] -= t
+    d *= pd.grid.c_h1
+    d[:, 0] = 0.0  # cell 0 carries no stiffness (ghost tie)
+    gphi[:, 1:] += d
+    gphi[:, :-1] -= d
     gphi[:, 0] = 0.0
     gphi[:, -1] = 0.0
     return gq, 2.0 * half_dmq

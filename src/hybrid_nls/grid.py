@@ -259,8 +259,17 @@ def radial_laplacian(f: RadialField) -> RadialField:
     return RadialField(grid, out)
 
 
-# 8-point Gauss-Laguerre rule, fixed once for all origin cells.
-_LAG_Z, _LAG_W = np.polynomial.laguerre.laggauss(8)
+# 8-point Gauss-Laguerre rule, fixed once for all origin cells: the
+# values of numpy.polynomial.laguerre.laggauss(8), written out so that
+# the import does not load numpy.polynomial
+_LAG_Z = np.array([
+    0.17027963230510093, 0.90370177679938, 2.251086629866131,
+    4.266700170287659, 7.0459054023934655, 10.758516010180996,
+    15.740678641278004, 22.863131736889265])
+_LAG_W = np.array([
+    0.36918858934163495, 0.4187867808143447, 0.17579498663717255,
+    0.033343492261215794, 0.0027945362352256834, 9.076508773358139e-05,
+    8.48574671627257e-07, 1.0480011748715153e-09])
 _LAG_Z.flags.writeable = False
 _LAG_W.flags.writeable = False
 

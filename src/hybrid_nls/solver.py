@@ -363,6 +363,7 @@ def _linear_solver(
     decay = np.zeros(nin)
     np.cumsum(-np.log(ae), out=decay[1:])
     traps = bool(np.any((ae > 0.5) & (decay[:-1] > _TRAP_NATS)))
+    decay = decay if traps else None  # the solve reads it only to cut
     charged = sigmas is not None
     if charged and len(sigmas) == 1:
         adj, det = np.ones((1, 1)), sigmas[0] + th
@@ -576,14 +577,16 @@ def _tangent_direction(solve, flat):
     return (pvec, slope) if slope > 0.0 and np.isfinite(slope) else None
 
 
-def _residual_direction(solve, flat, omega_hat):
+def _residual_direction(solve, flat, omega_hat, r):
     """The residual step: solve the one right-hand side r = gradient +
-    (omega_hat/2) * mass gradient, the Lagrangian residual.  r pairs to
-    0 with the state, so A^-1 r is tangent as it stands and <r, A^-1 r>
-    is the energy's slope along the retracted path (Antoine, Levitt and
-    Tang, J. Comput. Phys. 343, 2017); returns (A^-1 r, slope), or None
-    when that slope is not positive and finite."""
-    r = flat[0] + 0.5 * omega_hat * flat[1]
+    (omega_hat/2) * mass gradient, the Lagrangian residual, formed in
+    the buffer ``r``.  r pairs to 0 with the state, so A^-1 r is tangent
+    as it stands and <r, A^-1 r> is the energy's slope along the
+    retracted path (Antoine, Levitt and Tang, J. Comput. Phys. 343,
+    2017); returns (A^-1 r, slope), or None when that slope is not
+    positive and finite."""
+    np.multiply(flat[1], 0.5 * omega_hat, out=r)
+    r += flat[0]
     pvec = solve(r[None])[0]
     slope = float(r @ pvec)
     return (pvec, slope) if slope > 0.0 and np.isfinite(slope) else None
@@ -667,9 +670,9 @@ def _descend(pd, p, sigmas, beta, mu, cfg, phi, q, near=(), shift=None):
     charged = sigmas is not None
     stride = nin + (1 if charged else 0)
     sig_theta = pd.theta + (np.array(sigmas) if charged else 0.0)
-    # W metric of the flat (plane, node-or-charge) layout; the gradient
-    # covectors are paired in its inverse
-    winv = np.tile(np.append(1.0 / w[1:-1], np.ones(stride - nin)), k)
+    # W metric of one plane's (node-or-charge) row, the same for every
+    # plane; the gradient covectors are paired in its inverse
+    winv = np.append(1.0 / w[1:-1], np.ones(stride - nin))
     w2, Gin = 2.0 * w[1:-1], pd.G[1:-1]
 
     def coupling(q_):
@@ -677,11 +680,12 @@ def _descend(pd, p, sigmas, beta, mu, cfg, phi, q, near=(), shift=None):
 
     def evaluate(phi_, q_):
         # energy, Q, |u|^p integral and gradient pieces of one point
-        e, qf, pt, pieces_ = plane_energy(phi_, q_, p, sig_theta, pd)
+        e, qf, pt, pieces_ = plane_energy(phi_, q_, p, sig_theta, pd, work)
         return float(e.sum()) - coupling(q_), qf, pt, pieces_
 
     def retract(phi_, q_):
-        # ghost tie, Dirichlet pin, charge clamp, one rescale to mass mu
+        # ghost tie, Dirichlet pin, charge clamp, one rescale to mass mu,
+        # all in phi_'s own buffer
         phi_[:, 0] = phi_[:, 1]
         phi_[:, -1] = 0.0
         q_ = np.maximum(q_, 0.0)
@@ -689,7 +693,9 @@ def _descend(pd, p, sigmas, beta, mu, cfg, phi, q, near=(), shift=None):
         if not mt > 1e-300 * mu:
             return None
         c = math.sqrt(mu / mt)
-        return c * phi_, c * q_
+        phi_ *= c
+        q_ *= c
+        return phi_, q_
 
     def joins(f):
         # this iterate is on its way to the state of the converged run f
@@ -709,11 +715,21 @@ def _descend(pd, p, sigmas, beta, mu, cfg, phi, q, near=(), shift=None):
     # the Newton gate in Newton mode
     recent = collections.deque(maxlen=_WINDOW + 1)
     lin_solve = _linear_solver(pd.grid, shift, pd.theta, sigmas, beta)
-    energy, qform, pt, pieces = evaluate(phi, q)
+    # Besides the state, the descent holds two state-size buffers.
+    # ``gphi`` takes the gradient, then the residual step's right-hand
+    # side, then each trial point of the line search; an accepted trial
+    # becomes the state, and the old state's buffer takes the next
+    # gradient.  ``work`` begins with ``rhs``, the gradient and
+    # mass-gradient covectors, per plane and flat.  Once the step's
+    # direction is found ``rhs`` is not read again, and ``work`` holds
+    # the line search's scaled direction, then each trial's cell
+    # differences and |u|^p (``plane_energy``); the next gradient
+    # consumes the differences before ``rhs`` is filled.
     gphi = np.empty((k, n))
-    # gradient and mass-gradient covectors, per plane and flat
-    rhs = np.zeros((2, k, stride))
+    work = np.empty(2 * k * n - k)
+    rhs = work[:2 * k * stride].reshape(2, k, stride)
     flat = rhs.reshape(2, -1)
+    energy, qform, pt, pieces = evaluate(phi, q)
     stop = "max_iters"
     pg_norm = math.inf
 
@@ -722,12 +738,16 @@ def _descend(pd, p, sigmas, beta, mu, cfg, phi, q, near=(), shift=None):
         # drop the pieces here: only the line search's latest trial keeps any
         pieces = point = None
         rhs[0, :, :nin] = gphi[:, 1:-1]
-        rhs[1, :, :nin] = w2 * (phi[:, 1:-1] + q[:, None] * Gin)
+        dm = rhs[1, :, :nin]  # w2 * (phi + q Gin), formed in place
+        np.multiply(q[:, None], Gin, out=dm)
+        dm += phi[:, 1:-1]
+        dm *= w2
         if charged:
             rhs[0, :, nin] = gq - beta * q[::-1] if k == 2 else gq
             rhs[1, :, nin] = dmq
 
-        (gg, gm), (_, mm) = (flat * winv) @ flat.T  # Gram matrix in W^-1
+        # Gram matrix in W^-1
+        (gg, gm), (_, mm) = (rhs * winv).reshape(2, -1) @ flat.T
         pg_norm = math.sqrt(max(gg - gm * gm / mm, 0.0)) if mm > 0 else math.sqrt(gg)
         omega_hat = (float((pt - qform).sum()) + 2.0 * coupling(q)) / mu
         scale = math.sqrt(mu) * max(1.0, abs(omega_hat))
@@ -770,7 +790,8 @@ def _descend(pd, p, sigmas, beta, mu, cfg, phi, q, near=(), shift=None):
                 pass
         s_try = 1.0 if found else step * _STEP_GROW
         if found is None and pd.grid.resolves(abs(omega_hat)):
-            found = _residual_direction(lin_solve, flat, omega_hat)
+            found = _residual_direction(lin_solve, flat, omega_hat,
+                                        gphi.reshape(-1)[:k * stride])
         if found is None:
             found = _tangent_direction(lin_solve, flat)
         if found is None:
@@ -780,8 +801,9 @@ def _descend(pd, p, sigmas, beta, mu, cfg, phi, q, near=(), shift=None):
         pvec = pvec.reshape(k, stride)
 
         while s_try >= _STEP_FLOOR:
-            trial = phi.copy()
-            trial[:, 1:-1] -= s_try * pvec[:, :nin]
+            trial = gphi
+            np.copyto(trial, phi)
+            trial[:, 1:-1] -= np.multiply(pvec[:, :nin], s_try, out=rhs[0, :, :nin])
             retr = retract(trial, q - s_try * pvec[:, nin] if charged else q)
             if retr is not None:
                 point = evaluate(*retr)
@@ -795,8 +817,10 @@ def _descend(pd, p, sigmas, beta, mu, cfg, phi, q, near=(), shift=None):
             break
 
         drop = energy - e_try
+        gphi = phi
         phi, q = retr
         energy, qform, pt, pieces = point
+        pvec = found = None  # the direction goes before the next gradient
         step = s_try
         stall = stall + 1 if drop <= _ENERGY_TOL * max(1.0, abs(energy)) else 0
         if stall >= _STALL_LIMIT:
@@ -850,8 +874,10 @@ def _solve_on_grid(pd, p, sigmas, beta, mu, cfg):
     for s in cfg.starts:
         near = [r for r in runs if r["stop"] == "converged"]
         shift = max(abs(near[-1]["omega_hat"]), 1e-10) if near else pd.lam
-        run = _descend(pd, p, sigmas, beta, mu, cfg,
-                       *_initial_guess(pd, sigmas, beta, mu, s),
+        # popped into the call, so that the descent holds the only
+        # reference to its start and frees it once it is scaled
+        guess = list(_initial_guess(pd, sigmas, beta, mu, s))
+        run = _descend(pd, p, sigmas, beta, mu, cfg, guess.pop(0), guess.pop(),
                        near=near, shift=shift)
         if run["stop"] != "duplicate":
             runs.append(run)

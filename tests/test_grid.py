@@ -212,6 +212,14 @@ class TestOriginCellRule:
         assert w.sum() == pytest.approx(1.0, rel=1e-12)
         assert area == pytest.approx(math.pi * default_grid.r[1] ** 2, rel=1e-14)
 
+    def test_rule_is_numpys_laguerre_rule(self, default_grid):
+        # the rule is written out so that the import skips numpy.polynomial;
+        # laggauss is its reference, to the bit
+        z, w, _ = origin_cell_rule(default_grid)
+        ref_z, ref_w = np.polynomial.laguerre.laggauss(8)
+        assert z.tobytes() == ref_z.tobytes()
+        assert w.tobytes() == ref_w.tobytes()
+
     def test_log_power_integrand_oracle(self, default_grid):
         # 2 pi int_0^{r1} |a + b log r|^p r dr against adaptive quadrature
         a, b, p = 1.0, 0.3, 2.7

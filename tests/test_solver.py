@@ -18,6 +18,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 import types
 import warnings
 
@@ -1181,7 +1182,8 @@ class TestResidualStep:
         assert abs(r @ x) <= 1e-12 * np.linalg.norm(g) * np.linalg.norm(x)
         solve = _linear_solver(pd.grid, 10.0 ** log_shift * pd.lam, pd.theta,
                                sigmas, beta)
-        pvec, slope = solver._residual_direction(solve, np.stack([g, a]), omega)
+        pvec, slope = solver._residual_direction(solve, np.stack([g, a]), omega,
+                                                 np.empty_like(g))
         assert slope == r @ pvec > 0.0
         # central differences over a step of 1e-5 of the state: measured
         # errors up to 7e-10, falling as h^2
@@ -1411,14 +1413,15 @@ class TestLinearSolver:
 def test_import_leaves_scipy_unloaded(tmp_path):
     # the package binds numpy's LAPACK and evaluates K0 itself, escapes
     # SVG text without xml.sax (which loads urllib.request, http, email
-    # and ssl), and samples profiles without np.unique (whose first call
-    # loads numpy.ma)
+    # and ssl), writes out the origin cell's Gauss-Laguerre rule, and
+    # samples profiles without np.unique (whose first call loads numpy.ma)
     code = f"""
 import sys, hybrid_nls, hybrid_nls.cli
 def loaded(*names):
     return [m for m in sys.modules if m in names or m.startswith(
         tuple(name + "." for name in names))]
-print(loaded("scipy", "xml", "urllib.request", "http", "email", "ssl"))
+print(loaded("scipy", "xml", "urllib.request", "http", "email", "ssl",
+             "numpy.polynomial"))
 hybrid_nls.cli.main(["solve", "--N", "256", "--formats", "json,csv,svg",
                      "--out", {str(tmp_path)!r}])
 print(loaded("numpy.ma"))
@@ -1446,3 +1449,22 @@ print(code, [m for m in sys.modules if m.split(".")[:2] == ["numpy", "random"]])
                           text=True, env=dict(os.environ, PYTHONPATH=src),
                           check=True)
     assert proc.stdout.splitlines()[-1] == "1 []"
+
+
+def test_descent_holds_few_state_arrays():
+    # The README hybrid's traced peak, in units of one (2, N+1) state
+    # array, grid and plane data included.  At N = 8192, grading 1.0025
+    # it is 14.1 (14.0 at N = 32768, grading 1.000625).  A descent that
+    # keeps its trial, retraction, direction and the gradient kernel's
+    # temporaries alive across the line search, and the start's guess
+    # through the whole descent, peaks at 20.6.
+    cfg = SolverConfig(N=8192, grading=1.0025)
+    P = HybridParams(3.0, 3.0, 0.0, 1.0, 1.0, 1.0)
+    tracemalloc.start()
+    try:
+        report = solve_hybrid(P, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.certificate.certified
+    assert peak / (2 * (cfg.N + 1) * 8) < 16.0

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import math
 import operator
 from pathlib import Path
 
@@ -244,3 +245,27 @@ def test_count_lines_fixture(tmp_path, capsys):
     assert [r.split()[-1].rsplit("/", 1)[-1] for r in rows[1:]] == ["a.py", "b.py", "total"]
     assert rows[-1].split()[:3] == ["26", "10", "7"]
 
+
+
+def test_bench_pairs_claim_rule():
+    judge = _load("bench_pairs").judge
+    parent = [48.0, 48.2, 48.1, 48.6, 48.3, 48.0, 48.4, 48.2, 48.5, 48.1]
+    lower = [p - 4.0 for p in parent]
+    j = judge(list(zip(parent, lower)), "lower")
+    assert (j["change_won"], j["parent_won"], j["pairs"]) == (10, 0, 10)
+    assert j["parent"]["median"] == 48.2 and j["change"]["median"] == 44.2
+    assert j["parent"]["q1"] == 48.1 and j["parent"]["q3"] == 48.375
+    assert math.isclose(j["gap"], 4.0) and j["claim"]
+    # the same runs, judged as a metric where higher is better
+    j = judge(list(zip(parent, lower)), "higher")
+    assert (j["change_won"], j["parent_won"]) == (0, 10) and not j["claim"]
+    # nine of ten won is enough; a tie counts for neither side
+    nine = lower[:9] + [parent[9]]
+    j = judge(list(zip(parent, nine)), "lower")
+    assert (j["change_won"], j["parent_won"]) == (9, 0) and j["claim"]
+    eight = lower[:8] + [parent[8], parent[9] + 1.0]
+    j = judge(list(zip(parent, eight)), "lower")
+    assert (j["change_won"], j["parent_won"]) == (8, 1) and not j["claim"]
+    # every pair won, by less than the parent's quartile spread
+    j = judge(list(zip(parent, [p - 0.1 for p in parent])), "lower")
+    assert j["change_won"] == 10 and j["gap"] < j["parent_iqr"] and not j["claim"]
