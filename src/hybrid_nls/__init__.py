@@ -22,20 +22,17 @@ from hybrid_nls.analysis import (
     SweepRow,
     SweepTable,
     critical_mass,
-    mass_split_infimum,
     monotone_radial_check,
     rho,
     rho_detail,
     sweep,
 )
 from hybrid_nls.energy import (
-    ActionValues,
     ChargedField,
     HybridGradient,
     HybridParams,
     HybridState,
     PlaneData,
-    action_functionals,
     f_hybrid,
     f_single,
     plane_data,
@@ -64,7 +61,6 @@ from hybrid_nls.verify import CriterionResult, VerifyReport, run_suite
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActionValues",
     "ChargedField",
     "CriterionResult",
     "EULER_GAMMA",
@@ -80,7 +76,6 @@ __all__ = [
     "SweepRow",
     "SweepTable",
     "VerifyReport",
-    "action_functionals",
     "critical_mass",
     "extract_omega",
     "f_hybrid",
@@ -88,7 +83,6 @@ __all__ = [
     "green_l2_norm_sq",
     "lambda_for_theta",
     "make_grid",
-    "mass_split_infimum",
     "monotone_radial_check",
     "omega_star",
     "omega_star_grid",

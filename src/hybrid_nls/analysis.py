@@ -1,9 +1,8 @@
 """Derived quantities built on top of the solvers.
 
-Free-plane energy coefficients and the critical mass, the endpoint
-mass-split oracle, parameter sweeps toward the strong-interaction
-limits, and the radial monotonicity count used by the verification
-suite.
+Free-plane energy coefficients and the critical mass, parameter sweeps
+toward the strong-interaction limits, and the radial monotonicity count
+used by the verification suite.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ __all__ = [
     "free_plane_energy",
     "check_critical_pair",
     "critical_mass",
-    "mass_split_infimum",
     "SWEEP_MODES",
     "sweep",
     "sweep_params",
@@ -46,8 +44,6 @@ __all__ = [
 _RATE_FLOOR = 0.02
 _RATE_TARGET = 0.3
 
-#: nodes of ``mass_split_infimum``'s scan over the split
-MASS_SPLIT_NODES = 4001
 #: the HybridParams fields each sweep mode sets to the swept value
 _SWEPT_FIELDS = {"sigma2": ("sigma2",), "sigma_common": ("sigma1", "sigma2"),
                  "beta": ("beta",), "mu": ("mu",)}
@@ -237,22 +233,6 @@ def critical_mass(p1: float, p2: float, cfg: SolverConfig | None = None) -> floa
     r2 = rho(p2, cfg)
     exponent = (4.0 - p1) * (4.0 - p2) / (2.0 * (p2 - p1))
     return (r1 / r2) ** exponent
-
-
-def mass_split_infimum(p1: float, p2: float, mu: float, rho1: float,
-                       rho2: float) -> tuple[float, float]:
-    """Brute-force minimum of the decoupled two-plane energy over splits.
-
-    Scans g(m) = -rho1 m^(2/(4-p1)) - rho2 (mu-m)^(2/(4-p2)) on the
-    :data:`MASS_SPLIT_NODES` uniform nodes of m in [0, mu]; returns
-    (minimum value, minimizing m).
-    """
-    if mu <= 0.0:
-        raise ValueError(f"mu must be positive, got {mu}")
-    m = np.linspace(0.0, mu, MASS_SPLIT_NODES)
-    g = -rho1 * m ** (2.0 / (4.0 - p1)) - rho2 * (mu - m) ** (2.0 / (4.0 - p2))
-    k = int(np.argmin(g))
-    return float(g[k]), float(m[k])
 
 
 def sweep_params(P: HybridParams, mode: str,

@@ -20,8 +20,7 @@ The central objects are
 * the hybrid energy
       F(U) = F_{p1,s1}(u_1) + F_{p2,s2}(u_2) - beta q_1 q_2,
 
-minimized over the mass sphere |u_1|^2 + |u_2|^2 = mu, and the action
-bookkeeping built from the same norm evaluations.
+minimized over the mass sphere |u_1|^2 + |u_2|^2 = mu.
 
 Gradients returned by :func:`grad_f_hybrid` live in the flat
 L^2 x R metric (a profile direction per plane plus a charge scalar);
@@ -55,7 +54,6 @@ __all__ = [
     "ChargedField",
     "HybridParams",
     "HybridState",
-    "ActionValues",
     "HybridGradient",
     "check_power",
     "mass",
@@ -63,7 +61,7 @@ __all__ = [
     "f_single",
     "f_hybrid",
     "grad_f_hybrid",
-    "action_functionals",
+    "dilation_defect",
     "el_residual",
     "boundary_residual",
     "total_field",
@@ -144,17 +142,6 @@ class HybridState:
     @property
     def grid(self) -> RadialGrid:
         return self.u1.grid
-
-
-@dataclass(frozen=True)
-class ActionValues:
-    """The five action functionals at one (state, frequency) pair."""
-
-    s_omega: float
-    i_omega: float
-    s_tilde: float
-    a_omega: float
-    b_omega: float
 
 
 @dataclass
@@ -313,28 +300,26 @@ def _state_pieces(U: HybridState, P: HybridParams):
             lp_power(U.u2, P.p2))
 
 
-def action_functionals(U: HybridState, P: HybridParams,
-                       omega: float) -> ActionValues:
-    """The five action functionals, assembled from shared norm values.
+def dilation_defect(U: HybridState, P: HybridParams) -> float:
+    """Relative defect of the identity every critical point satisfies.
 
-    The decomposition identities
+    The mass-preserving dilation u_L(x) = L u(Lx) maps phi + q G_lam to
+    a field of charge L q at rate L^2 lam, and theta(L^2 lam) = theta(lam)
+    + log L / (2 pi); so d/dL F(U_L) = 0 at L = 1 reads
 
-        s_omega = i_omega/2 + s_tilde
-                = i_omega/p1 + a_omega
-                = i_omega/p2 + b_omega
+        Q(U) + c = X,   c = (q_1^2 + q_2^2) / (4 pi),
+        X = sum_i (p_i - 2)/p_i |u_i|_{p_i}^{p_i},
 
-    then hold to rounding by construction of the returned values.
+    with Q the coupled quadratic form.  Returns |Q + c - X| / (|Q| + |X| + c).
+    Unlike the Nehari pairing, which fixes omega, it needs no multiplier
+    and holds by no construction: a box wall that holds the state, or a
+    first cell too coarse for it, breaks it.  At q = 0 it is the virial
+    identity |grad u|^2 = (p - 2)/p |u|_p^p.  It does not see saddles.
     """
-    q_total, m, pt1, pt2 = _state_pieces(U, P)
-    p1, p2 = P.p1, P.p2
-    f_val = 0.5 * q_total - pt1 / p1 - pt2 / p2
-    s_omega = f_val + 0.5 * omega * m
-    i_omega = q_total + omega * m - pt1 - pt2
-    s_tilde = (p1 - 2.0) / (2.0 * p1) * pt1 + (p2 - 2.0) / (2.0 * p2) * pt2
-    q_shift = q_total + omega * m
-    a_omega = (p1 - 2.0) / (2.0 * p1) * q_shift + (p2 - p1) / (p1 * p2) * pt2
-    b_omega = (p2 - 2.0) / (2.0 * p2) * q_shift + (p1 - p2) / (p1 * p2) * pt1
-    return ActionValues(s_omega, i_omega, s_tilde, a_omega, b_omega)
+    q_total, _, pt1, pt2 = _state_pieces(U, P)
+    x = (P.p1 - 2.0) / P.p1 * pt1 + (P.p2 - 2.0) / P.p2 * pt2
+    c = (U.u1.q ** 2 + U.u2.q ** 2) / (4.0 * math.pi)
+    return abs(q_total + c - x) / (abs(q_total) + abs(x) + c)
 
 
 def el_residual(U: HybridState, P: HybridParams, omega: float) -> float:

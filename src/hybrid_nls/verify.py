@@ -31,20 +31,17 @@ from .energy import (
     ChargedField,
     HybridParams,
     HybridState,
-    action_functionals,
+    dilation_defect,
     f_hybrid,
     grad_f_hybrid,
-    lp_power,
     mass,
     plane_data,
-    q_form_sigma,
     total_field,
 )
 from .grid import RadialField, make_grid
 from .solver import (
     SolverConfig,
     _solve_two_plane,
-    extract_omega,
     omega_star,
     omega_star_grid,
     refine_config,
@@ -153,7 +150,7 @@ def _c1_scaling_law(ctx: _Context):
     return ok, f"fitted mass exponent {slope:.5f} (target 2 +/- 2%)"
 
 
-def _c2_virial_identities(ctx: _Context):
+def _c2_virial_identity(ctx: _Context):
     tol = ctx.tol(1e-3, 5e-3)
     worst = 0.0
     # rho's reference solves are the suite's: their states are read here,
@@ -162,12 +159,11 @@ def _c2_virial_identities(ctx: _Context):
     for p in (2.5, 3.0, 3.5):
         mu = analysis.rho_detail(p, ctx.cfg, planar).reference_mass
         r = ctx.solve(solve_planar, p, mu)
-        u = r.state.u1
-        X = lp_power(u, p)
-        worst = max(worst, _rel(q_form_sigma(u, 0.0), (p - 2.0) / p * X),
-                    _rel(r.omega * mass(u), 2.0 / p * X))
+        # uncharged, so the dilation identity is the virial one
+        P = HybridParams(p, p, 0.0, 0.0, 0.0, mu)
+        worst = max(worst, dilation_defect(r.state, P))
     ok = worst <= tol
-    return ok, f"worst identity defect {worst:.2e} (cap {tol:.0e})"
+    return ok, f"worst dilation defect {worst:.2e} (cap {tol:.0e})"
 
 
 def _c3_decoupling(ctx: _Context):
@@ -273,21 +269,28 @@ def _c8_critical_mass_dichotomy(ctx: _Context):
     return ok, "; ".join(parts)
 
 
-def _c9_mass_split_endpoints(ctx: _Context):
-    # This count cannot fail: each exponent 2/(4 - p) exceeds 1, so the
-    # split energy is concave and its grid minimum is an endpoint
-    # (ROADMAP item 3).
-    rng = random.Random(0)
-    failures = 0
-    for _ in range(50):
-        p1, p2 = rng.uniform(2.1, 3.9), rng.uniform(2.1, 3.9)
-        rho1, rho2 = rng.uniform(0.05, 5.0), rng.uniform(0.05, 5.0)
-        mu = rng.uniform(0.2, 8.0)
-        _, argmin = analysis.mass_split_infimum(p1, p2, mu, rho1, rho2)
-        cell = mu / (analysis.MASS_SPLIT_NODES - 1)
-        if not (argmin <= cell or argmin >= mu - cell):
-            failures += 1
-    return failures == 0, f"{failures}/50 samples with interior minimizer"
+#: criterion 9's hybrid: a mass small enough for the linear state to set the split
+_SMALL_MASS = HybridParams(3.0, 3.5, 0.0, 0.3, 0.5, 1e-3)
+
+
+def _c9_small_mass_split(ctx: _Context):
+    # As the mass vanishes the ground state tends to the linear one,
+    # v_1 G and v_2 G at rate omega*, v the null vector of omega_star's
+    # charge matrix [[s1 + t, -b], [-b, s2 + t]] at t = theta(omega*):
+    # q2/q1 -> v2/v1 and the plane-1 mass share -> v1^2/|v|^2.
+    P = _SMALL_MASS
+    r = ctx.solve(solve_hybrid, P)
+    if not r.certificate.certified:
+        return False, f"solve is not certified (failed {r.certificate.failed})"
+    w_star = omega_star(P)
+    ratio = (P.sigma1 + specfun.theta(w_star)) / P.beta
+    share = 1.0 / (1.0 + ratio * ratio)
+    depth = r.omega / w_star
+    worst = max(abs(r.q2 / r.q1 / ratio - 1.0), abs(r.mass1 / P.mu / share - 1.0))
+    ok = depth <= 1.01 and worst <= 3e-3
+    return ok, (f"omega/omega* {depth:.5f} (cap 1.01); q2/q1 {r.q2 / r.q1:.5f} "
+                f"vs {ratio:.5f}, plane-1 share {r.mass1 / P.mu:.5f} vs "
+                f"{share:.5f}: worst defect {worst:.2e} (cap 3e-3)")
 
 
 def _c10_stationarity_certificates(ctx: _Context):
@@ -326,10 +329,6 @@ _GRADIENT_SETS = (
 )
 
 
-#: decomposition rates of the random states' two planes
-_RANDOM_RATES = (1.5, 3.0)
-
-
 def _random_state(planes, rng) -> HybridState:
     grid = planes[0].grid
 
@@ -347,7 +346,8 @@ def _random_state(planes, rng) -> HybridState:
 
 def _c11_gradient_check(ctx: _Context):
     grid = make_grid(12.0, 256, 1.02)
-    planes = [plane_data(grid, lam) for lam in _RANDOM_RATES]
+    # the random states' two planes, at two decomposition rates
+    planes = [plane_data(grid, lam) for lam in (1.5, 3.0)]
     w = grid.w_trapz
     rng = random.Random(1)
     h = 1e-6
@@ -379,39 +379,19 @@ def _c11_gradient_check(ctx: _Context):
     return ok, f"worst directional-derivative defect {worst:.2e} (cap 1e-5)"
 
 
-def _c12_action_identities(ctx: _Context):
-    grid = make_grid(12.0, 256, 1.02)
-    planes = [plane_data(grid, lam) for lam in _RANDOM_RATES]
-    rng = random.Random(2)
-    P = HybridParams(2.5, 3.5, 0.3, -0.2, 0.8, 1.0)
-    # The identity clause cannot fail: action_functionals builds all five
-    # functionals from the same four numbers (ROADMAP item 3).
-    worst_id = 0.0
-    for _ in range(25):
-        U = _random_state(planes, rng)
-        omega = rng.uniform(0.1, 3.0)
-        acts = action_functionals(U, P, omega)
-        scale = max(abs(acts.s_omega), 1e-12)
-        for combo in (
-            0.5 * acts.i_omega + acts.s_tilde,
-            acts.i_omega / P.p1 + acts.a_omega,
-            acts.i_omega / P.p2 + acts.b_omega,
-        ):
-            worst_id = max(worst_id, abs(acts.s_omega - combo) / scale)
-    # The Nehari clause cannot fail: extract_omega is the omega that zeroes
-    # I_omega, from the same _state_pieces action_functionals sums, so the
-    # ratio measures rounding, not convergence (ROADMAP item 3).
-    worst_nehari = 0.0
+def _c12_dilation_identity(ctx: _Context):
+    # Resolved states read at most 1e-3 at N = 512 and less as N grows;
+    # states that the box wall holds read 0.2 and more, certified or not.
+    # The cap sits between, as the certificate's 1e-2 on el_residual does.
+    worst = 0.0
     # one plane with its charge: the state the beta = 0 hybrid reports
-    for P2, r in ((_COUPLED, ctx.solve(solve_hybrid, _COUPLED)),
-                  (HybridParams(3.0, 3.0, 0.0, 0.0, 0.0, 1.0),
-                   ctx.solve(solve_single, 3.0, 0.0, 1.0))):
-        omega = extract_omega(r.state, P2)
-        acts = action_functionals(r.state, P2, omega)
-        worst_nehari = max(worst_nehari, abs(acts.i_omega) / abs(acts.s_omega))
-    ok = worst_id <= 1e-12 and worst_nehari <= 1e-4
-    return ok, (f"identity defect {worst_id:.2e} (cap 1e-12); converged-state "
-                f"Nehari ratio {worst_nehari:.2e} (cap 1e-4)")
+    for P, r in ((_COUPLED, ctx.solve(solve_hybrid, _COUPLED)),
+                 (HybridParams(3.0, 3.0, 0.0, 0.0, 0.0, 1.0),
+                  ctx.solve(solve_single, 3.0, 0.0, 1.0))):
+        worst = max(worst, dilation_defect(r.state, P))
+    ok = worst <= 1e-2
+    return ok, (f"worst dilation defect {worst:.2e} of the coupled hybrid "
+                f"and the single plane (cap 1e-2)")
 
 
 def _c13_linear_level(ctx: _Context):
@@ -486,17 +466,17 @@ def _c14_closed_forms(ctx: _Context):
 
 CRITERIA: tuple[tuple[int, str, Callable], ...] = (
     (1, "free-plane scaling law", _c1_scaling_law),
-    (2, "stationary-profile identities", _c2_virial_identities),
+    (2, "stationary-profile identities", _c2_virial_identity),
     (3, "uncoupled hybrid decouples", _c3_decoupling),
     (4, "coupling gap grows with beta", _c4_coupling_gap),
     (5, "positive decreasing profiles", _c5_profile_structure),
     (6, "weaker plane carries less charge", _c6_charge_ordering),
     (7, "mass migrates to the stronger plane", _c7_mass_migration),
     (8, "critical-mass dichotomy", _c8_critical_mass_dichotomy),
-    (9, "decoupled split minimized at endpoints", _c9_mass_split_endpoints),
+    (9, "small-mass split follows the linear state", _c9_small_mass_split),
     (10, "stationarity certificates", _c10_stationarity_certificates),
     (11, "gradient matches finite differences", _c11_gradient_check),
-    (12, "action identities", _c12_action_identities),
+    (12, "action identities", _c12_dilation_identity),
     (13, "linear spectral level", _c13_linear_level),
     (14, "closed-form layer", _c14_closed_forms),
 )

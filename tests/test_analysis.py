@@ -19,7 +19,6 @@ from hybrid_nls.analysis import (
     SweepRow,
     SweepTable,
     critical_mass,
-    mass_split_infimum,
     monotone_radial_check,
     rho,
     rho_detail,
@@ -187,31 +186,6 @@ class TestCriticalMass:
         # pinned: default grid, measured 2026-08-18 (shooting oracle
         # puts the continuum value at 22.427)
         assert critical_mass(2.5, 3.5, cfg) == pytest.approx(22.426, rel=1e-3)
-
-
-class TestMassSplitInfimum:
-    def test_argmin_is_an_endpoint_over_random_samples(self):
-        rng = np.random.default_rng(42)
-        for _ in range(50):
-            p1, p2 = rng.uniform(2.1, 3.9, size=2)
-            rho1, rho2 = rng.uniform(0.05, 5.0, size=2)
-            mu = rng.uniform(0.2, 8.0)
-            value, argmin = mass_split_infimum(p1, p2, mu, rho1, rho2)
-            cell = mu / (analysis.MASS_SPLIT_NODES - 1)
-            assert argmin <= cell or argmin >= mu - cell, (p1, p2, rho1, rho2, mu)
-            expect = min(-rho1 * mu ** (2.0 / (4.0 - p1)),
-                         -rho2 * mu ** (2.0 / (4.0 - p2)))
-            assert abs(value - expect) <= 1e-9 + 1e-6 * abs(expect)
-
-    def test_symmetric_case_ties(self):
-        value, argmin = mass_split_infimum(3.0, 3.0, 2.0, 1.3, 1.3)
-        g0 = -1.3 * 2.0**2
-        assert value == pytest.approx(g0, rel=1e-12)
-        assert argmin in (0.0, 2.0)
-
-    def test_grid_size_enforced(self):
-        with pytest.raises(ValueError):
-            mass_split_infimum(2.5, 3.5, -1.0, 1.0, 1.0)
 
 
 class TestSweepSigma2:

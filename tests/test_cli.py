@@ -700,6 +700,54 @@ class TestVerify:
         assert not ok
         assert int(re.search(count + r" (\d+)", details).group(1)) > 0
 
+    def test_criterion_2_fails_a_box_planar_state(self, monkeypatch):
+        # rho's references come from the real solver; criterion 2 then
+        # reads each planar state solved on a quarter of the box, whose
+        # wall holds it (p = 3: R sqrt(omega) = 1.6, certified, defect 0.35)
+        for p in (2.5, 3.0, 3.5):
+            analysis.rho_detail(p, SolverConfig(N=512))
+        real = verify.solve_planar
+
+        def boxed(p, mu, cfg):
+            return real(p, mu, dataclasses.replace(cfg, R=cfg.R / 4))
+
+        monkeypatch.setattr(verify, "solve_planar", boxed)
+        ok, details = run_criterion(2)
+        assert not ok
+        assert float(re.search(r"defect (\S+)", details).group(1)) > 0.1
+
+    @pytest.mark.parametrize("change", [
+        lambda r: {"q1": r.q2, "q2": r.q1},
+        lambda r: {"mass1": r.mass2, "mass2": r.mass1},
+        lambda r: {"omega": 1.05 * r.omega},
+    ], ids=["charges", "masses", "deep"])
+    def test_criterion_9_fails_a_wrong_split(self, change, monkeypatch):
+        # the small-mass state with its planes' charges or masses swapped
+        # (defects 0.81 and 0.45), or reported 5% deeper than omega*
+        real = verify.solve_hybrid
+
+        def wrong(P, cfg):
+            r = real(P, cfg)
+            return dataclasses.replace(r, **change(r))
+
+        monkeypatch.setattr(verify, "solve_hybrid", wrong)
+        assert not run_criterion(9)[0]
+
+    def test_criterion_12_fails_a_box_charged_state(self, monkeypatch):
+        # the single plane with its charge on a box of radius 1.5, whose
+        # wall holds it (R sqrt(omega) = 2.1): certified, defect 0.15
+        real = verify.solve_single
+
+        def boxed(p, sigma, mu, cfg):
+            r = real(p, sigma, mu, dataclasses.replace(cfg, R=1.5))
+            assert r.certificate.certified
+            return r
+
+        monkeypatch.setattr(verify, "solve_single", boxed)
+        ok, details = run_criterion(12)
+        assert not ok
+        assert float(re.search(r"defect (\S+)", details).group(1)) > 0.1
+
     def test_theta_sign_flip_flags_closed_form_criteria(self, monkeypatch):
         orig = sf.theta
 

@@ -21,12 +21,11 @@ from hybrid_nls import _kernels
 from hybrid_nls import energy as en
 from hybrid_nls import specfun as sf
 from hybrid_nls.energy import (
-    ActionValues,
     ChargedField,
     HybridParams,
     HybridState,
-    action_functionals,
     boundary_residual,
+    dilation_defect,
     el_residual,
     f_hybrid,
     f_single,
@@ -296,30 +295,6 @@ class TestGradient:
         assert g.dq1 == 0.0 and g.dq2 == 0.0
 
 
-class TestActionValues:
-    def test_zero_state(self, small_grid):
-        zero = ChargedField(RadialField(small_grid, np.zeros(small_grid.n_nodes)),
-                            0.0, plane_data(small_grid, 1.0))
-        P = HybridParams(3.0, 2.5, 0.0, 0.0, 1.0, 1.0)
-        av = action_functionals(HybridState(zero, zero), P, 0.7)
-        assert av == ActionValues(0.0, 0.0, 0.0, 0.0, 0.0)
-
-    def test_decomposition_identities_random(self, small_grid):
-        rng = np.random.default_rng(3)
-        for _ in range(25):
-            U = random_state(small_grid, rng)
-            P = HybridParams(
-                rng.uniform(2.1, 3.9), rng.uniform(2.1, 3.9),
-                rng.uniform(-1, 2), rng.uniform(-1, 2),
-                rng.uniform(0, 2), 1.0)
-            omega = rng.uniform(-2.0, 5.0)
-            av = action_functionals(U, P, omega)
-            scale = max(1e-30, abs(av.s_omega))
-            assert abs(av.s_omega - (0.5 * av.i_omega + av.s_tilde)) <= 1e-12 * scale
-            assert abs(av.s_omega - (av.i_omega / P.p1 + av.a_omega)) <= 1e-12 * scale
-            assert abs(av.s_omega - (av.i_omega / P.p2 + av.b_omega)) <= 1e-12 * scale
-
-
 class TestResiduals:
     def test_boundary_residual_chargeless(self, small_grid):
         rng = np.random.default_rng(4)
@@ -372,6 +347,36 @@ class TestResiduals:
         U = HybridState(U0.u1, zero)
         P = HybridParams(3.0, 3.0, 0.0, 0.0, 0.0, 1.0)
         assert np.isfinite(el_residual(U, P, 1.0))
+
+
+class TestDilationDefect:
+    README = HybridParams(3.0, 3.0, 0.0, 1.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("N,cap", [(512, 1e-3), (2048, 1e-5)])
+    def test_falls_with_n_on_the_readme_hybrid(self, N, cap):
+        # measured 9.9e-4 at N = 512 and 7.5e-6 at 2048
+        r = hybrid_nls.solve_hybrid(self.README, hybrid_nls.SolverConfig(N=N))
+        assert dilation_defect(r.state, self.README) <= cap
+
+    def test_box_state_breaks_it(self):
+        # a shallow state the R = 40 wall holds (R sqrt(omega) = 2.3); its
+        # certificate passes, the identity does not (measured 0.198)
+        P = HybridParams(3.0, 3.0, 1.0, 1.0, 0.1, 0.05)
+        r = hybrid_nls.solve_hybrid(P, hybrid_nls.SolverConfig(N=512))
+        assert r.certificate.certified
+        assert dilation_defect(r.state, P) > 0.1
+
+    def test_vanishes_on_a_dilation_stationary_state(self, small_grid):
+        # a chargeless Gaussian of amplitude a: |grad u|^2 = pi a^2 and
+        # |u|_3^3 = 2 pi a^3 / 3, so |grad u|^2 = |u|_3^3 / 3 at a = 9/2
+        u = ChargedField(RadialField(small_grid, gaussian_field(small_grid, 4.5)),
+                         0.0, plane_data(small_grid, 1.0))
+        zero = ChargedField(RadialField(small_grid, np.zeros(small_grid.n_nodes)),
+                            0.0, u.plane)
+        P = HybridParams(3.0, 3.0, 0.0, 0.0, 0.0, 1.0)
+        assert dilation_defect(HybridState(u, zero), P) < 1e-3
+        off = dataclasses.replace(u, phi=RadialField(small_grid, 0.5 * u.phi.values))
+        assert dilation_defect(HybridState(off, zero), P) > 0.1
 
 
 def kernel_pair(phi, q, p, sig_theta, pd):

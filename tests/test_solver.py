@@ -32,6 +32,7 @@ import hybrid_nls
 from hybrid_nls import _kernels, solver
 from hybrid_nls.energy import (
     HybridParams,
+    _state_pieces,
     f_hybrid,
     lp_power,
     mass,
@@ -252,16 +253,16 @@ class TestOmegaStarClosedForm:
 
 class TestExtractOmega:
     def test_nulls_the_nehari_functional(self):
-        from hybrid_nls.energy import action_functionals
-
         grid = make_grid(12.0, 256, 1.02)
         rng = np.random.default_rng(7)
         P = HybridParams(2.5, 3.5, 0.3, -0.2, 0.8, 1.0)
         for _ in range(10):
             U = random_state(grid, rng)
             w = extract_omega(U, P)
-            acts = action_functionals(U, P, w)
-            assert abs(acts.i_omega) < 1e-10 * max(1.0, abs(acts.s_omega))
+            q_total, m, pt1, pt2 = _state_pieces(U, P)
+            # I_w = Q + w m - |u1|^p1 - |u2|^p2, against its largest term
+            i_omega = q_total + w * m - pt1 - pt2
+            assert abs(i_omega) < 1e-12 * max(abs(q_total), pt1 + pt2)
 
     def test_zero_state_rejected(self):
         grid = make_grid(10.0, 128, 1.02)
