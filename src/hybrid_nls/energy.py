@@ -343,10 +343,10 @@ def el_residual(U: HybridState, P: HybridParams, omega: float) -> float:
     """
     sel = slice(3, -1)  # nodes strictly inside, first two cells excluded
     w = U.grid.w_trapz[sel]
-    m_total = mass(U.u1) + mass(U.u2)
+    m1, m2 = mass(U.u1), mass(U.u2)
     worst = 0.0
-    for u, sigma, p in ((U.u1, P.sigma1, P.p1), (U.u2, P.sigma2, P.p2)):
-        if mass(u) <= 1e-12 * m_total:
+    for u, m, p in ((U.u1, m1, P.p1), (U.u2, m2, P.p2)):
+        if m <= 1e-12 * (m1 + m2):
             continue
         pd = u.plane
         phi = u.phi.values

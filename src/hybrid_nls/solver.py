@@ -404,12 +404,15 @@ def _newton_solver(pd, phi, q, p, omega, sigmas, beta):
     The blocks are stacked as one tridiagonal with zero coupling and
     LU-factored (dgttrf: the block is indefinite).  Each charge borders
     its plane with the column (omega-lam) wG minus the curvature times
-    G, and the charges' k x k Schur complement is inverted.  Each
-    solve takes one step of iterative refinement: the convergence test
-    weighs the residual by 1/w, and w is tiny near the origin of a
-    graded mesh.  Without it the ``fine_hard`` solve ``sigma6_n8192``,
-    the sigma = 6, mu = 2 mu* hybrid at N = 8192, stops without
-    progress.  Raises ArithmeticError when a factor is singular.
+    G.  dgttrf swaps no rows across the zero coupling, so A^-1 of each
+    border stays in its plane's block: one right-hand side solves them
+    all, and the charges' k x k Schur complement, which is inverted,
+    differs from the charge block on its diagonal only.  Each solve
+    takes one step of iterative refinement: the convergence test weighs
+    the residual by 1/w, and w is tiny near the origin of a graded
+    mesh.  Without it the ``fine_hard`` solve ``sigma6_n8192``, the
+    sigma = 6, mu = 2 mu* hybrid at N = 8192, stops without progress.
+    Raises ArithmeticError when a factor is singular.
     """
     k, n = phi.shape
     nin = n - 2
@@ -445,9 +448,10 @@ def _newton_solver(pd, phi, q, p, omega, sigmas, beta):
         cblock[np.diag_indices(k)] = (
             pd.theta + np.asarray(sigmas) + (omega - lam) * pd.gl2
             - (a * G * G).sum(axis=1) - (a0 * g0 * g0).sum(axis=1))
-        ycol = tri_solve(np.eye(k)[:, :, None] * border)  # A^-1 of each border
+        ycol = tri_solve(border[None])[0]  # each plane's A^-1 border
+        schur = cblock - np.diag(np.einsum("in,in->i", border, ycol))
         try:
-            schur_inv = np.linalg.inv(cblock - np.einsum("in,jin->ij", border, ycol))
+            schur_inv = np.linalg.inv(schur)
         except np.linalg.LinAlgError as exc:
             raise ArithmeticError("Newton charge block is singular") from exc
 
@@ -456,7 +460,7 @@ def _newton_solver(pd, phi, q, p, omega, sigmas, beta):
         x = tri_solve(rows[:, :, :nin])
         if charged:
             y = (rows[:, :, nin] - (x * border).sum(-1)) @ schur_inv.T
-            x -= np.einsum("rj,jin->rin", y, ycol)
+            x -= y[:, :, None] * ycol
             out[:, :, nin] = y
         out[:, :, :nin] = x
         return out
@@ -516,7 +520,11 @@ def _initial_guess(pd, sigmas, beta, mu, start):
 
     Each profile carries its plane's share of the mass; ``_descend``
     rescales the start onto the sphere.  ``sigmas`` None is the
-    chargeless planar problem.
+    chargeless planar problem.  The charges solve M q = peaks, M the
+    charge matrix at theta(lam).  ``_setup``'s lam >= e omega* gives M
+    the smallest eigenvalue theta(lam) - theta(omega*) >= 1/(4 pi) (a
+    beta = 0 shortcut's other plane sits higher), and M's off-diagonal
+    is -beta <= 0, so M^-1 >= 0 entrywise and q > 0.
     """
     w = pd.grid.w_trapz
     charged = sigmas is not None
@@ -539,20 +547,13 @@ def _initial_guess(pd, sigmas, beta, mu, start):
     peaks = np.sqrt(masses / ((prof * prof) @ w))
     phi = peaks[:, None] * prof
 
-    q = np.zeros(k)
-    if charged:
-        th = pd.theta
-        if k == 1:
-            denom = sigmas[0] + th
-            sol = np.array([peaks[0] / denom if denom > 1e-12 else -1.0])
-        else:
-            m2 = np.array([[sigmas[0] + th, -beta], [-beta, sigmas[1] + th]])
-            try:
-                sol = np.linalg.solve(m2, peaks)
-            except np.linalg.LinAlgError:
-                sol = np.array([-1.0, -1.0])
-        q = np.where(sol > 0.0, sol, 0.1 * np.sqrt(masses))
-    return phi, q
+    if not charged:
+        return phi, np.zeros(k)
+    sig_theta = np.asarray(sigmas) + pd.theta
+    if k == 1:
+        return phi, peaks / sig_theta
+    m = np.array([[sig_theta[0], -beta], [-beta, sig_theta[1]]])
+    return phi, np.linalg.solve(m, peaks)
 
 
 def _mass(phi, q, pd):

@@ -7,15 +7,23 @@ problem at (R, sigma_i, mu).  The graded mesh scales with R, so the two
 discrete problems are the same up to the factors below, on every grid:
 energy L^(-4/(p-2)), rate L^-2 and charges L^(-2/(p-2)).  The planar law
 E = -rho mu^(2/(4-p)) of verify criterion 1 is its sigma-free case.
+
+Start charges: ``_setup`` decomposes at lam >= e omega*, so the charge
+matrix [[s1+th, -beta], [-beta, s2+th]] at th = theta(lam) keeps its
+smallest eigenvalue theta(lam) - theta(omega*) >= 1/(4 pi), and the
+charges ``_initial_guess`` solves from it come out positive.
 """
 
 import math
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hybrid_nls import solver
 from hybrid_nls.energy import HybridParams
-from hybrid_nls.solver import SolverConfig, solve_hybrid
+from hybrid_nls.solver import SolverConfig, omega_star, solve_hybrid
+from hybrid_nls.specfun import lambda_for_theta
 
 CFG = SolverConfig(N=512, grad_tol=1e-10)
 
@@ -52,3 +60,29 @@ def test_scale_covariance(p, sigma1, sigma2, beta, log_mu, log_L):
     assert abs(b.q2 * charge - a.q2) <= 1e-6 * q_max
     assert abs(b.mass1 / (b.mass1 + b.mass2)
                - a.mass1 / (a.mass1 + a.mass2)) <= 1e-6
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(p1=st.floats(2.05, 3.95),
+       p2=st.floats(2.05, 3.95),
+       sigma1=st.floats(-3.0, 20.0),
+       sigma2=st.floats(-3.0, 20.0),
+       beta=st.one_of(st.just(0.0), st.floats(0.0, 2.5)),
+       log_mu=st.floats(-3.0, 3.0))
+def test_start_charges_are_positive(p1, p2, sigma1, sigma2, beta, log_mu):
+    # the census box at the census's N
+    cfg = SolverConfig(N=512)
+    P = HybridParams(p1, p2, sigma1, sigma2, beta, 10.0 ** log_mu)
+    margin = (1.0 - 1e-12) / (4.0 * math.pi)
+    two = solver._setup(omega_star(P), cfg)
+    one = solver._setup(lambda_for_theta(-sigma1), cfg)
+    charges = np.array([[sigma1 + two.theta, -beta], [-beta, sigma2 + two.theta]])
+    assert np.linalg.eigvalsh(charges)[0] >= margin
+    assert sigma1 + one.theta >= margin
+    # the two-plane start, the beta = 0 shortcut's two single planes on
+    # the two-plane grid, and a single plane on its own grid
+    for pd, sigmas in ((two, (sigma1, sigma2)), (two, (sigma1,)),
+                       (two, (sigma2,)), (one, (sigma1,))):
+        for start in (0.1, 0.5, 0.9):
+            q = solver._initial_guess(pd, sigmas, beta, P.mu, start)[1]
+            assert np.all(np.isfinite(q)) and np.all(q > 0.0), (sigmas, start, q)
