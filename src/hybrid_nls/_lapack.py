@@ -9,13 +9,20 @@ solve copies b, (n,) or (n, nrhs), and returns the solution that
 ``scipy.linalg.lapack``'s dpttrs or dgttrs returns, bit for bit.
 There is no fallback: without that library or one of the symbols, the
 import fails naming both.
+
+``_one_thread`` runs a block with that OpenBLAS on one thread.  The
+solver's BLAS calls are level-1 and level-2 calls on at most 65,538
+doubles; from N = 8192 on OpenBLAS splits them across threads, which
+costs time and makes the last digits of a report depend on the host.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import glob
 import os
+import threading
 from collections.abc import Callable
 
 import numpy as np
@@ -23,23 +30,30 @@ import numpy as np
 __all__ = ["pttrf", "gttrf"]
 
 
-def _bind(*names: str) -> list:
+def _bind(*symbols: str) -> list:
     pattern = os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
                            "numpy.libs", "libscipy_openblas64_*")
     paths = glob.glob(pattern)
     if not paths:
         raise ImportError(f"no library matches {pattern}, "
-                          f"so {', '.join(names)} cannot be bound")
+                          f"so {', '.join(symbols)} cannot be bound")
     lib = ctypes.CDLL(paths[0])
     try:
-        return [getattr(lib, f"scipy_{name}_64_") for name in names]
+        return [getattr(lib, symbol) for symbol in symbols]
     except AttributeError as exc:
         raise ImportError(f"{paths[0]}: {exc}") from None
 
 
-_PTTRF, _PTTRS, _GTTRF, _GTTRS = _bind("dpttrf", "dpttrs", "dgttrf", "dgttrs")
-for _f in (_PTTRF, _PTTRS, _GTTRF, _GTTRS):
+# the thread count through the C interface, which takes it by value;
+# the Fortran-style scipy_openblas_set_num_threads_64_ takes a pointer
+_PTTRF, _PTTRS, _GTTRF, _GTTRS, _GET_THREADS, _SET_THREADS = _bind(
+    *(f"scipy_{name}_64_" for name in ("dpttrf", "dpttrs", "dgttrf", "dgttrs")),
+    "scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_")
+for _f in (_PTTRF, _PTTRS, _GTTRF, _GTTRS, _SET_THREADS):
     _f.restype = None
+_GET_THREADS.restype = ctypes.c_int
+_GET_THREADS.argtypes = []
+_SET_THREADS.argtypes = [ctypes.c_int]
 _PTTRF.argtypes = [ctypes.c_void_p] * 4
 _PTTRS.argtypes = [ctypes.c_void_p] * 7
 _GTTRF.argtypes = [ctypes.c_void_p] * 7
@@ -47,6 +61,31 @@ _GTTRF.argtypes = [ctypes.c_void_p] * 7
 _GTTRS.argtypes = [ctypes.c_char_p] + [ctypes.c_void_p] * 10 + [ctypes.c_size_t]
 #: the Fortran integer arguments of one call: n, nrhs, ldb, info
 _INTS = ctypes.c_int64 * 4
+
+
+#: [blocks open in ``_one_thread``, the thread count they restore]
+_SCOPE = [0, 1]
+_SCOPE_LOCK = threading.Lock()
+
+
+@contextlib.contextmanager
+def _one_thread():
+    """Run the block, or the decorated function, with OpenBLAS on one
+    thread.  The outermost block open in the process sets the count and
+    restores the caller's count when it closes, so blocks may nest and
+    run on several threads at once."""
+    with _SCOPE_LOCK:
+        if _SCOPE[0] == 0:
+            _SCOPE[1] = _GET_THREADS()
+            _SET_THREADS(1)
+        _SCOPE[0] += 1
+    try:
+        yield
+    finally:
+        with _SCOPE_LOCK:
+            _SCOPE[0] -= 1
+            if _SCOPE[0] == 0:
+                _SET_THREADS(_SCOPE[1])
 
 
 def _at(a: np.ndarray) -> int:

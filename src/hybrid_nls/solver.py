@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import _exponent, plane_energy, plane_energy_grad
-from ._lapack import gttrf, pttrf
+from ._lapack import _one_thread, gttrf, pttrf
 from .energy import (
     ChargedField,
     HybridParams,
@@ -486,6 +486,7 @@ def _newton_solver(pd, phi, q, p, omega, sigmas, beta):
     return solve
 
 
+@_one_thread()
 def omega_star_grid(P: HybridParams, cfg: SolverConfig | None = None) -> float:
     """Grid value of the coupling threshold: -min Q(U)/mass(U).
 
@@ -625,24 +626,39 @@ def _descend(pd, p, sigmas, beta, mu, cfg, phi, q, near=(), shift=None):
     the fallback of a residual step whose slope is not positive and
     finite.  The residual step everywhere leaves census draws 11, 45,
     189, 266 and 285 unconverged, and the R = 1e6 box hybrid.  Armijo
-    backtracking on the true energy starts from _STEP_SIZE, then from
-    _STEP_GROW times the last accepted step (a fixed first step of 1
-    took 17,918 winner iterations against 12,336).  Each evaluated point
-    gets one energy-kernel call, so one |u|^p power pass, and the
+    backtracking on the true energy halves the trial step from a first
+    trial of _STEP_GROW at a start's first iteration.  After a step s
+    with slope sigma, the next first trial is the minimizer
+    t* = sigma s^2 / (2 (E(s) - E(0) + sigma s)) of the parabola through
+    E(0), the slope and E(s) (Nocedal and Wright, Numerical
+    Optimization, 2006, sec. 3.5), held at most _STEP_GROW^2 s; the
+    Armijo test already keeps it above s/2.  Where the parabola has no
+    positive curvature the next trial is _STEP_GROW s.  Over the
+    benchmark's 647 solves the model step takes 17,620 iterations and
+    19,081 energy evaluations, against 20,148 and 25,802 when every
+    search started at _STEP_GROW times the last step: that step climbed
+    past 2, where Armijo halved it, and a quarter of the trials were
+    rejected.  Capped at 2 s, or at 1.5 s, the R = 1e6 box hybrid stops
+    ``no_progress`` (a fixed first step of 1 took 17,918 winner
+    iterations against 12,336 for the growing step).  Each evaluated
+    point gets one energy-kernel call, so one |u|^p power pass, and the
     accepted trial's pieces give the next iteration's gradient.
 
     Newton endgame: the preconditioner leaves out the |u|^p curvature,
     and where that term dominates (a strong interaction at large mass,
     or p near 2) the descent contracts by only 0.91-0.94 per iteration;
-    the endgame takes the sigma = 6, mu = 2 mu* hybrid from 138 to 46
+    the endgame takes the sigma = 6, mu = 2 mu* hybrid from 138 to 41
     iterations.  Once a start's scaled norm fell by less than _CRAWL
     per iteration over the last _WINDOW iterations, with omega_hat
     within _OMEGA_DRIFT relative over them and the norm more than
     _NOISE_BAND times its tolerance, the start takes Newton steps
     (``_newton_solver``, first trial step 1) to its end, falling back to
-    the preconditioned step when the factor fails or the direction does
-    not descend.  Newton from the first iteration sent a quarter of the
-    warm pool's 640 solves to other critical points.  Without the drift
+    the preconditioned step where the direction does not descend.  A
+    factor that fails ends Newton mode and restarts the gate's window:
+    kept in Newton mode with every factor failing, the sigma = 6,
+    mu = 2 mu* hybrid stopped ``no_progress`` 8.7e-5 above its energy.
+    Newton from the first iteration sent a quarter of the warm pool's
+    640 solves to other critical points.  Without the drift
     condition both sigma = 6 ``fine_hard`` solves stop at E = -47.97 in
     place of -109.90.  Inside the noise band the norm's roundoff floor
     sets its ratio: on the N = 32768, grading 1.000625 mesh ulp noise
@@ -711,7 +727,7 @@ def _descend(pd, p, sigmas, beta, mu, cfg, phi, q, near=(), shift=None):
             f"cannot scale the start onto the sphere of mass {mu!r}")
     phi, q = start
     shift = pd.lam if shift is None else shift
-    step, stall, since_factor, newton = _STEP_SIZE, 0, 0, False
+    step, stall, since_factor, newton = _STEP_GROW * _STEP_SIZE, 0, 0, False
     # (scaled norm, omega_hat) of the last _WINDOW + 1 iterations, since
     # the Newton gate in Newton mode
     recent = collections.deque(maxlen=_WINDOW + 1)
@@ -788,8 +804,11 @@ def _descend(pd, p, sigmas, beta, mu, cfg, phi, q, near=(), shift=None):
                 found = _tangent_direction(_newton_solver(
                     pd, phi, q, p, omega_hat, sigmas, beta), flat)
             except ArithmeticError:
-                pass
-        s_try = 1.0 if found else step * _STEP_GROW
+                # a singular factor: the start leaves Newton mode, and the
+                # gate's window restarts at this iteration
+                newton = False
+                recent = collections.deque((recent[-1],), maxlen=_WINDOW + 1)
+        s_try = _STEP_SIZE if found else step
         if found is None and pd.grid.resolves(abs(omega_hat)):
             found = _residual_direction(lin_solve, flat, omega_hat,
                                         gphi.reshape(-1)[:k * stride])
@@ -822,7 +841,11 @@ def _descend(pd, p, sigmas, beta, mu, cfg, phi, q, near=(), shift=None):
         phi, q = retr
         energy, qform, pt, pieces = point
         pvec = found = None  # the direction goes before the next gradient
-        step = s_try
+        # the next search starts at the minimizer of the parabola through
+        # E(0), the slope at 0 and E(s_try)
+        excess = slope * s_try - drop
+        step = (min(slope * s_try * s_try / (2.0 * excess), _STEP_GROW ** 2 * s_try)
+                if excess > 0.0 else _STEP_GROW * s_try)
         stall = stall + 1 if drop <= _ENERGY_TOL * max(1.0, abs(energy)) else 0
         if stall >= _STALL_LIMIT:
             stop = "stalled"
@@ -861,15 +884,17 @@ def _solve_on_grid(pd, p, sigmas, beta, mu, cfg):
     the converged runs finished before it as ``_descend``'s ``near``,
     and a start that joins one of those states (stop ``duplicate``) is
     dropped: the winner never is a joined start.  The warm pool takes
-    19,816 iterations so, and 41,851 with every start run to its end.
-    Over the benchmark's 647 solves a joined start, run alone, ends at
-    most 5.7e-5 from the state it joined, and two distinct converged
-    states lie at least 0.80 apart.  Joining unconverged runs as well
+    17,336 iterations so (19,816 when each line search started at 1.3
+    times the last step, and then 41,851 with every start run to its
+    end).  Over the benchmark's 647 solves a joined start, run alone,
+    ends at most 1.8e-4 from the state it joined, and two distinct
+    converged states lie at least 0.80 apart.  Joining unconverged runs as well
     flipped a census draw from ``converged`` to ``no_progress``.  A
     start after a converged run begins at the shift
     max(|omega_hat|, 1e-10) of the last one, the refactor rule's floor;
     begun at pd.lam, the warm pool took 24,158 iterations (its joined
-    starts 7,890 against 3,563) and ``fine_hard`` 351 against 332.
+    starts 7,890 against 3,563) and ``fine_hard`` 351 against 332, both
+    under the earlier 1.3-times step rule.
     """
     runs = []
     for s in cfg.starts:
@@ -939,6 +964,7 @@ def _build_report(pd, run, P, side=None, *, vertex=True):
     )
 
 
+@_one_thread()
 def solve_planar(p: float, mu: float, cfg: SolverConfig | None = None) -> GroundStateReport:
     """Ground state of the plain planar NLS energy at mass mu (no charge).
 
@@ -952,6 +978,7 @@ def solve_planar(p: float, mu: float, cfg: SolverConfig | None = None) -> Ground
     return _build_report(pd, run, P, 0, vertex=False)
 
 
+@_one_thread()
 def solve_single(p: float, sigma: float, mu: float,
                  cfg: SolverConfig | None = None) -> GroundStateReport:
     """Ground state of one plane with its point charge at mass mu."""
@@ -971,6 +998,7 @@ def _solve_two_plane(P: HybridParams, cfg: SolverConfig) -> GroundStateReport:
     return _build_report(pd, best, P)
 
 
+@_one_thread()
 def solve_hybrid(P: HybridParams, cfg: SolverConfig | None = None) -> GroundStateReport:
     """Ground state of the coupled two-plane energy at mass P.mu.
 

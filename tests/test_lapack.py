@@ -197,3 +197,44 @@ def test_solves_never_write_b():
     for x in (solve(b), solve(b[:10]), lu_solve(b)):
         assert not np.shares_memory(x, b)
     np.testing.assert_array_equal(b, copy)
+
+
+@pytest.fixture
+def two_threads():
+    """OpenBLAS at two threads for the test, the caller's count after."""
+    before = _lapack._GET_THREADS()
+    _lapack._SET_THREADS(2)
+    yield
+    _lapack._SET_THREADS(before)
+
+
+def test_one_thread_restores_the_callers_count(two_threads):
+    with _lapack._one_thread():
+        assert _lapack._GET_THREADS() == 1
+        with _lapack._one_thread():
+            assert _lapack._GET_THREADS() == 1
+        assert _lapack._GET_THREADS() == 1  # the inner block restores nothing
+    assert _lapack._GET_THREADS() == 2
+    with pytest.raises(ZeroDivisionError), _lapack._one_thread():
+        1 / 0
+    assert _lapack._GET_THREADS() == 2
+
+
+@pytest.mark.parametrize("solve", [
+    lambda cfg: solver.solve_planar(3.0, 1.0, cfg),
+    lambda cfg: solver.solve_single(3.0, 0.0, 1.0, cfg),
+    lambda cfg: solver.solve_hybrid(solver.HybridParams(3, 3, 0, 1, 1, 1), cfg),
+    lambda cfg: solver.omega_star_grid(solver.HybridParams(3, 3, 0, 1, 1, 1), cfg),
+], ids=["planar", "single", "hybrid", "omega_star_grid"])
+def test_public_solves_run_on_one_thread(two_threads, monkeypatch, solve):
+    counts = []
+    descend = solver._descend
+
+    def counted(*args, **kwargs):
+        counts.append(_lapack._GET_THREADS())
+        return descend(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_descend", counted)
+    solve(solver.SolverConfig(N=256))
+    assert counts and set(counts) == {1}
+    assert _lapack._GET_THREADS() == 2

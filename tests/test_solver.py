@@ -602,11 +602,12 @@ class TestCertificate:
         assert not r.certificate["bound_state"].passed
 
     def test_unstationary_state_fails_stationarity(self):
-        # plane 1 holds 2.5e-12 of the mass, and the field equation is
-        # met only to 67% of its scale
+        # plane 1 holds 2.4e-12 of the mass, and the field equation is
+        # met only to 31% of its scale, a figure the stop does not pin
+        # on a near-empty plane
         r = solve_hybrid(HybridParams(3.0, 3.0, 200.0, 200.0, 0.5, 1.0), self.CFG)
         assert r.converged and r.omega > 0.0 and r.mass1 < 1e-11
-        assert rel(r.el_residual, 0.671) < 1e-2
+        assert rel(r.el_residual, 0.312) < 1e-2
         assert not r.certificate.certified
         assert r.certificate.failed == "stationarity"
 
@@ -702,6 +703,39 @@ def _state_distance(pd, mu, a, b):
     """sqrt(mass(U_a - U_b) / mu) of two runs' plane-batched states."""
     dm = solver._mass(a["phi"] - b["phi"], a["q"] - b["q"], pd)
     return math.sqrt(max(dm, 0.0) / mu)
+
+
+def _tangent_hessian_floor(pd, p, run):
+    """Smallest eigenvalue, in the W metric, of the Hessian of
+    E + (omega/2) mass on the mass sphere's tangent space at a planar
+    run's state, by inverse iteration on ``_newton_solver``'s solve.
+
+    What the stop test guarantees: near a critical point U* the
+    projected gradient is that Hessian times U - U*, to first order, so
+    a state whose projected-gradient norm is g lies within
+    g / lambda_min of U* in the W norm, sqrt(mass(U - U*)), and its
+    energy at most g^2 / (2 lambda_min) above E(U*).  So two such states
+    lie within (g_a + g_b) / (sqrt(mu) lambda_min) of each other in
+    ``_state_distance``, and their energies within
+    max(g_a, g_b)^2 / (2 lambda_min).  The estimate converges from
+    above, so it can only tighten these bounds.
+    """
+    w = pd.grid.w_trapz[1:-1]
+    solve = solver._newton_solver(pd, run["phi"], run["q"], p, run["omega_hat"],
+                                  None, 0.0)
+    m = 2.0 * w * run["phi"][0, 1:-1]  # the mass gradient
+    hm = solve(m[None])[0]
+
+    def tangent_solve(b):  # the Hessian's inverse on the tangent space
+        x = solve(b[None])[0]
+        return x - (m @ x) / (m @ hm) * hm
+
+    v = tangent_solve(w * np.random.default_rng(0).standard_normal(w.size))
+    for _ in range(20):
+        v /= math.sqrt(v @ (w * v))
+        x = tangent_solve(w * v)
+        floor, v = 1.0 / math.sqrt(x @ (w * x)), x
+    return floor
 
 
 def _start_energy(pd, p, sigmas, beta, mu, phi, q):
@@ -934,12 +968,20 @@ class TestInheritedShift:
         at_lam = descend(*args, near=kwargs["near"], shift=pd.lam)
         assert at_lam["stop"] == "duplicate"
         assert (run["iterations"], at_lam["iterations"]) == (3, 11)
-        # run alone from either shift, the start ends on the state it joined
+        # run alone from either shift, the start ends on the state it
+        # joined, as near in distance and energy as the two stops
+        # guarantee: at omega = 0.0071 the Hessian's floor is 1.24 omega,
+        # and the state at the default tolerance is only pinned to about
+        # 1e-4 in distance and 4e-8 in relative energy
+        floor = _tangent_hessian_floor(pd, 3.31, held)
+        assert 1.2 < floor / abs(held["omega_hat"]) < 1.3
         for shift in (kwargs["shift"], pd.lam):
             whole = descend(*args, shift=shift)
             assert whole["stop"] == "converged"
-            assert _state_distance(pd, 1.526, whole, held) < 1e-4
-            assert rel(whole["energy"], held["energy"]) < 1e-10
+            g = (whole["grad_norm"], held["grad_norm"])
+            assert (_state_distance(pd, 1.526, whole, held)
+                    < sum(g) / (math.sqrt(1.526) * floor))
+            assert abs(whole["energy"] - held["energy"]) < max(g) ** 2 / (2.0 * floor)
 
 
 class TestEntryValidation:
@@ -996,9 +1038,9 @@ class TestSmallMass:
             assert rel(r.mass1 + r.mass2, mu) <= 1e-10
 
     @pytest.mark.parametrize("solve,converged_iters,gives_out", [
-        (lambda mu: solve_single(3.0, 0.0, mu), 17, ("line_search", 9)),
+        (lambda mu: solve_single(3.0, 0.0, mu), 12, ("no_progress", 12)),
         (lambda mu: solve_hybrid(HybridParams(3.0, 3.0, 0.0, 1.0, 1.0, mu)),
-         18, ("no_progress", 14)),
+         14, ("no_progress", 13)),
     ], ids=["single", "hybrid"])
     def test_where_the_descent_gives_out(self, solve, converged_iters,
                                          gives_out):
@@ -1251,6 +1293,25 @@ class TestNewtonEndgame:
         assert r.stop_reason == "no_progress"
         assert r.iterations < 500
 
+    def test_failed_newton_factor_leaves_newton_mode(self, monkeypatch):
+        # a start whose Newton factor fails goes back to preconditioned
+        # steps, its gate window restarted; kept in Newton mode, the
+        # sigma = 6, mu = 2 mu* hybrid stopped ``no_progress`` after 49
+        # iterations, 8.7e-5 above the unforced energy
+        P = HybridParams(2.5, 3.5, 6.0, 6.0, 1.0, 44.8529)
+        cfg = SolverConfig(N=512)
+        free = solve_hybrid(P, cfg)
+        failures = []
+
+        def singular(*args):
+            failures.append(args)
+            raise ArithmeticError("Newton charge block is singular")
+
+        monkeypatch.setattr(solver, "_newton_solver", singular)
+        r = solve_hybrid(P, cfg)
+        assert failures and r.converged and r.certificate.certified
+        assert rel(r.energy, free.energy) < 1e-10
+
 
 def tridiagonal_entries(grid, shift):
     """Diagonal and off-diagonal of kinetic + shift*mass on the interior
@@ -1329,12 +1390,12 @@ class TestOmegaStarGridOracle:
             omega_star_grid(P, SolverConfig(N=256, max_iters=2))
 
     @pytest.mark.parametrize("s1, s2, beta, n, level", [
-        (0.0, 1.0, 1.0, 2048, 2975.9411641467304),  # the README hybrid
-        (-1.0, 1.0, 2.0, 4096, 2013972809153.8828),  # criterion 13's steep triple
+        (0.0, 1.0, 1.0, 2048, 2975.9411641467086),  # the README hybrid
+        (-1.0, 1.0, 2.0, 4096, 2013972809153.875),  # criterion 13's steep triple
     ])
     def test_level_is_the_recorded_one(self, s1, s2, beta, n, level):
-        # recorded when the level ran its own one-start descent, before it
-        # went through the multistart: the same call, so the same bits
+        # recorded from the descent as it stands: the same call, so the
+        # same bits
         P = HybridParams(3.0, 3.0, s1, s2, beta, 1.0)
         assert omega_star_grid(P, SolverConfig(N=n)) == level
 

@@ -34,10 +34,14 @@ def census_run():
         seen.append((args, kwargs, descend(*args, **kwargs)))
         return seen[-1][2]
 
+    census = _load("census")
+    counted = {name: getattr(solver, name) for name in census.WORK.values()}
     solver._descend = recorded
     try:
-        s = _load("census").iterations(rotation, hybrid_nls, solver)
-        assert solver._descend is recorded  # the wrappers are taken off again
+        s = census.iterations(rotation, hybrid_nls, solver)
+        # the wrappers are taken off again
+        assert solver._descend is recorded
+        assert all(getattr(solver, name) is fn for name, fn in counted.items())
     finally:
         solver._descend = descend
     return rotation, s, seen
@@ -65,6 +69,19 @@ def test_iteration_census_adds_up(census_run):
     assert s["max_rerun_distance"] == max(st["rerun_distance"] for st in joined)
     assert s["max_rerun_distance"] <= 1e-3
     assert s["unconverged"] == sum(not r["converged"] for r in ops) == 0
+
+
+def test_census_work_totals_add_up(census_run):
+    # each total is the sum over the operations; every start factors its
+    # preconditioner and evaluates its start, then at least one point
+    # per iteration that does not stop
+    _, s, _ = census_run
+    ops = s["ops"]
+    for key in _load("census").WORK:
+        assert s[key] == sum(r[key] for r in ops), key
+    for r in ops:
+        assert r["factorizations"] >= len(r["starts"])
+        assert r["energy_evals"] >= r["total_iters"]
 
 
 def test_joined_start_reruns_at_its_shift(census_run):
@@ -178,6 +195,21 @@ def test_census_compare_exit_status(tmp_path, capsys):
     assert code == 0 and "draw: 0 of 3 energies moved" in out
 
 
+def test_census_compare_prints_work_where_recorded(capsys):
+    # an entry recorded before the work counts compares as before
+    dc = _load("census")
+    data = {"old": _entry(["certified"]), "new": _entry(["certified"])}
+    for name in dc.SETS:
+        data["new"][name].update(energy_evals=12, factorizations=3,
+                                 newton_factorizations=0)
+    assert dc.compare(data, "old", "new") == 0
+    lines = capsys.readouterr().out.splitlines()
+    old = [x for x in lines if x.startswith("warm_pool old: total")]
+    new = [x for x in lines if x.startswith("warm_pool new: total")]
+    assert len(old) == len(new) == 1 and "energy_evals" not in old[0]
+    assert new[0].endswith("energy_evals 12, factorizations 3, newton_factorizations 0")
+
+
 def test_census_environment_without_scipy(monkeypatch):
     census = _load("census")
     version = census.importlib.metadata.version
@@ -269,3 +301,32 @@ def test_bench_pairs_claim_rule():
     # every pair won, by less than the parent's quartile spread
     j = judge(list(zip(parent, [p - 0.1 for p in parent])), "lower")
     assert j["change_won"] == 10 and j["gap"] < j["parent_iqr"] and not j["claim"]
+
+
+def test_bench_pairs_unpacks_both_trees_at_equal_path_length(tmp_path):
+    # the checkout path moves heap layout and times, so each side gets a
+    # sibling directory of the same length; the change is the working tree
+    bench_pairs = _load("bench_pairs")
+    head = bench_pairs.git("rev-parse", "HEAD")
+    parent, change, _ = bench_pairs.unpack(head, tmp_path)
+    assert parent.parent == change.parent == tmp_path
+    assert len(str(parent)) == len(str(change)) and parent != change
+    for tree in (parent, change):
+        assert (tree / "perfbench" / "run.py").is_file()
+    here = Path("tools") / "bench_pairs.py"
+    assert (change / here).read_bytes() == (ROOT / here).read_bytes()
+
+
+def test_bench_pairs_run_records_its_faults(tmp_path):
+    # a stand-in benchmark: the last line of its output is the result
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import json, sys\n"
+        "pages = bytearray(8 << 20)\n"
+        "print('warming up')\n"
+        "print(json.dumps({'argv': sys.argv[1:], 'metrics': {}}))\n")
+    run = _load("bench_pairs").run_side(tmp_path, "fine_hard", 3, 0.5)
+    assert run["result"] == {"argv": ["--workload", "fine_hard", "--seed", "3",
+                                      "--seconds", "0.5", "--trace", "0"],
+                             "metrics": {}}
+    assert run["minor_faults"] > 2048  # the 8 MB alone are 2048 pages

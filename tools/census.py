@@ -7,9 +7,15 @@ The iteration census runs each of the 640 operations of the
 order, and records per operation the winning start's iterations, the
 iterations summed over every start, the energy, the ``converged`` flag
 and the stop reason.  The operations come from
-``perfbench/workloads.py``, which this script only reads.  Times are not
-recorded: they drift with the host, and ``perfbench``'s alternating
-pairs measure them.
+``perfbench/workloads.py``, which this script only reads.  Each
+operation also records its exact work: ``energy_evals``, the calls of
+``solver.plane_energy`` (one per evaluated point: the start, each
+line-search trial), ``factorizations``, the calls of
+``solver._linear_solver`` (the preconditioner's), and
+``newton_factorizations``, the calls of ``solver._newton_solver``; a
+joined start's rerun is not counted.  Times are not recorded: they
+drift with the host, and ``perfbench``'s alternating pairs measure
+them.
 
 Each start of a multistart gets one record, with its outcome.  A
 ``finished`` start carries its stop reason and its iterations.  A
@@ -22,9 +28,10 @@ the same start run alone, uninterrupted.  Each operation also records
 converged final states.
 
 The starts are seen by wrapping ``solver._solve_on_grid`` and
-``solver._descend``: each ``_descend`` call is one start, and a start
-given the earlier converged runs as ``near`` joins one of them with
-stop ``duplicate``.  A start run alone is a ``_descend`` call with the
+``solver._descend``, and the work by wrapping the three counted
+functions.  Each ``_descend`` call is one start, and a start given the
+earlier converged runs as ``near`` joins one of them with stop
+``duplicate``.  A start run alone is a ``_descend`` call with the
 same arguments and keywords less ``near``, so it keeps the preconditioner
 shift it began at.  The distances are the tree's own batched mass,
 ``solver._mass``, and the wrappers use the signatures in which the
@@ -57,7 +64,8 @@ Each run replaces ``warm_pool``, ``fine_hard`` and ``draw_census`` in
 its label's entry and keeps the rest of the file.  ``--compare`` lists
 each operation and each draw whose class, ``converged`` flag or stop
 reason differs, or whose energy moved by more than 1e-10 relative, and
-counts the moved energies.  It exits 1 when a pool or ``fine_hard``
+counts the moved energies; it prints the work totals of the entries
+that record them.  It exits 1 when a pool or ``fine_hard``
 ``converged`` flag differs, or when a draw's ``converged`` flag turns
 False.
 """
@@ -85,6 +93,9 @@ CLASS_OF = {None: "certified", "converged": "unconverged",
             "bound_state": "box", "stationarity": "uncertified"}
 CLASSES = tuple(CLASS_OF.values())
 MOVED = 1e-10  # relative energy change that counts as moved
+#: each operation's work: the solver function whose calls it counts
+WORK = {"energy_evals": "plane_energy", "factorizations": "_linear_solver",
+        "newton_factorizations": "_newton_solver"}
 
 
 def _version(package: str) -> str | None:
@@ -157,6 +168,14 @@ def iterations(ops, hybrid_nls, solver) -> dict:
     """Run ``ops`` in order; per op its iterations, starts and answer."""
     calls, starts, separations = [], [], []
     descend, on_grid = solver._descend, solver._solve_on_grid
+    work = dict.fromkeys(WORK, 0)
+    originals = {name: getattr(solver, name) for name in WORK.values()}
+
+    def counter(key, fn):
+        def count(*args, **kwargs):
+            work[key] += 1
+            return fn(*args, **kwargs)
+        return count
 
     def counted(*args, **kwargs):
         run = descend(*args, **kwargs)
@@ -164,7 +183,11 @@ def iterations(ops, hybrid_nls, solver) -> dict:
         return run
 
     def rerun(args, kw):
-        return descend(*args, **{k: v for k, v in kw.items() if k != "near"})
+        held = dict(work)
+        try:
+            return descend(*args, **{k: v for k, v in kw.items() if k != "near"})
+        finally:
+            work.update(held)
 
     def multistart(pd, p, sigmas, beta, mu, cfg):
         calls.clear()
@@ -175,6 +198,8 @@ def iterations(ops, hybrid_nls, solver) -> dict:
         return best
 
     solver._descend, solver._solve_on_grid = counted, multistart
+    for key, name in WORK.items():
+        setattr(solver, name, counter(key, originals[name]))
     records = []
     try:
         for op in ops:
@@ -183,6 +208,7 @@ def iterations(ops, hybrid_nls, solver) -> dict:
                     else op.args)
             starts.clear()
             separations.clear()
+            work.update(dict.fromkeys(WORK, 0))
             report = getattr(hybrid_nls, op.fn)(*args, cfg)
             seps = [x for x in separations if x is not None]
             records.append({
@@ -190,6 +216,7 @@ def iterations(ops, hybrid_nls, solver) -> dict:
                 "kind": op.kind,
                 "winner_iters": report.iterations,
                 "total_iters": sum(r["iterations"] for r in starts),
+                **work,
                 "starts": list(starts),
                 "separation": min(seps, default=None),
                 "converged": report.converged,
@@ -198,12 +225,15 @@ def iterations(ops, hybrid_nls, solver) -> dict:
             })
     finally:
         solver._descend, solver._solve_on_grid = descend, on_grid
+        for name, fn in originals.items():
+            setattr(solver, name, fn)
     every = [s for r in records for s in r["starts"]]
     joined = [s for s in every if s["outcome"] == "joined"]
     seps = [r["separation"] for r in records if r["separation"] is not None]
     return {
         "winner_iters": sum(r["winner_iters"] for r in records),
         "total_iters": sum(r["total_iters"] for r in records),
+        **{key: sum(r[key] for r in records) for key in WORK},
         "unconverged": sum(not r["converged"] for r in records),
         "starts": len(every),
         "joined": len(joined),
@@ -276,7 +306,8 @@ def compare(data: dict, old: str, new: str) -> int:
             print(f"{name} {label}: total iterations {s['total_iters']}, winner "
                   f"{s['winner_iters']}, joined {s['joined']} of {s['starts']} starts "
                   f"({s['joined_iters']} iterations), max rerun distance "
-                  f"{s['max_rerun_distance']}")
+                  f"{s['max_rerun_distance']}" + "".join(
+                      f", {key} {s[key]}" for key in WORK if key in s))
     pairs = _differ("draw", data[old]["draw_census"]["draws"],
                     data[new]["draw_census"]["draws"], "draw")
     lost = sum(o["converged"] and not r["converged"] for o, r in pairs)
@@ -347,7 +378,7 @@ def main(argv=None) -> int:
         print(f"{args.label} {name}: {len(s['ops'])} ops, winner iterations "
               f"{s['winner_iters']}, total {s['total_iters']}, unconverged "
               f"{s['unconverged']}, joined {s['joined']} of "
-              f"{s['starts']} starts")
+              f"{s['starts']} starts, " + ", ".join(f"{key} {s[key]}" for key in WORK))
     counts = entry["draw_census"]["counts"]
     print(f"{args.label} draws: " + ", ".join(f"{counts[c]} {c}" for c in CLASSES))
     return 0
